@@ -1,6 +1,6 @@
 """Quantum estimation bounds for qubit state tomography.
 
-A numpy/scipy toolkit for the question "how efficient is plain tomography?":
+A numpy toolkit for the question "how efficient is plain tomography?":
 SLD Fisher information of small parametric state models, the minimum of the
 weighted inverse-Fisher trace over qubit POVMs with the random measurement
 attaining it, the special weight that makes tomography optimal, mutually

@@ -150,7 +150,7 @@ def cmd_simulate(args) -> int:
     try:
         cfg = sim.RunConfig(x0=x0, weight=weight, m_max=args.m, reps=args.reps,
                             seed=args.seed, adapt_update_every=args.update_every,
-                            mle_restarts=args.mle_restarts, eps_ball=args.eps_ball)
+                            eps_ball=args.eps_ball)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--estimator", choices=("both", "tomo", "adaptive"), default="both")
     p.add_argument("--update-every", type=int, default=1)
-    p.add_argument("--mle-restarts", type=int, default=3)
     p.add_argument("--eps-ball", type=float, default=1e-6)
     common(p)
     p.set_defaults(func=cmd_simulate)

@@ -14,9 +14,12 @@ runs in trial order regardless of worker count.
 
 from __future__ import annotations
 
+import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,6 +37,12 @@ from .states import ID2, PAULIS, bures_distance, qubit_qfi, qubit_state
 
 WEIGHT_SELECTORS = ("identity", "qfi", "tomography")
 PROB_FLOOR = 1e-12
+# the certificate accepts a point whose ball-constrained Newton step predicts
+# a log-likelihood ascent of at most CERT_TOL * max(1, |L| / 1000), L the
+# summed log terms: 1e-10 absolute, and a few hundred rounding units of L
+# for long histories
+CERT_TOL = 1e-10
+MAX_NEWTON = 60
 
 
 @dataclass
@@ -50,7 +59,6 @@ class RunConfig:
     reps: int = 300
     seed: int = 0
     adapt_update_every: int = 1
-    mle_restarts: int = 3
     eps_ball: float = 1e-6
     x_init: np.ndarray | None = None
     checkpoints: np.ndarray | None = None
@@ -65,6 +73,8 @@ class RunConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.adapt_update_every < 1:
             raise ValueError("adapt_update_every must be positive")
+        if not 0.0 < self.eps_ball < 1.0:
+            raise ValueError("eps_ball must lie strictly between 0 and 1")
         if isinstance(self.weight, str):
             if self.weight not in WEIGHT_SELECTORS:
                 raise ValueError(f"unknown weight selector {self.weight!r}")
@@ -74,8 +84,19 @@ class RunConfig:
                 raise ValueError("custom weight must be a 3x3 matrix")
         if self.x_init is not None:
             self.x_init = np.asarray(self.x_init, dtype=float)
+            if self.x_init.shape != (3,):
+                raise ValueError("x_init must be a Stokes vector")
+            if math.hypot(*self.x_init) > 1.0 - self.eps_ball:
+                raise ValueError("x_init must lie in the ball of radius 1 - eps_ball")
         if self.checkpoints is not None:
-            self.checkpoints = np.asarray(self.checkpoints, dtype=int)
+            points = np.asarray(self.checkpoints, dtype=float)
+            if points.ndim != 1 or points.size == 0:
+                raise ValueError("checkpoints must be a nonempty list of step counts")
+            if not np.all(points == np.round(points)):
+                raise ValueError("checkpoints must be integers")
+            if points[0] < 1 or points[-1] > self.m_max or np.any(np.diff(points) <= 0):
+                raise ValueError("checkpoints must increase strictly within [1, m_max]")
+            self.checkpoints = points.astype(int)
 
 
 @dataclass
@@ -83,15 +104,21 @@ class TrialRecord:
     """Per-step history of one adaptive run.
 
     Applied POVM elements are stored in Bloch form: element i is
-    (traces[i] * I + bloch[i] . sigma) / 2.
+    (traces[i] * I + bloch[i] . sigma) / 2.  outcomes[i] = 2 * branch + 1
+    for the + projector of the branch measured at step i, 2 * branch for -.
     """
 
     element_traces: np.ndarray
     element_bloch: np.ndarray
-    labels: list
+    outcomes: np.ndarray
     checkpoints: np.ndarray
     estimates: np.ndarray
     n_opt_failed: int = 0
+
+    @property
+    def labels(self) -> list:
+        """Outcome labels "<branch><sign>", branches counted from 1."""
+        return [f"{k // 2 + 1}{'+' if k % 2 else '-'}" for k in self.outcomes.tolist()]
 
     def element_matrix(self, i: int) -> np.ndarray:
         op = self.element_traces[i] * ID2.copy()
@@ -147,12 +174,21 @@ class McSummary:
 
 
 def clamp_to_ball(x, eps: float = 1e-6) -> np.ndarray:
-    """Radially project onto the closed ball of radius 1 - eps."""
+    """Radially project onto the closed ball of radius 1 - eps.
+
+    Idempotent: the result lies in the ball by the same norm that decides
+    whether to project, so clamping it again returns it unchanged.
+    """
     x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r <= 1.0 - eps:
+    rho = 1.0 - eps
+    r = math.hypot(*x)
+    if r <= rho:
         return x
-    return x * ((1.0 - eps) / r)
+    y = x * (rho / r)
+    while math.hypot(*y) > rho:
+        # rounding left y an ulp outside; shrink each coordinate by >= 1 ulp
+        y = y * (1.0 - 2.0 ** -52)
+    return y
 
 
 def checkpoint_schedule(m_max: int, per_decade: int = 10) -> np.ndarray:
@@ -225,14 +261,19 @@ def tomography_estimate(counts: np.ndarray) -> np.ndarray:
     return est
 
 
-def _optimal_branches(x: np.ndarray, h: np.ndarray):
+def _optimal_branches(x: np.ndarray, weight):
     """Branch probabilities and PVM axes of the merit-optimal random
     measurement at x, in Bloch form.
 
     Branch i measures the PVM with projectors (I +- axes[i].sigma)/2 and is
-    chosen with probability probs[i].  Axes are the normalized rows of
-    U^T sqrt(J); zero-probability branches are dropped.
+    chosen with probability probs[i].  weight is a selector or a fixed
+    matrix.  The rotational selectors "identity" and "qfi" use the closed
+    form; any other weight is resolved at x and its axes are the normalized
+    rows of U^T sqrt(J), with zero-probability branches dropped.
     """
+    if isinstance(weight, str) and weight in ("identity", "qfi"):
+        return _rotational_branches(x, weight)
+    h = resolve_weight(weight, x)
     r2 = float(x @ x)
     s = np.sqrt(1.0 - r2)
     if r2 > 0.0:
@@ -256,89 +297,158 @@ def _optimal_branches(x: np.ndarray, h: np.ndarray):
     return probs, axes
 
 
+def _rotational_branches(x: np.ndarray, selector: str):
+    """Closed-form design for a weight f (I - n n^T) + g n n^T, n = x/|x|.
+
+    J^-1/2 H J^-1/2 has eigenvalues f, f on the plane orthogonal to n and
+    (1 - r^2) g along n, and sqrt(J) leaves those eigenvectors' directions
+    unchanged, so the axes are n and an orthonormal pair orthogonal to it,
+    chosen with weights sqrt((1 - r^2) g), sqrt(f), sqrt(f).  Both
+    selectors have f = 1; g = 1 for "identity" and 1/(1 - r^2) for "qfi".
+    """
+    r2 = float(x @ x)
+    if r2 == 0.0:
+        return np.full(3, 1.0 / 3.0), np.eye(3)
+    w = math.sqrt(1.0 - r2) if selector == "identity" else 1.0
+    n = (x / math.sqrt(r2)).tolist()
+    # Gram-Schmidt on the coordinate axis least aligned with n
+    k = min(range(3), key=lambda i: abs(n[i]))
+    a = [float(i == k) - n[k] * n[i] for i in range(3)]
+    na = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+    a = [ai / na for ai in a]
+    cross = [n[1] * a[2] - n[2] * a[1], n[2] * a[0] - n[0] * a[2], n[0] * a[1] - n[1] * a[0]]
+    return np.array([w, 1.0, 1.0]) / (w + 2.0), np.array([n, a, cross])
+
+
 def _log_likelihood(traces: np.ndarray, bloch: np.ndarray, x: np.ndarray) -> float:
     u = traces + bloch @ x
     return float(np.sum(np.log(np.maximum(u, 2.0 * PROB_FLOOR)))) - len(traces) * np.log(2.0)
 
 
-def _newton_ascent(traces, bloch, x, eps_ball, max_iter=80):
-    """Projected Newton ascent of the (concave) log-likelihood on the ball."""
-    x = clamp_to_ball(x, eps_ball)
-    u = np.maximum(traces + bloch @ x, 2.0 * PROB_FLOOR)
-    lval = float(np.sum(np.log(u)))
-    for _ in range(max_iter):
-        q = 1.0 / u
-        grad = bloch.T @ q
-        wq = bloch * q[:, None]
-        hess = wq.T @ wq
-        hess[np.diag_indices_from(hess)] += 1e-10 * max(1.0, float(np.trace(hess)))
-        delta = np.linalg.solve(hess, grad)
-        slope = float(grad @ delta)
-        if slope <= 1e-14 * (1.0 + abs(lval)):
-            # Newton direction exhausted; try plain gradient once
-            delta = grad
-            slope = float(grad @ grad)
-            if slope <= 1e-14 * (1.0 + abs(lval)):
+def _bloch_products(bt: np.ndarray) -> np.ndarray:
+    """Rows b0 b0, b1 b1, b2 b2, b0 b1, b0 b2, b1 b2 of Bloch columns bt (3 x m)."""
+    b0, b1, b2 = bt
+    return np.stack([b0 * b0, b1 * b1, b2 * b2, b0 * b1, b0 * b2, b1 * b2])
+
+
+def _ball_newton_point(h6: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
+    """Maximizer of c.y - y^T H y / 2 over |y| <= rho for positive
+    semidefinite H given as (h00, h11, h22, h01, h02, h12).
+
+    Inside the ball it is the Cholesky solution of H y = c.  Otherwise it
+    is y = (H + lam I)^-1 c with lam > 0 and |y| = rho, found by Newton's
+    method on the secular equation 1/|y(lam)| - 1/rho = 0 in the
+    eigenbasis of H (More & Sorensen 1983), which converges monotonically
+    from a lam where |y(lam)| >= rho.  For a likelihood Hessian, c has no
+    component along a direction v with H v = 0 (that forces every
+    b_i . v = 0, so the log-likelihood is flat along v); such directions get
+    no component, which picks the minimum-norm maximizer.
+    """
+    a00, a11, a22, a01, a02, a12 = h6.tolist()
+    c0, c1, c2 = c.tolist()
+    pivot = 1e-12 * (a00 + a11 + a22)
+    if a00 > pivot:
+        l00 = math.sqrt(a00)
+        l10, l20 = a01 / l00, a02 / l00
+        d1 = a11 - l10 * l10
+        if d1 > pivot:
+            l11 = math.sqrt(d1)
+            l21 = (a12 - l20 * l10) / l11
+            d2 = a22 - l20 * l20 - l21 * l21
+            if d2 > pivot:
+                l22 = math.sqrt(d2)
+                z0 = c0 / l00
+                z1 = (c1 - l10 * z0) / l11
+                z2 = (c2 - l20 * z0 - l21 * z1) / l22
+                y2 = z2 / l22
+                y1 = (z1 - l21 * y2) / l11
+                y0 = (z0 - l10 * y1 - l20 * y2) / l00
+                if y0 * y0 + y1 * y1 + y2 * y2 <= rho * rho:
+                    return np.array([y0, y1, y2])
+    mu, vecs = np.linalg.eigh(np.array([[a00, a01, a02], [a01, a11, a12],
+                                        [a02, a12, a22]]))
+    mu_max = max(float(mu[2]), 0.0)
+    flat = 1e-12 * mu_max
+    noise = 1e-10 * (math.hypot(c0, c1, c2) + mu_max)
+    # (curvature, c component, index); no-curvature directions keep only a
+    # c component above rounding noise, and then only linear growth
+    terms = [(m if m > flat else 0.0, ck, k)
+             for k, (m, ck) in enumerate(zip(mu.tolist(), (c @ vecs).tolist()))
+             if (m > flat and ck != 0.0) or abs(ck) > noise]
+    lam = 0.0
+    if any(m == 0.0 for m, _, _ in terms) or \
+            sum((ck / m) ** 2 for m, ck, _ in terms) > rho * rho:
+        # |y(lam)| >= |c_k| / (mu_k + lam) >= rho for every lam up to this start
+        lam = max(0.0, max(abs(ck) / rho - m for m, ck, _ in terms))
+        for _ in range(100):
+            s2 = sum((ck / (m + lam)) ** 2 for m, ck, _ in terms)
+            s3 = sum(ck * ck / (m + lam) ** 3 for m, ck, _ in terms)
+            step = (math.sqrt(s2) - rho) / rho * s2 / s3
+            lam += step
+            if step <= 1e-15 * lam:
                 break
-        t = 1.0
-        accepted = False
-        while t > 1e-12:
-            cand = clamp_to_ball(x + t * delta, eps_ball)
-            uc = np.maximum(traces + bloch @ cand, 2.0 * PROB_FLOOR)
-            lc = float(np.sum(np.log(uc)))
-            if lc > lval:
-                gain = lc - lval
-                x, u, lval = cand, uc, lc
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        if gain < 1e-12 * (1.0 + abs(lval)):
-            break
-    return x, lval - len(traces) * np.log(2.0)
+    coef = [0.0, 0.0, 0.0]
+    for m, ck, k in terms:
+        coef[k] = ck / (m + lam)
+    return vecs @ np.array(coef)
 
 
 def mle_maximize(traces, bloch, init, *, eps_ball: float = 1e-6,
-                 restarts: int = 0, rng: np.random.Generator | None = None):
+                 products: np.ndarray | None = None):
     """Maximize the history log-likelihood over the clamped ball.
 
     traces/bloch hold the applied elements in Bloch form; the likelihood of
     x is prod (traces_i + bloch_i . x) / 2, with probabilities floored at
-    1e-12 inside the log.  Warm-starts from init; additional random restarts
-    guard against line-search stagnation.  Returns (maximizer, ok); ok is
-    False only if no start made any progress and the Nelder-Mead fallback
-    also failed, in which case init is returned.
+    1e-12 inside the log.  products optionally supplies _bloch_products of
+    bloch.T, which a caller growing the history builds once per element.
+
+    Newton ascent from init: each step maximizes the local quadratic model
+    over the ball |x| <= 1 - eps_ball (_ball_newton_point), and
+    backtracking runs along the chord from x to that point, which stays in
+    the ball.  Returns (maximizer, ok).  ok is a certificate, not a flag: it
+    is True only if the ball-constrained Newton step at the returned point
+    predicts an ascent grad . delta of at most CERT_TOL (relative to
+    |log-likelihood| / 1000 beyond 1000).  The log-likelihood is concave
+    and the ball convex, so a certified point is the maximizer up to that
+    tolerance.
     """
     traces = np.asarray(traces, dtype=float)
     bloch = np.asarray(bloch, dtype=float)
     if traces.size == 0:
         raise ValueError("history must be nonempty")
-    init = clamp_to_ball(np.asarray(init, dtype=float), eps_ball)
-    l_init = _log_likelihood(traces, bloch, init)
-    best_x, best_l = _newton_ascent(traces, bloch, init, eps_ball)
-    if restarts > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        for _ in range(restarts):
-            start = rng.standard_normal(3)
-            start *= rng.random() ** (1 / 3) / max(np.linalg.norm(start), 1e-12)
-            cand_x, cand_l = _newton_ascent(traces, bloch, start, eps_ball)
-            if cand_l > best_l:
-                best_x, best_l = cand_x, cand_l
-    if best_l >= l_init:
-        return best_x, True
-    # all starts regressed (should not happen for this concave model);
-    # fall back to derivative-free search from init
-    from scipy.optimize import minimize
-
-    res = minimize(lambda y: -_log_likelihood(traces, bloch, clamp_to_ball(y, eps_ball)),
-                   init, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-    cand = clamp_to_ball(res.x, eps_ball)
-    if _log_likelihood(traces, bloch, cand) >= l_init:
-        return cand, True
-    return init, False
+    bt = bloch.T
+    if products is None:
+        products = _bloch_products(bt)
+    rho = 1.0 - eps_ball
+    floor = 2.0 * PROB_FLOOR
+    x = clamp_to_ball(np.asarray(init, dtype=float), eps_ball)
+    u = np.maximum(traces + x @ bt, floor)
+    lval = float(np.log(u).sum())
+    for _ in range(MAX_NEWTON):
+        q = 1.0 / u
+        grad = bt @ q
+        h6 = products @ (q * q)
+        a00, a11, a22, a01, a02, a12 = h6.tolist()
+        x0, x1, x2 = x.tolist()
+        hx = np.array([a00 * x0 + a01 * x1 + a02 * x2,
+                       a01 * x0 + a11 * x1 + a12 * x2,
+                       a02 * x0 + a12 * x1 + a22 * x2])
+        delta = _ball_newton_point(h6, grad + hx, rho) - x
+        slope = float(grad @ delta)
+        if slope <= CERT_TOL * max(1.0, 1e-3 * abs(lval)):
+            return x, True
+        t = 1.0
+        while True:
+            cand = clamp_to_ball(x + t * delta, eps_ball)
+            uc = np.maximum(traces + cand @ bt, floor)
+            lc = float(np.log(uc).sum())
+            if lc >= lval + 1e-4 * t * slope:
+                break
+            t *= 0.5
+            if t < 1e-10:
+                return x, False
+        x, u, lval = cand, uc, lc
+    return x, False
 
 
 def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
@@ -346,48 +456,48 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
 
     At step m the measurement optimal for the weight at the previous
     estimate is applied (re-derived every adapt_update_every steps), one
-    outcome is sampled from the true state, and the estimate is updated by
-    maximum likelihood warm-started at the previous estimate.
+    outcome is sampled from the true state with one uniform draw, and the
+    estimate is updated by maximum likelihood warm-started at the previous
+    estimate.  The history is kept as Bloch columns together with their
+    pairwise products, each written once when its outcome is drawn.
     """
     checkpoints = (cfg.checkpoints if cfg.checkpoints is not None
                    else checkpoint_schedule(cfg.m_max))
-    x_true = cfg.x0
-    x_hat = (clamp_to_ball(cfg.x_init, cfg.eps_ball)
-             if cfg.x_init is not None else np.zeros(3))
+    x_true = cfg.x0.tolist()
+    x_hat = cfg.x_init if cfg.x_init is not None else np.zeros(3)
     m_max = cfg.m_max
     traces = np.empty(m_max)
-    bloch = np.empty((m_max, 3))
-    labels = []
+    bloch = np.empty((3, m_max))
+    products = np.empty((6, m_max))
+    outcomes = np.empty(m_max, dtype=np.int8)
     estimates = np.empty((len(checkpoints), 3))
     ckpt_pos = 0
     n_failed = 0
-    probs = axes = None
-    cum = None
+    probs = axes = cum = None
     for m in range(m_max):
         if m % cfg.adapt_update_every == 0 or probs is None:
-            h = resolve_weight(cfg.weight, x_hat)
-            probs, axes = _optimal_branches(x_hat, h)
-            # outcome layout per branch i: (i, -), (i, +)
-            half = probs[:, None] * np.stack(
-                [(1.0 - axes @ x_true) / 2.0, (1.0 + axes @ x_true) / 2.0], axis=1)
-            cum = np.cumsum(half.ravel())
-        u = rng.random()
-        idx = int(np.searchsorted(cum, u * cum[-1], side="right"))
-        idx = min(idx, half.size - 1)
-        branch, sign_idx = divmod(idx, 2)
-        sign = 1.0 if sign_idx == 1 else -1.0
-        traces[m] = probs[branch]
-        bloch[m] = sign * probs[branch] * axes[branch]
-        labels.append(f"{branch + 1}{'+' if sign > 0 else '-'}")
-        restarts = cfg.mle_restarts if (m + 1) % 50 == 0 else 0
-        x_hat, ok = mle_maximize(traces[:m + 1], bloch[:m + 1], x_hat,
-                                 eps_ball=cfg.eps_ball, restarts=restarts, rng=rng)
+            probs, axes = _optimal_branches(x_hat, cfg.weight)
+            probs, axes = probs.tolist(), axes.tolist()
+            # cumulative outcome probabilities, layout per branch i: (i, -), (i, +)
+            cum = list(accumulate(
+                p * (1.0 + sign * (a0 * x_true[0] + a1 * x_true[1] + a2 * x_true[2])) / 2.0
+                for p, (a0, a1, a2) in zip(probs, axes) for sign in (-1.0, 1.0)))
+        idx = min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
+        p = probs[idx // 2]
+        signed = p if idx % 2 else -p
+        b0, b1, b2 = (a * signed for a in axes[idx // 2])
+        traces[m] = p
+        bloch[:, m] = (b0, b1, b2)
+        products[:, m] = (b0 * b0, b1 * b1, b2 * b2, b0 * b1, b0 * b2, b1 * b2)
+        outcomes[m] = idx
+        x_hat, ok = mle_maximize(traces[:m + 1], bloch[:, :m + 1].T, x_hat,
+                                 eps_ball=cfg.eps_ball, products=products[:, :m + 1])
         if not ok:
             n_failed += 1
         if ckpt_pos < len(checkpoints) and m + 1 == checkpoints[ckpt_pos]:
             estimates[ckpt_pos] = x_hat
             ckpt_pos += 1
-    return TrialRecord(element_traces=traces, element_bloch=bloch, labels=labels,
+    return TrialRecord(element_traces=traces, element_bloch=bloch.T, outcomes=outcomes,
                        checkpoints=checkpoints, estimates=estimates,
                        n_opt_failed=n_failed)
 
@@ -460,13 +570,17 @@ def theoretical_merits(cfg: RunConfig) -> tuple[float, float]:
 
 
 def _env_threads() -> int:
+    """Worker count from QEST_THREADS, or min(cpu count, 8) when unset."""
     raw = os.environ.get("QEST_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return min(os.cpu_count() or 1, 8)
+    if not raw:
+        return min(os.cpu_count() or 1, 8)
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"QEST_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def monte_carlo(cfg: RunConfig, estimators=("tomography", "adaptive"),

@@ -321,3 +321,186 @@ class TestResolveWeight:
             RunConfig(x0=X0, weight="nonsense")
         with pytest.raises(ValueError):
             RunConfig(x0=X0, seed=-1)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("checkpoints", [
+        [5, 3],        # not increasing
+        [5, 30],       # beyond m_max = 20
+        [0, 5],        # below 1
+        [3, 3, 5],     # repeated
+        [1.5, 4],      # not integral
+        [],            # empty
+        [[1, 2]],      # not one-dimensional
+    ])
+    def test_bad_checkpoints_rejected(self, checkpoints):
+        with pytest.raises(ValueError):
+            RunConfig(x0=X0, m_max=20, reps=1, checkpoints=checkpoints)
+
+    def test_valid_checkpoints_kept(self):
+        cfg = RunConfig(x0=X0, m_max=20, reps=1, checkpoints=[1, 5.0, 20])
+        assert cfg.checkpoints.tolist() == [1, 5, 20]
+        assert cfg.checkpoints.dtype.kind == "i"
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_eps_ball_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(ValueError):
+            RunConfig(x0=X0, eps_ball=eps)
+
+    def test_x_init_outside_clamped_ball_rejected(self):
+        with pytest.raises(ValueError):
+            RunConfig(x0=X0, eps_ball=0.01, x_init=[0.0, 0.0, 0.995])
+        with pytest.raises(ValueError):
+            RunConfig(x0=X0, x_init=[0.1, 0.2])
+        on_sphere = clamp_to_ball(np.array([1.0, 2.0, -0.5]), 0.01)
+        cfg = RunConfig(x0=X0, eps_ball=0.01, x_init=on_sphere)
+        assert np.array_equal(cfg.x_init, on_sphere)
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
+    def test_invalid_thread_count_raises(self, raw, monkeypatch):
+        monkeypatch.setenv("QEST_THREADS", raw)
+        cfg = RunConfig(x0=X0, m_max=5, reps=2, seed=0)
+        with pytest.raises(ValueError, match="QEST_THREADS"):
+            monte_carlo(cfg, estimators=("tomography",))
+
+
+class TestClampIdempotent:
+    def test_second_clamp_is_a_no_op(self):
+        rng = np.random.default_rng(12)
+        for eps in (1e-6, 0.01, 0.3):
+            for _ in range(5000):
+                x = rng.standard_normal(3) * rng.uniform(0.5, 50.0)
+                once = clamp_to_ball(x, eps)
+                assert np.linalg.norm(once) <= 1.0 - eps + 1e-15
+                assert np.array_equal(clamp_to_ball(once, eps), once)
+
+
+def _history(weight, eps_ball, m_max, seed):
+    cfg = RunConfig(x0=X0, weight=weight, m_max=m_max, reps=1, seed=seed,
+                    eps_ball=eps_ball, checkpoints=[m_max])
+    return cfg, adaptive_run(cfg, np.random.default_rng((seed, 1, 0)))
+
+
+class TestCertifiedMle:
+    @pytest.mark.parametrize("weight", ["identity", "qfi"])
+    @pytest.mark.parametrize("eps_ball", [0.01, 1e-6])
+    def test_certificate_holds_on_adaptive_histories(self, weight, eps_ball):
+        cfg, rec = _history(weight, eps_ball, 300, seed=3)
+        assert rec.n_opt_failed == 0
+        traces, bloch = rec.element_traces, rec.element_bloch
+        for m in (1, 2, 7, 60, 300):
+            x, ok = mle_maximize(traces[:m], bloch[:m], np.zeros(3), eps_ball=eps_ball)
+            assert ok
+            assert np.linalg.norm(x) <= 1.0 - eps_ball + 1e-15
+        # one outcome: the likelihood grows along its Bloch vector up to the sphere
+        x1, _ = mle_maximize(traces[:1], bloch[:1], np.zeros(3), eps_ball=eps_ball)
+        b = bloch[0] / np.linalg.norm(bloch[0])
+        assert np.allclose(x1, (1.0 - eps_ball) * b, atol=1e-12)
+
+    @pytest.mark.parametrize("weight, eps_ball", [("identity", 1e-6), ("identity", 0.01),
+                                                  ("qfi", 1e-6)])
+    def test_no_random_start_does_better(self, weight, eps_ball):
+        from qest.simulate import _log_likelihood
+        rng = np.random.default_rng(21)
+        _, rec = _history(weight, eps_ball, 400, seed=5)
+        for m in (3, 40, 400):
+            traces, bloch = rec.element_traces[:m], rec.element_bloch[:m]
+            x, ok = mle_maximize(traces, bloch, np.zeros(3), eps_ball=eps_ball)
+            assert ok
+            best = -np.inf
+            for _ in range(20):
+                start = rng.standard_normal(3)
+                start *= (1.0 - eps_ball) * rng.random() ** (1 / 3) / np.linalg.norm(start)
+                y, _ = mle_maximize(traces, bloch, start, eps_ball=eps_ball)
+                best = max(best, _log_likelihood(traces, bloch, y))
+            assert _log_likelihood(traces, bloch, x) >= best - 1e-9
+
+    def test_ok_is_a_certificate(self, monkeypatch):
+        import qest.simulate as sim
+        _, rec = _history("identity", 0.01, 200, seed=4)
+        traces, bloch = rec.element_traces, rec.element_bloch
+        best, ok = mle_maximize(traces, bloch, np.zeros(3), eps_ball=0.01)
+        assert ok
+        monkeypatch.setattr(sim, "MAX_NEWTON", 1)
+        # one Newton step from the origin is not certified; at the maximizer
+        # the first check is
+        assert not mle_maximize(traces, bloch, np.zeros(3), eps_ball=0.01)[1]
+        x, ok = mle_maximize(traces, bloch, best, eps_ball=0.01)
+        assert ok and np.array_equal(x, best)
+
+    def test_optimizer_draws_nothing_from_the_trial_stream(self):
+        cfg = RunConfig(x0=X0, weight="identity", m_max=120, reps=1, seed=0)
+        rng = np.random.default_rng(8)
+        adaptive_run(cfg, rng)
+        reference = np.random.default_rng(8)
+        reference.random(cfg.m_max)
+        assert rng.random() == reference.random()
+
+    def test_labels_follow_stored_outcomes(self):
+        _, rec = _history("qfi", 0.01, 50, seed=2)
+        assert len(rec.labels) == 50
+        for label in rec.labels:
+            assert label[0] in "123" and label[1] in "+-"
+
+
+class TestBallNewtonStep:
+    def test_kkt_conditions_of_the_subproblem(self):
+        from qest.simulate import _ball_newton_point
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            rank = 1 + trial % 3
+            a = rng.standard_normal((rank, 3)) * rng.uniform(0.1, 100.0)
+            h = a.T @ a
+            c = rng.standard_normal(3) * rng.uniform(0.01, 100.0)
+            if trial % 7 == 0:
+                c = h @ rng.standard_normal(3) * 0.1  # may leave the optimum inside
+            rho = rng.uniform(0.5, 1.0)
+            h6 = np.array([h[0, 0], h[1, 1], h[2, 2], h[0, 1], h[0, 2], h[1, 2]])
+            y = _ball_newton_point(h6, c, rho)
+            assert np.linalg.norm(y) <= rho * (1 + 1e-12)
+            # the model value at y beats every feasible sample point
+            model = lambda z: c @ z - 0.5 * z @ h @ z
+            pts = rng.standard_normal((200, 3))
+            pts *= rho * rng.random(200)[:, None] ** (1 / 3) / np.linalg.norm(pts, axis=1)[:, None]
+            scale = 1.0 + abs(model(y))
+            assert all(model(p) <= model(y) + 1e-9 * scale for p in pts)
+            # stationarity: c - h y is a nonnegative multiple of y
+            resid = c - h @ y
+            lam = float(resid @ y) / max(float(y @ y), 1e-300)
+            assert lam >= -1e-8 * (1 + np.abs(c).max())
+            assert np.linalg.norm(resid - lam * y) <= 1e-7 * (np.linalg.norm(c) + np.abs(h).max())
+
+
+class TestRotationalDesign:
+    @pytest.mark.parametrize("selector", ["identity", "qfi"])
+    def test_closed_form_matches_eigh_route_and_bounds(self, selector):
+        from qest.bounds import optimal_measurement
+        from qest.measurements import Povm
+        rng = np.random.default_rng(41)
+        points = [np.zeros(3), np.array([0.0, 0.0, 0.7]), np.array([0.99, 0.0, 0.0])]
+        for _ in range(20):
+            x = rng.standard_normal(3)
+            points.append(x * rng.random() * 0.999 / np.linalg.norm(x))
+
+        def fisher(x, probs, axes):
+            ops = []
+            for p, axis in zip(probs, axes):
+                bloch_op = sum(axis[mu] * [np.array([[0, 1], [1, 0]]),
+                                           np.array([[0, -1j], [1j, 0]]),
+                                           np.diag([1, -1])][mu] for mu in range(3))
+                ops.append(p * (np.eye(2) + bloch_op) / 2)
+                ops.append(p * (np.eye(2) - bloch_op) / 2)
+            povm = Povm(dim=2, labels=tuple(str(i) for i in range(len(ops))),
+                        ops=np.array(ops))
+            return classical_fisher(qubit_slds(x), povm)
+
+        for x in points:
+            h = resolve_weight(selector, x)
+            probs, axes = _optimal_branches(x, selector)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-14)
+            assert np.allclose(axes @ axes.T, np.eye(3), atol=1e-12)
+            g_closed = fisher(x, probs, axes)
+            g_eigh = fisher(x, *_optimal_branches(x, h))
+            target = optimal_measurement(qubit_slds(x), qubit_qfi(x), h).fisher_target
+            assert np.max(np.abs(g_closed - g_eigh)) <= 1e-8 * max(1.0, np.abs(g_eigh).max())
+            assert np.max(np.abs(g_closed - target)) <= 1e-8 * max(1.0, np.abs(target).max())
