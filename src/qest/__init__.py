@@ -35,6 +35,7 @@ from .states import (
     mub_derivatives,
     mub_partials,
     mub_state,
+    qubit_bures,
     qubit_qfi,
     qubit_slds,
     qubit_state,

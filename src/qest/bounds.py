@@ -332,9 +332,12 @@ def anisotropy(x) -> float:
     along the (+-1, +-1, +-1) diagonals.
     """
     x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    if r2 == 0.0:
+    if not np.any(x):
         return 0.0
+    if float(x @ x) < 1e-100:
+        # t is scale invariant, and r^4 would underflow
+        x = x / np.max(np.abs(x))
+    r2 = float(x @ x)
     return 1.0 - float(np.sum(x ** 4)) / r2 ** 2
 
 

@@ -313,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mub", help="mutually unbiased bases: dump or bound sweep")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--dump", action="store_true", help="serialize bases and POVM")
-    p.add_argument("--bounds", action="store_true", help="sweep cGM and cT along --dir")
+    action = p.add_mutually_exclusive_group(required=True)
+    action.add_argument("--dump", action="store_true", help="serialize bases and POVM")
+    action.add_argument("--bounds", action="store_true", help="sweep cGM and cT along --dir")
     p.add_argument("--dir", default="1,1", help="affine coordinate (basis,vector), 1-based")
     p.add_argument("--rmax", type=float, default=0.9)
     p.add_argument("--rstep", type=float, default=0.05)

@@ -33,7 +33,7 @@ from .bounds import (
     tomography_weight,
 )
 from .measurements import Povm, outcome_distribution
-from .states import ID2, PAULIS, bures_distance, qubit_qfi, qubit_state
+from .states import ID2, PAULIS, qubit_bures, qubit_qfi
 
 WEIGHT_SELECTORS = ("identity", "qfi", "tomography")
 PROB_FLOOR = 1e-12
@@ -65,7 +65,7 @@ class RunConfig:
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
-        if self.x0.shape != (3,) or float(self.x0 @ self.x0) >= 1.0:
+        if self.x0.shape != (3,) or not float(self.x0 @ self.x0) < 1.0:
             raise ValueError("x0 must be a Stokes vector strictly inside the ball")
         if self.m_max < 1 or self.reps < 1:
             raise ValueError("m_max and reps must be at least 1")
@@ -75,6 +75,9 @@ class RunConfig:
             raise ValueError("adapt_update_every must be positive")
         if not 0.0 < self.eps_ball < 1.0:
             raise ValueError("eps_ball must lie strictly between 0 and 1")
+        if self.eps_ball < 1e-12:
+            # below this, estimates on the clamp sphere round onto |x| = 1
+            raise ValueError("eps_ball must be at least 1e-12")
         if isinstance(self.weight, str):
             if self.weight not in WEIGHT_SELECTORS:
                 raise ValueError(f"unknown weight selector {self.weight!r}")
@@ -86,7 +89,7 @@ class RunConfig:
             self.x_init = np.asarray(self.x_init, dtype=float)
             if self.x_init.shape != (3,):
                 raise ValueError("x_init must be a Stokes vector")
-            if math.hypot(*self.x_init) > 1.0 - self.eps_ball:
+            if not math.hypot(*self.x_init) <= 1.0 - self.eps_ball:
                 raise ValueError("x_init must lie in the ball of radius 1 - eps_ball")
         if self.checkpoints is not None:
             points = np.asarray(self.checkpoints, dtype=float)
@@ -238,27 +241,27 @@ def run_tomography(x0, m_total: int, rng: np.random.Generator):
     (minus, plus) for axis mu and estimate[mu] = (plus - minus) / total,
     zero for an axis that was never measured.
     """
-    x0 = np.asarray(x0, dtype=float)
     if m_total < 1:
         raise ValueError("m_total must be at least 1")
-    probs = np.empty(6)
-    for mu in range(3):
-        probs[2 * mu] = (1.0 - x0[mu]) / 6.0
-        probs[2 * mu + 1] = (1.0 + x0[mu]) / 6.0
-    draws = rng.multinomial(m_total, probs)
-    counts = draws.reshape(3, 2)
+    counts = rng.multinomial(m_total, _tomography_probs(x0)).reshape(3, 2)
     return tomography_estimate(counts), counts
+
+
+def _tomography_probs(x0) -> np.ndarray:
+    """Outcome probabilities of the uniform Pauli mixture at x0, ordered
+    (axis 0 -, axis 0 +, axis 1 -, ...)."""
+    x0 = np.asarray(x0, dtype=float)
+    return np.stack([1.0 - x0, 1.0 + x0], axis=-1).ravel() / 6.0
 
 
 def tomography_estimate(counts: np.ndarray) -> np.ndarray:
     """Per-axis frequency estimator (plus - minus) / total, zero for an
-    axis with no draws.  counts[mu] = (minus, plus)."""
+    axis with no draws.  counts[..., mu, :] = (minus, plus); the estimate
+    has the shape of counts without its last axis."""
     counts = np.asarray(counts)
-    per_axis = counts.sum(axis=1)
-    est = np.zeros(3)
-    nonzero = per_axis > 0
-    est[nonzero] = (counts[nonzero, 1] - counts[nonzero, 0]) / per_axis[nonzero]
-    return est
+    per_axis = counts.sum(axis=-1)
+    return np.divide(counts[..., 1] - counts[..., 0], per_axis,
+                     out=np.zeros(per_axis.shape), where=per_axis > 0)
 
 
 def _optimal_branches(x: np.ndarray, weight):
@@ -504,31 +507,29 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
 
 def _merits(x0: np.ndarray, checkpoints: np.ndarray, estimates: np.ndarray,
             eps_ball: float) -> np.ndarray:
-    """Per-checkpoint (2m * Bures, m * squared error) for one trial."""
-    rho0 = qubit_state(x0)
+    """Per-checkpoint (2m * Bures, m * squared error) for one trial.
+
+    The Bures distance is taken to the estimate clamped to the ball of
+    radius 1 - eps_ball, the squared error to the estimate as given.
+    """
+    rho2 = (1.0 - eps_ball) ** 2
+    clamped = estimates.copy()
+    # only rows this close to the sphere can need clamp_to_ball's projection
+    for i in np.flatnonzero(np.sum(estimates * estimates, axis=1) > rho2 * (1.0 - 1e-12)):
+        clamped[i] = clamp_to_ball(estimates[i], eps_ball)
     out = np.empty((len(checkpoints), 2))
-    for i, m in enumerate(checkpoints):
-        est = estimates[i]
-        bures = bures_distance(rho0, qubit_state(clamp_to_ball(est, eps_ball)))
-        out[i, 0] = 2.0 * m * bures
-        out[i, 1] = m * float(np.sum((x0 - est) ** 2))
+    out[:, 0] = 2.0 * checkpoints * qubit_bures(x0, clamped)
+    out[:, 1] = checkpoints * np.sum((x0 - estimates) ** 2, axis=1)
     return out
 
 
 def _tomography_trial(cfg: RunConfig, checkpoints: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
-    probs = np.empty(6)
-    for mu in range(3):
-        probs[2 * mu] = (1.0 - cfg.x0[mu]) / 6.0
-        probs[2 * mu + 1] = (1.0 + cfg.x0[mu]) / 6.0
-    counts = np.zeros(6, dtype=np.int64)
-    estimates = np.empty((len(checkpoints), 3))
-    prev = 0
-    for i, m in enumerate(checkpoints):
-        counts += rng.multinomial(int(m) - prev, probs)
-        prev = int(m)
-        estimates[i] = tomography_estimate(counts.reshape(3, 2))
-    return _merits(cfg.x0, checkpoints, estimates, cfg.eps_ball)
+    """One tomography trial: the draws between consecutive checkpoints come
+    from one multinomial call, in checkpoint order."""
+    draws = rng.multinomial(np.diff(checkpoints, prepend=0), _tomography_probs(cfg.x0))
+    counts = np.cumsum(draws, axis=0).reshape(len(checkpoints), 3, 2)
+    return _merits(cfg.x0, checkpoints, tomography_estimate(counts), cfg.eps_ball)
 
 
 def _trial_block(cfg: RunConfig, kind: str, checkpoints: np.ndarray,

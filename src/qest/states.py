@@ -173,3 +173,35 @@ def bures_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     eigs = np.clip(eigs, 0.0, None)
     fidelity_root = float(np.sum(np.sqrt(eigs)))
     return 4.0 * (1.0 - fidelity_root)
+
+
+def qubit_bures(x, y):
+    """Bures distance between qubit states with Stokes vectors x and y[..., :].
+
+    The same 4(1 - root fidelity) convention as bures_distance, in closed
+    form (Hubner 1992, Jozsa 1994): with d = y - x and
+    s = sqrt((1 - |x|^2)(1 - |y|^2)),
+
+        1 - F = (|d|^2 - |x cross d|^2) / (2 (1 - x.y + s))
+              = ((1 - |x|^2) |d|^2 + (x.d)^2) / (2 (1 - x.y + s)),
+        B = 4 (1 - F) / (1 + sqrt F),
+
+    F the fidelity.  The second form (Lagrange's identity) adds nonnegative
+    terms, so B keeps full relative precision as y approaches x, where the
+    eigendecomposition route of bures_distance loses most of its digits.
+    y has shape (..., 3) and the result its shape without the last axis.
+    """
+    x = _check_ball(x)
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1:] != (3,):
+        raise ValueError(f"expected Stokes vectors along the last axis, got shape {y.shape}")
+    ry2 = np.sum(y * y, axis=-1)
+    if not np.all(ry2 < 1.0):
+        raise OutOfBallError(f"|y| = {float(np.sqrt(np.max(ry2))):.6f} >= 1")
+    d = y - x
+    purity_gap = 1.0 - x @ x
+    num = purity_gap * np.sum(d * d, axis=-1) + np.sum(d * x, axis=-1) ** 2
+    den = 2.0 * (1.0 - np.sum(y * x, axis=-1) + np.sqrt(purity_gap * (1.0 - ry2)))
+    # 0 <= 1 - F <= 1 exactly; the clip only absorbs rounding
+    one_minus_f = np.clip(num / den, 0.0, 1.0)
+    return 4.0 * one_minus_f / (1.0 + np.sqrt(1.0 - one_minus_f))

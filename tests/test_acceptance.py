@@ -250,6 +250,7 @@ def mc_results():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_7_monte_carlo_comparison(mc_results):
     elapsed = mc_results["elapsed"]
     assert elapsed < 1800.0, "runtime budget is 30 minutes"

@@ -299,6 +299,12 @@ class TestClosedForms:
         assert anisotropy([0.4, 0.4, 0.4]) == pytest.approx(2 / 3)
         assert anisotropy([0.4, -0.4, 0.4]) == pytest.approx(2 / 3)
 
+    def test_anisotropy_scale_invariant_down_to_tiny_radii(self):
+        # r^4 underflows below about 1e-77; the merits must stay finite there
+        assert anisotropy([0.0, 0.0, 2.8e-127]) == 0.0
+        assert anisotropy([4e-200, -4e-200, 4e-200]) == pytest.approx(2 / 3)
+        assert np.isfinite(c_tomo_closed(RotWeight(1, 1), [0.0, 0.0, 2.8e-127]))
+
     def test_excess_identities(self):
         rng = np.random.default_rng(9)
         for _ in range(50):

@@ -138,6 +138,12 @@ class TestMub:
     def test_unsupported_dimension(self):
         assert run_cli(["mub", "--q", "7", "--dump"]) == 2
 
+    @pytest.mark.parametrize("flags", [[], ["--dump", "--bounds"]])
+    def test_exactly_one_action_required(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["mub", "--q", "3", *flags])
+        assert exc.value.code == 2
+
 
 class TestVerify:
     def test_bounds_suite_passes(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from qest.simulate import (
     sample_outcome,
     theoretical_merits,
     tomography_estimate,
+    _merits,
     _optimal_branches,
 )
 from qest.states import SIGMA_3, qubit_qfi, qubit_state
@@ -286,6 +287,7 @@ class TestTomographyMeritConvergence:
             assert abs(merits.mean() - target) <= 5 * se
 
 
+@pytest.mark.slow
 class TestAdaptiveDominatesTomography:
     def test_bures_merit_separation_fisher_weight(self):
         # the headline comparison at m = 4000: adaptive beats tomography by
@@ -318,6 +320,8 @@ class TestResolveWeight:
         with pytest.raises(ValueError):
             RunConfig(x0=np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
+            RunConfig(x0=np.array([np.nan, 0.0, 0.0]))
+        with pytest.raises(ValueError):
             RunConfig(x0=X0, weight="nonsense")
         with pytest.raises(ValueError):
             RunConfig(x0=X0, seed=-1)
@@ -347,9 +351,17 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             RunConfig(x0=X0, eps_ball=eps)
 
+    @pytest.mark.parametrize("eps", [7.3e-251, 1e-16, 1e-13])
+    def test_eps_ball_below_rounding_floor_rejected(self, eps):
+        # 1 - eps rounds to (nearly) 1, so a clamped estimate is not a state
+        with pytest.raises(ValueError, match="at least 1e-12"):
+            RunConfig(x0=X0, eps_ball=eps)
+
     def test_x_init_outside_clamped_ball_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(x0=X0, eps_ball=0.01, x_init=[0.0, 0.0, 0.995])
+        with pytest.raises(ValueError):
+            RunConfig(x0=X0, x_init=[np.nan, 0.0, 0.0])
         with pytest.raises(ValueError):
             RunConfig(x0=X0, x_init=[0.1, 0.2])
         on_sphere = clamp_to_ball(np.array([1.0, 2.0, -0.5]), 0.01)
@@ -504,3 +516,82 @@ class TestRotationalDesign:
             target = optimal_measurement(qubit_slds(x), qubit_qfi(x), h).fisher_target
             assert np.max(np.abs(g_closed - g_eigh)) <= 1e-8 * max(1.0, np.abs(g_eigh).max())
             assert np.max(np.abs(g_closed - target)) <= 1e-8 * max(1.0, np.abs(target).max())
+
+
+def _loop_merits(x0, checkpoints, estimates, eps_ball):
+    """Per-checkpoint merits through the generic Bures route, one at a time."""
+    from qest.states import bures_distance
+    rho0 = qubit_state(x0)
+    out = np.empty((len(checkpoints), 2))
+    for i, m in enumerate(checkpoints):
+        est = estimates[i]
+        bures = bures_distance(rho0, qubit_state(clamp_to_ball(est, eps_ball)))
+        out[i, 0] = 2.0 * m * bures
+        out[i, 1] = m * float(np.sum((x0 - est) ** 2))
+    return out
+
+
+def _loop_tomography_estimates(x0, checkpoints, rng):
+    """Tomography estimates drawn one checkpoint increment at a time."""
+    probs = np.empty(6)
+    for mu in range(3):
+        probs[2 * mu] = (1.0 - x0[mu]) / 6.0
+        probs[2 * mu + 1] = (1.0 + x0[mu]) / 6.0
+    counts = np.zeros(6, dtype=np.int64)
+    estimates = np.empty((len(checkpoints), 3))
+    prev = 0
+    for i, m in enumerate(checkpoints):
+        counts += rng.multinomial(int(m) - prev, probs)
+        prev = int(m)
+        estimates[i] = tomography_estimate(counts.reshape(3, 2))
+    return estimates
+
+
+class TestVectorizedMerits:
+    @pytest.mark.parametrize("eps_ball", [1e-6, 0.01, 0.3])
+    def test_merits_match_the_per_checkpoint_loop(self, eps_ball):
+        rng = np.random.default_rng(61)
+        checkpoints = checkpoint_schedule(3000)
+        rho = 1.0 - eps_ball
+        for _ in range(20):
+            estimates = X0 + rng.standard_normal((len(checkpoints), 3)) \
+                / np.sqrt(checkpoints)[:, None]
+            # rows on, just outside and far outside the clamp sphere
+            for i, scale in ((0, 1.0), (1, 1.0 + 1e-13), (2, 1.5)):
+                estimates[i] *= rho * scale / np.linalg.norm(estimates[i])
+            got = _merits(X0, checkpoints, estimates, eps_ball)
+            want = _loop_merits(X0, checkpoints, estimates, eps_ball)
+            # the loop's eigendecomposition route is off by up to 3.4e-12 in B
+            # (7e-11 relative) against a 50-digit reference near the sphere,
+            # where the closed form stays within 3e-13 relative; the squared
+            # error is the same arithmetic
+            bures_gap = np.abs(got[:, 0] - want[:, 0]) / (2.0 * checkpoints)
+            assert np.max(bures_gap) <= 1e-11
+            assert np.array_equal(got[:, 1], want[:, 1])
+
+    def test_tomography_trial_matches_the_per_checkpoint_draws(self, monkeypatch):
+        import qest.simulate as simulate
+        # capture the estimates the trial hands to _merits
+        monkeypatch.setattr(simulate, "_merits", lambda x0, ckpts, est, eps: est)
+        cfg = RunConfig(x0=X0, m_max=3000, reps=1, eps_ball=0.01)
+        for checkpoints in (checkpoint_schedule(3000), np.array([1, 2, 3, 3000]),
+                            np.array([3000])):
+            for trial in range(5):
+                seed = (9, 0, trial)
+                rng_new = np.random.default_rng(seed)
+                rng_old = np.random.default_rng(seed)
+                got = simulate._tomography_trial(cfg, checkpoints, rng_new)
+                want = _loop_tomography_estimates(X0, checkpoints, rng_old)
+                assert np.array_equal(got, want)
+                # both consumed the stream up to the same point
+                assert rng_new.random() == rng_old.random()
+
+    def test_batched_estimate_matches_single(self):
+        rng = np.random.default_rng(62)
+        counts = rng.integers(0, 5, size=(4, 5, 3, 2))
+        counts[0, 0, 1] = 0  # an axis never measured
+        batched = tomography_estimate(counts)
+        assert batched.shape == (4, 5, 3)
+        for idx in np.ndindex(4, 5):
+            assert np.array_equal(batched[idx], tomography_estimate(counts[idx]))
+        assert batched[0, 0, 1] == 0.0

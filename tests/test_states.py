@@ -12,6 +12,7 @@ from qest.states import (
     mub_derivatives,
     mub_partials,
     mub_state,
+    qubit_bures,
     qubit_qfi,
     qubit_slds,
     qubit_state,
@@ -186,3 +187,53 @@ class TestBuresDistance:
             assert res_full <= 1e-7
             # cubic order: halving dx shrinks the residual at least 6x
             assert res_half <= res_full / 6 + 1e-14
+
+
+class TestQubitBures:
+    def test_agrees_with_bures_distance(self):
+        rng = np.random.default_rng(11)
+        for k in range(200):
+            # radii up to 1 - 1e-6, a fifth of the pairs near the sphere
+            rmax = 1.0 - 1e-6 if k % 5 == 0 else 0.99
+            x = random_point(rng, rmax)
+            y = random_point(rng, rmax)
+            if k % 5 == 0:
+                x *= (1.0 - 1e-6) / np.linalg.norm(x)
+            expected = bures_distance(qubit_state(x), qubit_state(y))
+            assert abs(qubit_bures(x, y) - expected) <= 1e-12
+
+    def test_antipodal_pure_limit(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            n = rng.standard_normal(3)
+            x = (1.0 - 1e-15) * n / np.linalg.norm(n)
+            assert qubit_bures(x, -x) == pytest.approx(4.0, abs=1e-6)
+
+    def test_quadratic_expansion_at_tiny_distance(self):
+        # (1/2) dx^T J dx + O(|dx|^3); at |dx| = 1e-6 the eigendecomposition
+        # route of bures_distance is off by up to 0.7% and fails this test
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            x = random_point(rng, rmax=0.8)
+            dx = rng.standard_normal(3)
+            dx *= 1e-6 / np.linalg.norm(dx)
+            quad = 0.5 * dx @ qubit_qfi(x) @ dx
+            assert qubit_bures(x, x + dx) == pytest.approx(quad, rel=1e-5)
+
+    def test_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(14)
+        x = random_point(rng)
+        ys = np.array([random_point(rng) for _ in range(6)])
+        batched = qubit_bures(x, ys)
+        assert batched.shape == (6,)
+        for y, b in zip(ys, batched):
+            assert b == qubit_bures(x, y)
+        assert qubit_bures(x, ys.reshape(2, 3, 3)).shape == (2, 3)
+
+    def test_rejects_states_outside_the_ball(self):
+        with pytest.raises(OutOfBallError):
+            qubit_bures([0.1, 0.0, 0.0], [[0.0, 0.0, 0.5], [1.0, 0.0, 0.0]])
+        with pytest.raises(OutOfBallError):
+            qubit_bures([0.0, 0.6, 0.8], [0.0, 0.0, 0.5])
+        with pytest.raises(OutOfBallError):
+            qubit_bures([0.1, 0.0, 0.0], [np.nan, 0.0, 0.0])
