@@ -9,12 +9,12 @@ the dimension-general lower bound of Gill-Massar type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig, hermitize, psd_sqrt
-from .measurements import Povm, pvm_from_observable, randomize
+from .measurements import Povm, spectral_projectors
 from .states import ModelDerivatives, OutOfBallError
 
 PD_TOL = 1e-12
@@ -84,25 +84,34 @@ class OptimalSolution:
     attainable: bool | None = None
 
 
-def _check_sym_pd(m: np.ndarray, name: str) -> np.ndarray:
+def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if float(np.max(np.abs(m - m.T))) > SYM_TOL:
+    defect = float(np.abs(m - m.T).max())
+    # a NaN or infinite entry makes its own or its mirror's difference NaN
+    if math.isnan(defect):
+        raise ValueError(f"{name} has non-finite entries")
+    if defect > SYM_TOL:
         raise SingularInputError(f"{name} is not symmetric")
-    if float(np.linalg.eigvalsh((m + m.T) / 2)[0]) <= PD_TOL:
-        raise SingularInputError(f"{name} is not positive definite")
     return (m + m.T) / 2
 
 
+def _check_sym_pd(m: np.ndarray, name: str) -> np.ndarray:
+    m = _symmetrized(m, name)
+    if float(np.linalg.eigvalsh(m)[0]) <= PD_TOL:
+        raise SingularInputError(f"{name} is not positive definite")
+    return m
+
+
 def _sqrt_and_inv_sqrt(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    values, vectors = hermitian_eig(j)
+    """sqrt(J) and J^-1/2 from one eigendecomposition, which also checks
+    that J is symmetric positive definite."""
+    values, vectors = np.linalg.eigh(_symmetrized(j, "quantum Fisher matrix"))
     if values[0] <= PD_TOL:
-        raise SingularInputError("matrix is numerically singular")
+        raise SingularInputError("quantum Fisher matrix is not positive definite")
     root = np.sqrt(values)
-    sq = (vectors * root) @ vectors.conj().T
-    inv_sq = (vectors / root) @ vectors.conj().T
-    return np.real(sq), np.real(inv_sq)
+    return (vectors * root) @ vectors.T, (vectors / root) @ vectors.T
 
 
 def classical_fisher(derivs: ModelDerivatives, povm: Povm) -> np.ndarray:
@@ -111,25 +120,22 @@ def classical_fisher(derivs: ModelDerivatives, povm: Povm) -> np.ndarray:
     g_ij = sum_n (Tr d_i rho M_n)(Tr d_j rho M_n) / Tr(rho M_n).  Outcomes
     with probability below 1e-14 contribute nothing when their derivatives
     also vanish; otherwise the information is undefined and
-    SingularOutcomeError is raised.
+    SingularOutcomeError is raised for the first of them.
     """
     rho = derivs.rho
     if rho.shape != (povm.dim, povm.dim):
         raise ValueError(f"state dim {rho.shape[0]} vs measurement dim {povm.dim}")
-    d = derivs.n_params
     partials = np.stack(derivs.partials)
     probs = np.einsum("ij,nji->n", rho, povm.ops).real
     dprobs = np.einsum("kij,nji->nk", partials, povm.ops).real
-    g = np.zeros((d, d))
-    for n in range(len(povm)):
-        p = probs[n]
-        dp = dprobs[n]
-        if p < 1e-14:
-            if float(np.max(np.abs(np.outer(dp, dp)))) < 1e-20:
-                continue
-            raise SingularOutcomeError(
-                f"outcome {povm.labels[n]} has probability {p:.3e} but nonzero derivative")
-        g += np.outer(dp, dp) / p
+    null = probs < 1e-14
+    # max_ij |dp_i dp_j| is (max_i |dp_i|)^2
+    live = np.flatnonzero(null & (np.abs(dprobs).max(axis=1) ** 2 >= 1e-20))
+    if live.size:
+        n = live[0]
+        raise SingularOutcomeError(
+            f"outcome {povm.labels[n]} has probability {probs[n]:.3e} but nonzero derivative")
+    g = (dprobs.T / np.where(null, np.inf, probs)) @ dprobs
     return (g + g.T) / 2
 
 
@@ -139,16 +145,14 @@ def hat_fisher(g: np.ndarray, j: np.ndarray, u: np.ndarray | None = None) -> np.
     With u omitted the identity is used.  For any POVM the trace of this
     matrix is at most dim(H) - 1.
     """
-    j = _check_sym_pd(j, "quantum Fisher matrix")
     _, inv_sq = _sqrt_and_inv_sqrt(j)
     core = inv_sq @ np.asarray(g, dtype=float) @ inv_sq
-    if u is None:
-        return (core + core.T) / 2
-    u = np.asarray(u, dtype=float)
-    if float(np.max(np.abs(u.T @ u - np.eye(u.shape[0])))) > 1e-8:
-        raise ValueError("u must be orthogonal")
-    out = u.T @ core @ u
-    return (out + out.T) / 2
+    if u is not None:
+        u = np.asarray(u, dtype=float)
+        if float(np.max(np.abs(u.T @ u - np.eye(u.shape[0])))) > 1e-8:
+            raise ValueError("u must be orthogonal")
+        core = u.T @ core @ u
+    return (core + core.T) / 2
 
 
 def qcr_min_trace(j: np.ndarray, h: np.ndarray,
@@ -160,23 +164,31 @@ def qcr_min_trace(j: np.ndarray, h: np.ndarray,
     when the underlying Hilbert space is two-dimensional, so `attainable`
     is only set when `hilbert_dim` is given.
     """
-    j = _check_sym_pd(j, "quantum Fisher matrix")
-    h = _check_sym_pd(h, "weight")
+    return _min_trace(j, h, hilbert_dim)[0]
+
+
+def _min_trace(j: np.ndarray, h: np.ndarray,
+               hilbert_dim: int | None = None) -> tuple[OptimalSolution, np.ndarray]:
+    """qcr_min_trace's solution, and J^-1/2.
+
+    One eigendecomposition of J gives its square roots, one of the core
+    sqrt(J^-1) H sqrt(J^-1) gives R, its basis and its eigenvalues.
+    """
     sq_j, inv_sq_j = _sqrt_and_inv_sqrt(j)
-    core = hermitize(inv_sq_j @ h @ inv_sq_j).real
-    r = psd_sqrt(core)
-    scales, basis = hermitian_eig(r)
-    basis = np.real(basis)
-    tr_r = float(np.trace(r))
+    h = _check_sym_pd(h, "weight")
+    core = inv_sq_j @ h @ inv_sq_j
+    eigs, basis = np.linalg.eigh((core + core.T) / 2)
+    # H is positive definite, so only rounding can push an eigenvalue below 0
+    scales = np.sqrt(np.maximum(eigs, 0.0))
+    r = (basis * scales) @ basis.T
+    r = (r + r.T) / 2
+    tr_r = float(scales.sum())
     target = sq_j @ r @ sq_j / tr_r
-    return OptimalSolution(
-        bound=tr_r ** 2,
-        r_matrix=r,
-        basis=basis,
-        scales=np.real(scales),
+    sol = OptimalSolution(
+        bound=tr_r ** 2, r_matrix=r, basis=basis, scales=scales,
         fisher_target=(target + target.T) / 2,
-        attainable=(hilbert_dim == 2) if hilbert_dim is not None else None,
-    )
+        attainable=(hilbert_dim == 2) if hilbert_dim is not None else None)
+    return sol, inv_sq_j
 
 
 def optimal_measurement(derivs: ModelDerivatives, j: np.ndarray,
@@ -197,30 +209,21 @@ def optimal_measurement(derivs: ModelDerivatives, j: np.ndarray,
     d = derivs.n_params
     if d not in (1, 2, 3):
         raise ValueError(f"parameter count {d} out of range 1..3")
-    sol = qcr_min_trace(j, h, hilbert_dim=2)
-    _, inv_sq_j = _sqrt_and_inv_sqrt(j)
+    sol, inv_sq_j = _min_trace(j, h, hilbert_dim=2)
     k_mat = sol.basis.T @ inv_sq_j
-    total = float(np.sum(sol.scales))
-    probs = sol.scales / total
-    parts = []
-    labels = []
-    keep_probs = []
-    for i in range(d):
-        if probs[i] <= 1e-15:
-            continue
+    probs = sol.scales / float(np.sum(sol.scales))
+    kept = np.flatnonzero(probs > 1e-15)
+    keep_probs = probs[kept] / probs[kept].sum()
+    ops, labels, provenance = [], [], []
+    for branch, (i, p) in enumerate(zip(kept, keep_probs)):
         lhat = sum(k_mat[i, k] * derivs.slds[k] for k in range(d))
-        pvm = pvm_from_observable(lhat)
-        parts.append((probs[i], pvm))
-        labels.extend(f"{len(parts)}:{lab}" for lab in pvm.labels)
-        keep_probs.append(probs[i])
-    keep_probs = np.array(keep_probs)
-    keep_probs /= keep_probs.sum()
-    parts = [(p, pvm) for p, (_, pvm) in zip(keep_probs, parts)]
-    combined = randomize(parts)
-    measurement = Povm(dim=2, labels=tuple(labels), ops=combined.ops,
-                       provenance=combined.provenance)
+        branch_labels, projectors = spectral_projectors(lhat)
+        ops.extend(float(p) * projectors)
+        labels.extend(f"{branch + 1}:{lab}" for lab in branch_labels)
+        provenance.extend((branch, float(p)) for _ in branch_labels)
     sol.probs = keep_probs
-    sol.measurement = measurement
+    sol.measurement = Povm(dim=2, labels=tuple(labels), ops=np.array(ops),
+                           provenance=tuple(provenance))
     return sol
 
 
@@ -422,20 +425,20 @@ def min_trace_unit_trace(s: np.ndarray, max_iter: int = 50000,
     eye = np.eye(d)
     g = eye / d
 
-    def objective(mat: np.ndarray) -> float:
-        return float(np.trace(s @ np.linalg.inv(mat)))
+    def objective(mat: np.ndarray) -> tuple[float, np.ndarray]:
+        inv = np.linalg.inv(mat)
+        return float(np.trace(s @ inv)), inv
 
     def project(mat: np.ndarray) -> np.ndarray:
         mat = (mat + mat.T) / 2
         values, vectors = np.linalg.eigh(mat)
-        values = np.clip(values, 1e-12, None)
+        values = np.maximum(values, 1e-12)
         mat = (vectors * values) @ vectors.T
-        return mat / np.trace(mat)
+        return mat / mat.trace()
 
-    val = objective(g)
+    val, ginv = objective(g)
     step = 0.1
     for _ in range(max_iter):
-        ginv = np.linalg.inv(g)
         grad = -(ginv @ s @ ginv)
         grad = (grad + grad.T) / 2
         grad_t = grad - (np.trace(grad) / d) * eye
@@ -445,9 +448,9 @@ def min_trace_unit_trace(s: np.ndarray, max_iter: int = 50000,
         improved = False
         while step > 1e-18:
             cand = project(g - step * grad_t)
-            cand_val = objective(cand)
+            cand_val, cand_inv = objective(cand)
             if cand_val < val:
-                g, val = cand, cand_val
+                g, val, ginv = cand, cand_val, cand_inv
                 step *= 1.5
                 improved = True
                 break

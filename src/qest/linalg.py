@@ -7,6 +7,7 @@ determinism matter far more than asymptotics.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -45,12 +46,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Max entrywise |a - a^dagger|."""
-    a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
 def hermitian_eig(a: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
@@ -61,13 +56,15 @@ def hermitian_eig(a: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEig:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    adjoint = a.conj().T
+    # a non-finite entry makes its own or its mirror's difference non-finite
+    defect = float(np.abs(a - adjoint).max()) if a.size else 0.0
+    if not math.isfinite(defect):
         raise ValueError("matrix has non-finite entries")
-    defect = hermiticity_defect(a)
     if defect > tol:
         raise NotHermitianError(f"anti-Hermitian part {defect:.3e} exceeds {tol:.1e}")
     try:
-        values, vectors = np.linalg.eigh(hermitize(a))
+        values, vectors = np.linalg.eigh((a + adjoint) / 2)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     return HermitianEig(values, vectors)
@@ -95,20 +92,22 @@ def solve_sld(rho: np.ndarray, drho: np.ndarray,
 
     Works in the eigenbasis of rho, where L_jk = 2 drho_jk / (lam_j + lam_k).
     Requires rho strictly positive (min eigenvalue > tol) and drho Hermitian
-    traceless.
+    traceless.  drho may also be a stack of shape (k, q, q): the k equations
+    share one eigendecomposition of rho, and L has the stack's shape.
     """
     values, vectors = hermitian_eig(rho)
     if values[0] <= tol:
         raise SingularStateError(f"state eigenvalue {values[0]:.3e} <= {tol:.1e}")
-    if hermiticity_defect(drho) > HERMITIAN_TOL:
+    drho = np.asarray(drho, dtype=complex)
+    if drho.size and float(np.abs(drho - drho.conj().swapaxes(-1, -2)).max()) > HERMITIAN_TOL:
         raise NotHermitianError("drho is not Hermitian")
-    tr = complex(np.trace(drho))
-    if abs(tr) > HERMITIAN_TOL:
-        raise ValueError(f"drho has trace {tr:.3e}, expected traceless")
-    d_in_basis = vectors.conj().T @ np.asarray(drho, dtype=complex) @ vectors
+    trace = float(np.abs(np.trace(drho, axis1=-2, axis2=-1)).max())
+    if trace > HERMITIAN_TOL:
+        raise ValueError(f"drho has trace of modulus {trace:.3e}, expected traceless")
+    d_in_basis = vectors.conj().T @ drho @ vectors
     denom = values[:, None] + values[None, :]
-    sld = hermitize(vectors @ (2 * d_in_basis / denom) @ vectors.conj().T)
-    return sld
+    sld = vectors @ (2 * d_in_basis / denom) @ vectors.conj().T
+    return (sld + sld.conj().swapaxes(-1, -2)) / 2
 
 
 def sld_residual(rho: np.ndarray, drho: np.ndarray, sld: np.ndarray) -> float:

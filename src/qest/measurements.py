@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NotHermitianError, hermitian_eig, hermitize, hermiticity_defect
-from .states import ID2, PAULIS
+from .linalg import hermitian_eig, hermitize
+from .states import PAULIS
 
 COMPLETENESS_TOL = 1e-9
 POSITIVITY_TOL = 1e-10
@@ -72,13 +72,15 @@ class Povm:
         defect = float(np.max(np.abs(total - np.eye(self.dim))))
         if defect > COMPLETENESS_TOL:
             raise InvalidPovmError(f"elements sum to identity with defect {defect:.3e}")
-        for idx in range(len(self)):
-            op = self.ops[idx]
-            if hermiticity_defect(op) > COMPLETENESS_TOL:
+        adjoints = self.ops.conj().transpose(0, 2, 1)
+        defects = np.abs(self.ops - adjoints).max(axis=(1, 2))
+        min_eigs = np.linalg.eigvalsh((self.ops + adjoints) / 2)[:, 0]
+        bad = np.flatnonzero((defects > COMPLETENESS_TOL) | (min_eigs < -POSITIVITY_TOL))
+        if bad.size:
+            idx = int(bad[0])
+            if defects[idx] > COMPLETENESS_TOL:
                 raise InvalidPovmError(f"element {idx} not Hermitian")
-            min_eig = float(np.linalg.eigvalsh(hermitize(op))[0])
-            if min_eig < -POSITIVITY_TOL:
-                raise InvalidPovmError(f"element {idx} has eigenvalue {min_eig:.3e}")
+            raise InvalidPovmError(f"element {idx} has eigenvalue {min_eigs[idx]:.3e}")
 
     def to_json_dict(self) -> dict:
         """Row-major complex entries as [re, im] pairs, per element."""
@@ -93,16 +95,11 @@ class Povm:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Povm":
-        ops = []
-        labels = []
-        for element in doc["elements"]:
-            labels.append(element["label"])
-            ops.append([[complex(re, im) for re, im in row] for row in element["op"]])
-        provenance = doc.get("provenance")
-        if provenance is not None:
-            provenance = tuple((int(b), float(p)) for b, p in provenance)
-        return cls(dim=int(doc["dim"]), labels=tuple(labels),
-                   ops=np.array(ops, dtype=complex), provenance=provenance)
+        elements = doc["elements"]
+        ops = [[[complex(re, im) for re, im in row] for row in e["op"]] for e in elements]
+        # __post_init__ turns the provenance pairs back into (int, float)
+        return cls(dim=int(doc["dim"]), labels=tuple(e["label"] for e in elements),
+                   ops=np.array(ops, dtype=complex), provenance=doc.get("provenance"))
 
 
 @dataclass
@@ -124,50 +121,54 @@ class MubFamily:
         self.validate()
 
     def validate(self, ortho_tol: float = 1e-10, overlap_tol: float = 1e-9) -> None:
-        q = self.q
-        for a in range(q + 1):
-            gram = self.bases[a] @ self.bases[a].conj().T
-            if float(np.max(np.abs(gram - np.eye(q)))) > ortho_tol:
-                raise ValueError(f"basis {a} is not orthonormal")
-        for a in range(q + 1):
-            for b in range(a + 1, q + 1):
-                overlaps = np.abs(self.bases[a] @ self.bases[b].conj().T) ** 2
-                if float(np.max(np.abs(overlaps - 1.0 / q))) > overlap_tol:
-                    raise ValueError(f"bases {a},{b} are not mutually unbiased")
+        gram = self.bases @ self.bases.conj().transpose(0, 2, 1)
+        bad = np.flatnonzero(np.max(np.abs(gram - np.eye(self.q)), axis=(1, 2)) > ortho_tol)
+        if bad.size:
+            raise ValueError(f"basis {bad[0]} is not orthonormal")
+        first, second, defects = self._overlap_defects()
+        bad = np.flatnonzero(defects > overlap_tol)
+        if bad.size:
+            raise ValueError(f"bases {first[bad[0]]},{second[bad[0]]} are not mutually unbiased")
+
+    def _overlap_defects(self) -> tuple:
+        """Pairs a < b of bases in row-major order, and for each the worst
+        |overlap^2 - 1/q| across their vectors."""
+        first, second = np.triu_indices(self.q + 1, k=1)
+        overlaps = np.abs(self.bases[first] @ self.bases[second].conj().transpose(0, 2, 1)) ** 2
+        return first, second, np.max(np.abs(overlaps - 1.0 / self.q), axis=(1, 2))
 
     def max_overlap_defect(self) -> float:
         """Worst |overlap^2 - 1/q| across all cross-basis vector pairs."""
-        worst = 0.0
-        for a in range(self.q + 1):
-            for b in range(a + 1, self.q + 1):
-                overlaps = np.abs(self.bases[a] @ self.bases[b].conj().T) ** 2
-                worst = max(worst, float(np.max(np.abs(overlaps - 1.0 / self.q))))
-        return worst
+        return float(self._overlap_defects()[2].max())
 
 
-def pvm_from_observable(a: np.ndarray, gap: float = CLUSTER_GAP) -> Povm:
-    """PVM from the spectral decomposition of a Hermitian observable.
+def spectral_projectors(a: np.ndarray, gap: float = CLUSTER_GAP) -> tuple:
+    """Eigenspace projectors of a Hermitian observable and their labels.
 
     Eigenvalues closer than `gap` are merged into one cluster; each cluster
     contributes the projector onto its eigenspace, labeled by the (mean)
-    eigenvalue.  Downstream code must not depend on the basis chosen inside
-    a degenerate cluster.
+    eigenvalue.  Returns (labels, projectors) in ascending eigenvalue order.
+    Downstream code must not depend on the basis chosen inside a degenerate
+    cluster.
     """
     values, vectors = hermitian_eig(a)
-    dim = values.shape[0]
-    clusters = [[0]]
-    for i in range(1, dim):
-        if values[i] - values[i - 1] > gap:
-            clusters.append([i])
-        else:
-            clusters[-1].append(i)
+    ascending = values.tolist()
+    starts = [0] + [i for i in range(1, len(ascending))
+                    if ascending[i] - ascending[i - 1] > gap]
     ops = []
     labels = []
-    for cluster in clusters:
-        cols = vectors[:, cluster]
+    for start, stop in zip(starts, starts[1:] + [len(ascending)]):
+        cols = vectors[:, start:stop]
         ops.append(hermitize(cols @ cols.conj().T))
-        labels.append(f"{float(np.mean(values[cluster])):+.10g}")
-    return Povm(dim=dim, labels=tuple(labels), ops=np.array(ops))
+        labels.append(f"{float(values[start:stop].sum()) / (stop - start):+.10g}")
+    return tuple(labels), np.array(ops)
+
+
+def pvm_from_observable(a: np.ndarray, gap: float = CLUSTER_GAP) -> Povm:
+    """PVM from the spectral decomposition of a Hermitian observable: the
+    projectors of spectral_projectors, labeled by their eigenvalues."""
+    labels, ops = spectral_projectors(a, gap)
+    return Povm(dim=ops.shape[1], labels=labels, ops=ops)
 
 
 def randomize(parts) -> Povm:
@@ -186,18 +187,12 @@ def randomize(parts) -> Povm:
     if abs(float(probs.sum()) - 1.0) > 1e-12:
         raise BadDistributionError(f"branch probabilities sum to {probs.sum():.15f}")
     dim = parts[0][1].dim
-    ops = []
-    labels = []
-    provenance = []
-    for branch, (p, povm) in enumerate(parts):
-        if povm.dim != dim:
-            raise DimMismatchError("branch POVMs act on different dimensions")
-        for label, op in zip(povm.labels, povm.ops):
-            ops.append(float(p) * op)
-            labels.append(label)
-            provenance.append((branch, float(p)))
-    return Povm(dim=dim, labels=tuple(labels), ops=np.array(ops),
-                provenance=tuple(provenance))
+    if any(povm.dim != dim for _, povm in parts):
+        raise DimMismatchError("branch POVMs act on different dimensions")
+    return Povm(dim=dim, labels=tuple(lab for _, povm in parts for lab in povm.labels),
+                ops=np.concatenate([float(p) * povm.ops for p, povm in parts]),
+                provenance=tuple((branch, float(p)) for branch, (p, povm) in enumerate(parts)
+                                 for _ in povm.labels))
 
 
 def qubit_tomography_povm() -> Povm:
@@ -207,14 +202,12 @@ def qubit_tomography_povm() -> Povm:
     at a state with Stokes vector x the outcome probabilities are
     (1 +/- x^mu) / 6.
     """
-    branches = [(1.0 / 3.0, pvm_from_observable(PAULIS[mu])) for mu in range(3)]
-    combined = randomize(branches)
-    labels = []
-    for axis in range(1, 4):
-        # pvm_from_observable orders eigenvalues ascending: -1 first
-        labels.extend([f"{axis}-", f"{axis}+"])
-    return Povm(dim=2, labels=tuple(labels), ops=combined.ops,
-                provenance=combined.provenance)
+    weight = 1.0 / 3.0
+    ops = np.concatenate([weight * spectral_projectors(s)[1] for s in PAULIS])
+    # spectral_projectors orders eigenvalues ascending: -1 first
+    labels = tuple(f"{axis}{sign}" for axis in range(1, 4) for sign in "-+")
+    return Povm(dim=2, labels=labels, ops=ops,
+                provenance=tuple((mu, weight) for mu in range(3) for _ in "-+"))
 
 
 def _mub_bases_odd_prime(p: int) -> np.ndarray:
@@ -227,10 +220,8 @@ def _mub_bases_odd_prime(p: int) -> np.ndarray:
     omega = np.exp(2j * np.pi / p)
     bases = np.empty((p + 1, p, p), dtype=complex)
     bases[0] = np.eye(p)
-    k = np.arange(p)
-    for a in range(p):
-        for b in range(p):
-            bases[a + 1, b] = omega ** ((a * k * k + b * k) % p) / np.sqrt(p)
+    a, b, k = np.ix_(np.arange(p), np.arange(p), np.arange(p))
+    bases[1:] = omega ** ((a * k * k + b * k) % p) / np.sqrt(p)
     return bases
 
 
@@ -278,18 +269,11 @@ def mub_tomography_povm(family: MubFamily) -> Povm:
     Element (a, i) is |e_i^(a)><e_i^(a)| / (q+1), labeled "a:i".
     """
     q = family.q
-    ops = []
-    labels = []
-    provenance = []
     weight = 1.0 / (q + 1)
-    for a in range(q + 1):
-        for i in range(q):
-            vec = family.bases[a, i]
-            ops.append(weight * np.outer(vec, vec.conj()))
-            labels.append(f"{a}:{i}")
-            provenance.append((a, weight))
-    return Povm(dim=q, labels=tuple(labels), ops=np.array(ops),
-                provenance=tuple(provenance))
+    vecs = family.bases.reshape(-1, q)
+    return Povm(dim=q, labels=tuple(f"{a}:{i}" for a in range(q + 1) for i in range(q)),
+                ops=weight * (vecs[:, :, None] * vecs[:, None, :].conj()),
+                provenance=tuple((a, weight) for a in range(q + 1) for _ in range(q)))
 
 
 def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
@@ -301,14 +285,15 @@ def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
     """
     if n_outcomes < 1:
         raise ValueError("need at least one outcome")
-    raw = []
-    for _ in range(n_outcomes):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        raw.append(g @ g.conj().T)
+    # per outcome, the real then the imaginary part of G_i
+    parts = rng.standard_normal((n_outcomes, 2, dim, dim))
+    g = parts[:, 0] + 1j * parts[:, 1]
+    raw = g @ g.conj().transpose(0, 2, 1)
     total = hermitize(np.sum(raw, axis=0))
     values, vectors = hermitian_eig(total)
     inv_root = (vectors / np.sqrt(values)) @ vectors.conj().T
-    ops = np.array([hermitize(inv_root @ a @ inv_root) for a in raw])
+    ops = inv_root @ raw @ inv_root
+    ops = (ops + ops.conj().transpose(0, 2, 1)) / 2
     labels = tuple(str(i) for i in range(n_outcomes))
     return Povm(dim=dim, labels=labels, ops=ops)
 

@@ -194,6 +194,22 @@ def clamp_to_ball(x, eps: float = 1e-6) -> np.ndarray:
     return y
 
 
+def _clamp_rows(x: np.ndarray, eps: float) -> np.ndarray:
+    """clamp_to_ball applied to every row of x, with the same math.hypot
+    norms and the same ulp shrink, so each row equals clamp_to_ball's."""
+    rho = 1.0 - eps
+    norms = np.array([math.hypot(*row) for row in x.tolist()])
+    far = norms > rho
+    rows = (x[far] * (rho / norms[far])[:, None]).tolist()
+    for row in rows:
+        while math.hypot(*row) > rho:
+            row[:] = [v * (1.0 - 2.0 ** -52) for v in row]
+    out = x.copy()
+    if rows:
+        out[far] = rows
+    return out
+
+
 def checkpoint_schedule(m_max: int, per_decade: int = 10) -> np.ndarray:
     """Geometric checkpoint grid, about per_decade points per decade,
     always ending at m_max."""
@@ -512,13 +528,8 @@ def _merits(x0: np.ndarray, checkpoints: np.ndarray, estimates: np.ndarray,
     The Bures distance is taken to the estimate clamped to the ball of
     radius 1 - eps_ball, the squared error to the estimate as given.
     """
-    rho2 = (1.0 - eps_ball) ** 2
-    clamped = estimates.copy()
-    # only rows this close to the sphere can need clamp_to_ball's projection
-    for i in np.flatnonzero(np.sum(estimates * estimates, axis=1) > rho2 * (1.0 - 1e-12)):
-        clamped[i] = clamp_to_ball(estimates[i], eps_ball)
     out = np.empty((len(checkpoints), 2))
-    out[:, 0] = 2.0 * checkpoints * qubit_bures(x0, clamped)
+    out[:, 0] = 2.0 * checkpoints * qubit_bures(x0, _clamp_rows(estimates, eps_ball))
     out[:, 1] = checkpoints * np.sum((x0 - estimates) ** 2, axis=1)
     return out
 
@@ -584,14 +595,22 @@ def _env_threads() -> int:
     return threads
 
 
+# Rough one-core trial cost per adaptive step and per tomography checkpoint
+# (2-vCPU Xeon).  A process pool costs about 0.1 s to start and feed, so a
+# job with less estimated serial work than POOL_MIN_WORK_S runs serially.
+_TRIAL_COST_S = {"adaptive": 1.7e-4, "tomography": 1e-5}
+POOL_MIN_WORK_S = 0.25
+
+
 def monte_carlo(cfg: RunConfig, estimators=("tomography", "adaptive"),
                 threads: int | None = None) -> dict:
     """Repeat both estimation schemes cfg.reps times and aggregate.
 
     Returns {estimator: McSummary}.  Trials run in parallel worker
-    processes when threads > 1; results are identical for any thread count
-    because every trial draws from its own (seed, estimator, index)
-    substream and reduction follows trial order.
+    processes when threads > 1 and the estimated serial work repays the
+    pool's start-up; results are identical for any thread count because
+    every trial draws from its own (seed, estimator, index) substream and
+    reduction follows trial order.
     """
     if threads is None:
         threads = _env_threads()
@@ -604,7 +623,9 @@ def monte_carlo(cfg: RunConfig, estimators=("tomography", "adaptive"),
             raise ValueError(f"unknown estimator kind {kind!r}")
         indices = list(range(cfg.reps))
         blocks = []
-        if threads > 1 and cfg.reps > 1:
+        per_trial = cfg.m_max if kind == "adaptive" else len(checkpoints)
+        work_s = cfg.reps * per_trial * _TRIAL_COST_S[kind]
+        if threads > 1 and cfg.reps > 1 and work_s >= POOL_MIN_WORK_S:
             n_chunks = min(4 * threads, cfg.reps)
             chunks = [indices[i::n_chunks] for i in range(n_chunks)]
             with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -101,13 +101,9 @@ def mub_state(coords, bases) -> np.ndarray:
     if coords.shape != (q + 1, q - 1):
         raise ValueError(f"expected coords of shape {(q + 1, q - 1)}, got {coords.shape}")
     rho = np.eye(q, dtype=complex) / q
-    offset = np.eye(q, dtype=complex) / q
-    for a in range(q + 1):
-        for i in range(q - 1):
-            if coords[a, i] == 0.0:
-                continue
-            vec = bases.bases[a, i]
-            rho += coords[a, i] * (np.outer(vec, vec.conj()) - offset)
+    for c, dp in zip(coords.ravel(), mub_partials(bases)):
+        if c != 0.0:
+            rho += c * dp
     rho = hermitize(rho)
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig <= 0.0:
@@ -121,30 +117,21 @@ def mub_partials(bases) -> tuple:
     Ordered row-major over (basis a, vector i), matching the coords layout.
     """
     q = bases.q
-    offset = np.eye(q, dtype=complex) / q
-    out = []
-    for a in range(q + 1):
-        for i in range(q - 1):
-            vec = bases.bases[a, i]
-            out.append(np.outer(vec, vec.conj()) - offset)
-    return tuple(out)
+    vecs = bases.bases[:, :-1].reshape(-1, q)
+    return tuple(vecs[:, :, None] * vecs[:, None, :].conj() - np.eye(q, dtype=complex) / q)
 
 
 def mub_derivatives(coords, bases) -> ModelDerivatives:
     """State, partials and numerically solved SLDs of the affine model."""
     rho = mub_state(coords, bases)
     partials = mub_partials(bases)
-    slds = tuple(solve_sld(rho, dp) for dp in partials)
+    slds = tuple(solve_sld(rho, np.stack(partials)))
     return ModelDerivatives(rho=rho, partials=partials, slds=slds)
 
 
 def model_qfi(derivs: ModelDerivatives) -> np.ndarray:
     """Fisher information J_ij = Tr(d_i rho L_j), symmetrized."""
-    d = derivs.n_params
-    j = np.empty((d, d))
-    for a in range(d):
-        for b in range(d):
-            j[a, b] = float(np.trace(derivs.partials[a] @ derivs.slds[b]).real)
+    j = np.einsum("aij,bji->ab", np.stack(derivs.partials), np.stack(derivs.slds)).real
     return (j + j.T) / 2
 
 

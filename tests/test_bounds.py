@@ -423,3 +423,165 @@ class TestUnitTraceMinimum:
             assert numeric == pytest.approx(closed, abs=1e-5)
             expected_g = psd_sqrt(s) / np.trace(psd_sqrt(s))
             assert np.max(np.abs(g - expected_g)) <= 1e-3
+
+
+# Reference routes: the per-outcome, per-decomposition forms these kernels
+# had before they were vectorized, kept to pin the rewritten ones.
+
+def _loop_classical_fisher(derivs, povm):
+    probs = np.einsum("ij,nji->n", derivs.rho, povm.ops).real
+    dprobs = np.einsum("kij,nji->nk", np.stack(derivs.partials), povm.ops).real
+    g = np.zeros((derivs.n_params, derivs.n_params))
+    for n in range(len(povm)):
+        p, dp = probs[n], dprobs[n]
+        if p < 1e-14:
+            if float(np.max(np.abs(np.outer(dp, dp)))) < 1e-20:
+                continue
+            raise SingularOutcomeError(
+                f"outcome {povm.labels[n]} has probability {p:.3e} but nonzero derivative")
+        g += np.outer(dp, dp) / p
+    return (g + g.T) / 2
+
+
+def _five_decomposition_min_trace(j, h):
+    """(Tr R)^2, R and the Fisher target through eigvalsh(J), eigvalsh(H),
+    hermitian_eig(J), psd_sqrt(core) and hermitian_eig(R)."""
+    from qest.linalg import hermitian_eig, hermitize
+    for m in (j, h):
+        assert np.linalg.eigvalsh((m + m.T) / 2)[0] > 1e-12
+    values, vectors = hermitian_eig(j)
+    sq_j = np.real((vectors * np.sqrt(values)) @ vectors.conj().T)
+    inv_sq_j = np.real((vectors / np.sqrt(values)) @ vectors.conj().T)
+    r = psd_sqrt(hermitize(inv_sq_j @ h @ inv_sq_j).real)
+    scales, _ = hermitian_eig(r)
+    tr_r = float(np.trace(r))
+    target = sq_j @ r @ sq_j / tr_r
+    return tr_r ** 2, r, (target + target.T) / 2, np.real(scales)
+
+
+def _double_inverse_min_trace_unit_trace(s, max_iter=50000, grad_tol=1e-10):
+    """min_trace_unit_trace as it was: each accepted iterate inverted twice."""
+    s = (s + s.T) / 2
+    d = s.shape[0]
+    eye = np.eye(d)
+    g = eye / d
+
+    def objective(mat):
+        return float(np.trace(s @ np.linalg.inv(mat)))
+
+    def project(mat):
+        mat = (mat + mat.T) / 2
+        values, vectors = np.linalg.eigh(mat)
+        values = np.clip(values, 1e-12, None)
+        mat = (vectors * values) @ vectors.T
+        return mat / np.trace(mat)
+
+    val = objective(g)
+    step = 0.1
+    for _ in range(max_iter):
+        ginv = np.linalg.inv(g)
+        grad = -(ginv @ s @ ginv)
+        grad = (grad + grad.T) / 2
+        grad_t = grad - (np.trace(grad) / d) * eye
+        if float(np.linalg.norm(grad_t)) < grad_tol:
+            break
+        improved = False
+        while step > 1e-18:
+            cand = project(g - step * grad_t)
+            cand_val = objective(cand)
+            if cand_val < val:
+                g, val = cand, cand_val
+                step *= 1.5
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return val, g
+
+
+def _null_outcome_model():
+    """A qutrit state with an empty third level; the POVM's last two
+    outcomes have probability zero."""
+    rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    partials = (np.diag([0.5, -0.5, 0.0]).astype(complex),
+                np.array([[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0]], dtype=complex))
+    ops = np.array([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]),
+                    np.diag([0, 0, 0.5]), np.diag([0, 0, 0.5])], dtype=complex)
+    povm = Povm(dim=3, labels=("a", "b", "c", "d"), ops=ops)
+    return ModelDerivatives(rho=rho, partials=partials, slds=partials), povm
+
+
+class TestKernelsMatchTheirLoopRoutes:
+    def test_classical_fisher_matches_the_per_outcome_loop(self):
+        from qest.measurements import mub_bases, mub_tomography_povm
+        from qest.states import mub_derivatives
+        rng = np.random.default_rng(71)
+        cases = []
+        for _ in range(30):
+            derivs = qubit_slds(random_point(rng, rmax=0.99))
+            cases.append((derivs, random_povm(2, int(rng.integers(1, 9)), rng)))
+            cases.append((derivs, TOMO))
+        for q in (3, 4):
+            family = mub_bases(q)
+            derivs = mub_derivatives(rng.uniform(-0.04, 0.04, size=(q + 1, q - 1)), family)
+            cases.append((derivs, mub_tomography_povm(family)))
+            cases.append((derivs, random_povm(q, 2 * q + 1, rng)))
+        for derivs, povm in cases:
+            got = classical_fisher(derivs, povm)
+            want = _loop_classical_fisher(derivs, povm)
+            # a matmul sums the outcomes in another order than the loop
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            assert np.array_equal(got, got.T)
+
+    def test_classical_fisher_skips_and_rejects_null_outcomes_like_the_loop(self):
+        derivs, povm = _null_outcome_model()
+        # zero probability with zero derivative: skipped by both
+        assert np.array_equal(classical_fisher(derivs, povm),
+                              _loop_classical_fisher(derivs, povm))
+        # give both null outcomes a nonzero derivative: the first is named
+        moved = ModelDerivatives(
+            rho=derivs.rho,
+            partials=(np.diag([0.5, 0.0, -0.5]).astype(complex),) + derivs.partials[1:],
+            slds=derivs.slds)
+        with pytest.raises(SingularOutcomeError) as got:
+            classical_fisher(moved, povm)
+        with pytest.raises(SingularOutcomeError) as want:
+            _loop_classical_fisher(moved, povm)
+        assert str(got.value) == str(want.value)
+        assert "outcome c " in str(got.value)
+
+    def test_qcr_min_trace_matches_the_five_decomposition_route(self):
+        rng = np.random.default_rng(72)
+        for k in range(60):
+            x = random_point(rng, rmax=0.97)
+            if k % 3 == 2:
+                a = rng.standard_normal((3, 3))
+                j = a @ a.T + 0.05 * np.eye(3)
+            else:
+                j = qubit_qfi(x)
+            h = random_weight(rng) if k % 2 else tomography_weight(x)
+            sol = qcr_min_trace(j, h)
+            bound, r, target, scales = _five_decomposition_min_trace(j, h)
+            assert sol.bound == pytest.approx(bound, rel=1e-12)
+            scale_r = np.max(np.abs(r))
+            assert np.max(np.abs(sol.r_matrix - r)) <= 1e-12 * scale_r
+            assert np.max(np.abs(sol.fisher_target - target)) \
+                <= 1e-12 * np.max(np.abs(target))
+            assert np.allclose(np.sort(sol.scales), scales, rtol=0, atol=1e-12 * scale_r)
+            # the basis diagonalizes R with the scales as its eigenvalues
+            assert np.allclose(sol.basis.T @ sol.basis, np.eye(3), rtol=0, atol=1e-12)
+            assert np.max(np.abs(sol.r_matrix @ sol.basis - sol.basis * sol.scales)) \
+                <= 1e-12 * scale_r
+
+    def test_min_trace_unit_trace_iterates_are_unchanged(self):
+        rng = np.random.default_rng(73)
+        for _ in range(8):
+            d = int(rng.integers(2, 4))
+            q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            s = q @ np.diag(rng.uniform(0.2, 3.0, size=d)) @ q.T
+            s = (s + s.T) / 2
+            val, g = min_trace_unit_trace(s)
+            want_val, want_g = _double_inverse_min_trace_unit_trace(s)
+            assert val == want_val
+            assert np.array_equal(g, want_g)

@@ -5,6 +5,7 @@ from qest.linalg import NotHermitianError
 from qest.measurements import (
     BadDistributionError,
     DimMismatchError,
+    InvalidPovmError,
     MubFamily,
     Povm,
     UnsupportedDimensionError,
@@ -180,3 +181,48 @@ class TestRandomPovm:
             povm = random_povm(dim, 5, rng)  # validation happens in __post_init__
             assert len(povm) == 5
             assert povm.dim == dim
+
+
+def _loop_random_povm_ops(dim, n_outcomes, rng):
+    """random_povm's elements drawn and mapped one outcome at a time."""
+    from qest.linalg import hermitian_eig, hermitize
+    raw = []
+    for _ in range(n_outcomes):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        raw.append(g @ g.conj().T)
+    values, vectors = hermitian_eig(hermitize(np.sum(raw, axis=0)))
+    inv_root = (vectors / np.sqrt(values)) @ vectors.conj().T
+    return np.array([hermitize(inv_root @ a @ inv_root) for a in raw])
+
+
+def _loop_validation_error(ops):
+    """The message of the first failing element, checked one at a time."""
+    for idx, op in enumerate(ops):
+        if float(np.max(np.abs(op - op.conj().T))) > 1e-9:
+            return f"element {idx} not Hermitian"
+        min_eig = float(np.linalg.eigvalsh((op + op.conj().T) / 2)[0])
+        if min_eig < -1e-10:
+            return f"element {idx} has eigenvalue {min_eig:.3e}"
+    return None
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_random_povm_draws_the_same_stream(self, dim):
+        for n in (1, 2, 5, 2 * dim + 1):
+            new, old = np.random.default_rng((dim, n)), np.random.default_rng((dim, n))
+            povm = random_povm(dim, n, new)
+            assert np.array_equal(povm.ops, _loop_random_povm_ops(dim, n, old))
+            assert new.random() == old.random()
+
+    def test_validate_names_the_first_bad_element(self):
+        ok = 0.3 * np.eye(2)
+        negative = np.diag([-0.1, 0.1])
+        skew = np.array([[0.1, 0.05], [0.0, 0.1]])
+        for middle in ([negative, skew], [skew, negative]):
+            ops = np.array([ok, *middle, np.eye(2) - ok - sum(middle)], dtype=complex)
+            want = _loop_validation_error(ops)
+            assert want is not None and want.startswith("element 1 ")
+            with pytest.raises(InvalidPovmError) as got:
+                Povm(dim=2, labels=("0", "1", "2", "3"), ops=ops)
+            assert str(got.value) == want

@@ -595,3 +595,54 @@ class TestVectorizedMerits:
         for idx in np.ndindex(4, 5):
             assert np.array_equal(batched[idx], tomography_estimate(counts[idx]))
         assert batched[0, 0, 1] == 0.0
+
+
+class TestRowClamp:
+    @pytest.mark.parametrize("eps_ball", [1e-6, 0.01, 0.3])
+    def test_equals_clamp_to_ball_row_for_row(self, eps_ball):
+        from qest.simulate import _clamp_rows
+        rng = np.random.default_rng(90)
+        rho = 1.0 - eps_ball
+        rows = rng.standard_normal((400, 3))
+        radii = rng.uniform(0.0, 2.0, size=400)
+        # a quarter of the rows within a few ulps of the clamp sphere
+        radii[:100] = rho + rng.integers(-4, 5, size=100) * np.spacing(rho)
+        rows *= (radii / np.linalg.norm(rows, axis=1))[:, None]
+        rows[100] = 0.0
+        got = _clamp_rows(rows, eps_ball)
+        want = np.array([clamp_to_ball(row, eps_ball) for row in rows])
+        assert np.array_equal(got, want)
+        assert np.array_equal(_clamp_rows(rows[:0], eps_ball), rows[:0])
+
+
+class TestSmallJobsRunSerially:
+    def test_tiny_job_starts_no_pool(self, monkeypatch):
+        import qest.simulate as simulate
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a tiny job started a process pool")
+
+        cfg = RunConfig(x0=X0, weight="qfi", m_max=60, reps=4, seed=5)
+        serial = monte_carlo(cfg, threads=1)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+        pooled = monte_carlo(cfg, threads=2)
+        for kind in ("tomography", "adaptive"):
+            assert pooled[kind].to_csv() == serial[kind].to_csv()
+
+    def test_large_job_uses_the_pool_with_identical_output(self, monkeypatch):
+        import qest.simulate as simulate
+        started = []
+
+        class CountingPool(simulate.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        cfg = RunConfig(x0=X0, weight="qfi", m_max=60, reps=4, seed=5)
+        serial = monte_carlo(cfg, threads=1)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(simulate, "POOL_MIN_WORK_S", 0.0)
+        pooled = monte_carlo(cfg, threads=2)
+        assert started == [2, 2]
+        for kind in ("tomography", "adaptive"):
+            assert pooled[kind].to_csv() == serial[kind].to_csv()

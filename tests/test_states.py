@@ -237,3 +237,31 @@ class TestQubitBures:
             qubit_bures([0.0, 0.6, 0.8], [0.0, 0.0, 0.5])
         with pytest.raises(OutOfBallError):
             qubit_bures([0.1, 0.0, 0.0], [np.nan, 0.0, 0.0])
+
+
+class TestModelQfiEinsum:
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_matches_the_trace_loop(self, q):
+        rng = np.random.default_rng(80 + q)
+        for _ in range(5):
+            if q == 2:
+                derivs = qubit_slds(random_point(rng, rmax=0.99))
+            else:
+                coords = rng.uniform(-0.04, 0.04, size=(q + 1, q - 1))
+                derivs = mub_derivatives(coords, mub_bases(q))
+            d = derivs.n_params
+            loop = np.empty((d, d))
+            for a in range(d):
+                for b in range(d):
+                    loop[a, b] = float(np.trace(derivs.partials[a] @ derivs.slds[b]).real)
+            loop = (loop + loop.T) / 2
+            got = model_qfi(derivs)
+            assert np.max(np.abs(got - loop)) <= 1e-12 * np.max(np.abs(loop))
+            assert np.array_equal(got, got.T)
+
+    def test_stacked_sld_solve_equals_one_at_a_time(self):
+        rng = np.random.default_rng(84)
+        family = mub_bases(4)
+        derivs = mub_derivatives(rng.uniform(-0.04, 0.04, size=(5, 3)), family)
+        for dp, sld in zip(mub_partials(family), derivs.slds):
+            assert np.array_equal(sld, solve_sld(derivs.rho, dp))
