@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import Povm, spectral_projectors
-from .states import ModelDerivatives, OutOfBallError
+from .measurements import Povm, bloch_pvm_mixture
+from .states import PAULIS, ModelDerivatives, OutOfBallError
 
 PD_TOL = 1e-12
 SYM_TOL = 1e-10
@@ -70,8 +70,8 @@ class OptimalSolution:
 
     bound = (Tr R)^2 with R = sqrt(sqrt(J^-1) H sqrt(J^-1)); `basis` and
     `scales` diagonalize R; `fisher_target` is the unique Fisher matrix of
-    any minimizing measurement.  `probs`/`measurement` are filled only by
-    the constructive qubit routine.
+    any minimizing measurement.  `probs` and `axes` (unit Bloch vectors)
+    are filled by qubit_design, `measurement` by optimal_measurement.
     """
 
     bound: float
@@ -80,6 +80,7 @@ class OptimalSolution:
     scales: np.ndarray
     fisher_target: np.ndarray
     probs: np.ndarray | None = None
+    axes: np.ndarray | None = None
     measurement: Povm | None = None
     attainable: bool | None = None
 
@@ -191,39 +192,41 @@ def _min_trace(j: np.ndarray, h: np.ndarray,
     return sol, inv_sq_j
 
 
+def qubit_design(sld_bloch: np.ndarray, j: np.ndarray, h: np.ndarray) -> OptimalSolution:
+    """The weighted Cramer-Rao minimum and, in Bloch form, the random qubit
+    measurement attaining it.
+
+    With R = U diag(S) U^-1, branch i is drawn with probability S_i / Tr R
+    and measures the PVM of Lhat^i = sum_k (U^-1 sqrt(J^-1))^{ik} L_k, with
+    projectors (I -/+ axes[i] . sigma) / 2; sld_bloch[k] is the Bloch vector
+    (Tr sigma L_k) / 2.  Zero-probability branches are dropped; within
+    degenerate eigenvalue clusters of R any orthogonal diagonalizer works.
+    """
+    sol, inv_sq_j = _min_trace(j, h, hilbert_dim=2)
+    probs = sol.scales / float(np.sum(sol.scales))
+    kept = probs > 1e-15
+    axes = (sol.basis.T @ inv_sq_j @ sld_bloch)[kept]
+    sol.probs = probs[kept] / probs[kept].sum()
+    sol.axes = axes / np.linalg.norm(axes, axis=1)[:, None]
+    return sol
+
+
 def optimal_measurement(derivs: ModelDerivatives, j: np.ndarray,
                         h: np.ndarray) -> OptimalSolution:
-    """Random measurement attaining the weighted Cramer-Rao minimum.
+    """Random measurement attaining the weighted Cramer-Rao minimum: the
+    branches of qubit_design as a POVM, labeled "<branch><sign>".  Its
+    classical Fisher matrix equals sqrt(J) R sqrt(J) / Tr R.
 
-    Diagonalize R = U diag(S) U^-1, form the rotated SLD combinations
-    Lhat^i = sum_k (U^-1 sqrt(J^-1))^{ik} L_k, take the PVM of each, and mix
-    them with probabilities S_i / sum(S).  The classical Fisher matrix of
-    the result equals sqrt(J) R sqrt(J) / Tr R.
-
-    Only defined on a two-level system (1 to 3 parameters).  Branches with
-    numerically zero probability are dropped; within degenerate eigenvalue
-    clusters of R any orthogonal diagonalizer is acceptable.
+    Only defined on a two-level system (1 to 3 parameters).
     """
     if derivs.rho.shape != (2, 2):
         raise UnsupportedDimError("construction requires a two-level system")
     d = derivs.n_params
     if d not in (1, 2, 3):
         raise ValueError(f"parameter count {d} out of range 1..3")
-    sol, inv_sq_j = _min_trace(j, h, hilbert_dim=2)
-    k_mat = sol.basis.T @ inv_sq_j
-    probs = sol.scales / float(np.sum(sol.scales))
-    kept = np.flatnonzero(probs > 1e-15)
-    keep_probs = probs[kept] / probs[kept].sum()
-    ops, labels, provenance = [], [], []
-    for branch, (i, p) in enumerate(zip(kept, keep_probs)):
-        lhat = sum(k_mat[i, k] * derivs.slds[k] for k in range(d))
-        branch_labels, projectors = spectral_projectors(lhat)
-        ops.extend(float(p) * projectors)
-        labels.extend(f"{branch + 1}:{lab}" for lab in branch_labels)
-        provenance.extend((branch, float(p)) for _ in branch_labels)
-    sol.probs = keep_probs
-    sol.measurement = Povm(dim=2, labels=tuple(labels), ops=np.array(ops),
-                           provenance=tuple(provenance))
+    sld_bloch = np.einsum("kij,mji->km", np.stack(derivs.slds), np.stack(PAULIS)).real / 2
+    sol = qubit_design(sld_bloch, j, h)
+    sol.measurement = bloch_pvm_mixture(sol.probs, sol.axes)
     return sol
 
 

@@ -93,6 +93,17 @@ def _parse_vec(text: str, n: int = 3) -> np.ndarray:
     return np.array(parts)
 
 
+def _positive(kind):
+    """argparse type for a sweep step or length: a finite `kind` above 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
 def _rot_weight_values(kind: str, r: float, f: float, g: float) -> bd.RotWeight:
     if kind == "identity":
         return bd.RotWeight(1.0, 1.0)
@@ -149,8 +160,7 @@ def cmd_simulate(args) -> int:
         weight = np.array(json.loads(args.weight_matrix), dtype=float)
     try:
         cfg = sim.RunConfig(x0=x0, weight=weight, m_max=args.m, reps=args.reps,
-                            seed=args.seed, adapt_update_every=args.update_every,
-                            eps_ball=args.eps_ball)
+                            seed=args.seed, eps_ball=args.eps_ball)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -284,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, help="radial value for --weight custom")
     p.add_argument("--dir", default="1,1,1", help="direction, comma separated")
     p.add_argument("--rmax", type=float, default=0.95)
-    p.add_argument("--rstep", type=float, default=0.05)
+    p.add_argument("--rstep", type=_positive(float), default=0.05)
     common(p)
     p.set_defaults(func=cmd_bounds)
 
@@ -297,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--estimator", choices=("both", "tomo", "adaptive"), default="both")
-    p.add_argument("--update-every", type=int, default=1)
     p.add_argument("--eps-ball", type=float, default=1e-6)
     common(p)
     p.set_defaults(func=cmd_simulate)
@@ -307,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", choices=("identity", "qfi", "tomography"),
                    default="tomography")
     p.add_argument("--plane", default="1,2", help="pair of axis indices, 1-based")
-    p.add_argument("--n", type=int, default=360)
+    p.add_argument("--n", type=_positive(int), default=360)
     common(p)
     p.set_defaults(func=cmd_indicatrix)
 
@@ -318,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     action.add_argument("--bounds", action="store_true", help="sweep cGM and cT along --dir")
     p.add_argument("--dir", default="1,1", help="affine coordinate (basis,vector), 1-based")
     p.add_argument("--rmax", type=float, default=0.9)
-    p.add_argument("--rstep", type=float, default=0.05)
+    p.add_argument("--rstep", type=_positive(float), default=0.05)
     common(p)
     p.set_defaults(func=cmd_mub)
 

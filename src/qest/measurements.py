@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import hermitian_eig, hermitize
-from .states import PAULIS
+from .states import bloch_operator
 
 COMPLETENESS_TOL = 1e-9
 POSITIVITY_TOL = 1e-10
@@ -142,14 +142,13 @@ class MubFamily:
         return float(self._overlap_defects()[2].max())
 
 
-def spectral_projectors(a: np.ndarray, gap: float = CLUSTER_GAP) -> tuple:
-    """Eigenspace projectors of a Hermitian observable and their labels.
+def pvm_from_observable(a: np.ndarray, gap: float = CLUSTER_GAP) -> Povm:
+    """PVM from the spectral decomposition of a Hermitian observable.
 
     Eigenvalues closer than `gap` are merged into one cluster; each cluster
     contributes the projector onto its eigenspace, labeled by the (mean)
-    eigenvalue.  Returns (labels, projectors) in ascending eigenvalue order.
-    Downstream code must not depend on the basis chosen inside a degenerate
-    cluster.
+    eigenvalue, in ascending eigenvalue order.  Downstream code must not
+    depend on the basis chosen inside a degenerate cluster.
     """
     values, vectors = hermitian_eig(a)
     ascending = values.tolist()
@@ -161,14 +160,7 @@ def spectral_projectors(a: np.ndarray, gap: float = CLUSTER_GAP) -> tuple:
         cols = vectors[:, start:stop]
         ops.append(hermitize(cols @ cols.conj().T))
         labels.append(f"{float(values[start:stop].sum()) / (stop - start):+.10g}")
-    return tuple(labels), np.array(ops)
-
-
-def pvm_from_observable(a: np.ndarray, gap: float = CLUSTER_GAP) -> Povm:
-    """PVM from the spectral decomposition of a Hermitian observable: the
-    projectors of spectral_projectors, labeled by their eigenvalues."""
-    labels, ops = spectral_projectors(a, gap)
-    return Povm(dim=ops.shape[1], labels=labels, ops=ops)
+    return Povm(dim=len(ascending), labels=labels, ops=np.array(ops))
 
 
 def randomize(parts) -> Povm:
@@ -195,6 +187,22 @@ def randomize(parts) -> Povm:
                                  for _ in povm.labels))
 
 
+def bloch_pvm_mixture(probs, axes) -> Povm:
+    """Randomized combination of qubit PVMs given in Bloch form.
+
+    Branch i, drawn with probability probs[i], measures along the unit
+    Bloch vector axes[i]: its elements are probs[i] (I -/+ axes[i] . sigma)
+    / 2, the - projector first, labeled "<branch><sign>" with branches
+    counted from 1.  Provenance records (branch index, probability).
+    """
+    probs = np.asarray(probs, dtype=float)
+    signed = np.asarray(axes, dtype=float)[:, None, :] * np.array([[-1.0], [1.0]])
+    ops = probs[:, None, None, None] * bloch_operator(1.0, signed)
+    return Povm(dim=2, labels=tuple(f"{i + 1}{sign}" for i in range(len(probs)) for sign in "-+"),
+                ops=ops.reshape(-1, 2, 2),
+                provenance=tuple((i, float(p)) for i, p in enumerate(probs) for _ in "-+"))
+
+
 def qubit_tomography_povm() -> Povm:
     """Uniform randomization of the three Pauli PVMs (6 elements).
 
@@ -202,12 +210,7 @@ def qubit_tomography_povm() -> Povm:
     at a state with Stokes vector x the outcome probabilities are
     (1 +/- x^mu) / 6.
     """
-    weight = 1.0 / 3.0
-    ops = np.concatenate([weight * spectral_projectors(s)[1] for s in PAULIS])
-    # spectral_projectors orders eigenvalues ascending: -1 first
-    labels = tuple(f"{axis}{sign}" for axis in range(1, 4) for sign in "-+")
-    return Povm(dim=2, labels=labels, ops=ops,
-                provenance=tuple((mu, weight) for mu in range(3) for _ in "-+"))
+    return bloch_pvm_mixture(np.full(3, 1.0 / 3.0), np.eye(3))
 
 
 def _mub_bases_odd_prime(p: int) -> np.ndarray:

@@ -25,15 +25,17 @@ import numpy as np
 
 from .bounds import (
     RotWeight,
+    _check_sym_pd,
     c_opt_closed,
     c_tomo_closed,
     qcr_min_trace,
     qfi_rot_weight,
+    qubit_design,
     tomography_fisher,
     tomography_weight,
 )
 from .measurements import Povm, outcome_distribution
-from .states import ID2, PAULIS, qubit_bures, qubit_qfi
+from .states import bloch_operator, qubit_bures, qubit_qfi
 
 WEIGHT_SELECTORS = ("identity", "qfi", "tomography")
 PROB_FLOOR = 1e-12
@@ -58,7 +60,6 @@ class RunConfig:
     m_max: int = 3000
     reps: int = 300
     seed: int = 0
-    adapt_update_every: int = 1
     eps_ball: float = 1e-6
     x_init: np.ndarray | None = None
     checkpoints: np.ndarray | None = None
@@ -71,8 +72,6 @@ class RunConfig:
             raise ValueError("m_max and reps must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.adapt_update_every < 1:
-            raise ValueError("adapt_update_every must be positive")
         if not 0.0 < self.eps_ball < 1.0:
             raise ValueError("eps_ball must lie strictly between 0 and 1")
         if self.eps_ball < 1e-12:
@@ -82,9 +81,10 @@ class RunConfig:
             if self.weight not in WEIGHT_SELECTORS:
                 raise ValueError(f"unknown weight selector {self.weight!r}")
         else:
-            self.weight = np.asarray(self.weight, dtype=float)
-            if self.weight.shape != (3, 3):
+            weight = np.asarray(self.weight, dtype=float)
+            if weight.shape != (3, 3):
                 raise ValueError("custom weight must be a 3x3 matrix")
+            self.weight = _check_sym_pd(weight, "weight")
         if self.x_init is not None:
             self.x_init = np.asarray(self.x_init, dtype=float)
             if self.x_init.shape != (3,):
@@ -124,10 +124,7 @@ class TrialRecord:
         return [f"{k // 2 + 1}{'+' if k % 2 else '-'}" for k in self.outcomes.tolist()]
 
     def element_matrix(self, i: int) -> np.ndarray:
-        op = self.element_traces[i] * ID2.copy()
-        for mu in range(3):
-            op += self.element_bloch[i, mu] * PAULIS[mu]
-        return op / 2
+        return bloch_operator(self.element_traces[i], self.element_bloch[i])
 
 
 @dataclass
@@ -287,33 +284,15 @@ def _optimal_branches(x: np.ndarray, weight):
     Branch i measures the PVM with projectors (I +- axes[i].sigma)/2 and is
     chosen with probability probs[i].  weight is a selector or a fixed
     matrix.  The rotational selectors "identity" and "qfi" use the closed
-    form; any other weight is resolved at x and its axes are the normalized
-    rows of U^T sqrt(J), with zero-probability branches dropped.
+    form; any other weight is resolved at x and handed to
+    bounds.qubit_design.
     """
     if isinstance(weight, str) and weight in ("identity", "qfi"):
         return _rotational_branches(x, weight)
-    h = resolve_weight(weight, x)
-    r2 = float(x @ x)
-    s = np.sqrt(1.0 - r2)
-    if r2 > 0.0:
-        en = x / np.sqrt(r2)
-        proj = np.outer(en, en)
-        sqrt_j = np.eye(3) + (1.0 / s - 1.0) * proj
-        inv_sqrt_j = np.eye(3) + (s - 1.0) * proj
-    else:
-        sqrt_j = np.eye(3)
-        inv_sqrt_j = np.eye(3)
-    core = inv_sqrt_j @ h @ inv_sqrt_j
-    scales, basis = np.linalg.eigh((core + core.T) / 2)
-    scales = np.sqrt(np.clip(scales, 0.0, None))  # eigenvalues of R
-    axes = basis.T @ sqrt_j
-    probs = scales / scales.sum()
-    keep = probs > 1e-15
-    probs = probs[keep]
-    probs = probs / probs.sum()
-    axes = axes[keep]
-    axes = axes / np.linalg.norm(axes, axis=1)[:, None]
-    return probs, axes
+    # the SLD Bloch vectors of the Stokes model are the rows of J
+    j = qubit_qfi(x)
+    sol = qubit_design(j, j, resolve_weight(weight, x))
+    return sol.probs, sol.axes
 
 
 def _rotational_branches(x: np.ndarray, selector: str):
@@ -474,11 +453,11 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     """One adaptive trial of cfg.m_max steps.
 
     At step m the measurement optimal for the weight at the previous
-    estimate is applied (re-derived every adapt_update_every steps), one
-    outcome is sampled from the true state with one uniform draw, and the
-    estimate is updated by maximum likelihood warm-started at the previous
-    estimate.  The history is kept as Bloch columns together with their
-    pairwise products, each written once when its outcome is drawn.
+    estimate is applied, one outcome is sampled from the true state with
+    one uniform draw, and the estimate is updated by maximum likelihood
+    warm-started at the previous estimate.  The history is kept as Bloch
+    columns together with their pairwise products, each written once when
+    its outcome is drawn.
     """
     checkpoints = (cfg.checkpoints if cfg.checkpoints is not None
                    else checkpoint_schedule(cfg.m_max))
@@ -492,15 +471,13 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     estimates = np.empty((len(checkpoints), 3))
     ckpt_pos = 0
     n_failed = 0
-    probs = axes = cum = None
     for m in range(m_max):
-        if m % cfg.adapt_update_every == 0 or probs is None:
-            probs, axes = _optimal_branches(x_hat, cfg.weight)
-            probs, axes = probs.tolist(), axes.tolist()
-            # cumulative outcome probabilities, layout per branch i: (i, -), (i, +)
-            cum = list(accumulate(
-                p * (1.0 + sign * (a0 * x_true[0] + a1 * x_true[1] + a2 * x_true[2])) / 2.0
-                for p, (a0, a1, a2) in zip(probs, axes) for sign in (-1.0, 1.0)))
+        probs, axes = _optimal_branches(x_hat, cfg.weight)
+        probs, axes = probs.tolist(), axes.tolist()
+        # cumulative outcome probabilities, layout per branch i: (i, -), (i, +)
+        cum = list(accumulate(
+            p * (1.0 + sign * (a0 * x_true[0] + a1 * x_true[1] + a2 * x_true[2])) / 2.0
+            for p, (a0, a1, a2) in zip(probs, axes) for sign in (-1.0, 1.0)))
         idx = min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
         p = probs[idx // 2]
         signed = p if idx % 2 else -p

@@ -16,6 +16,7 @@ SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_1, SIGMA_2, SIGMA_3)
 ID2 = np.eye(2, dtype=complex)
+_PAULI_ROWS = np.stack(PAULIS).reshape(3, 4)
 
 
 class OutOfBallError(ValueError):
@@ -56,13 +57,18 @@ def _check_ball(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def bloch_operator(t, b) -> np.ndarray:
+    """The 2x2 operator (t I + b . sigma) / 2, broadcast over t of shape
+    (...) and b of shape (..., 3)."""
+    # each real or imaginary part of b @ _PAULI_ROWS has one nonzero product,
+    # so it is exact and adding t rounds once, as a term-by-term sum does
+    op = np.multiply.outer(t, ID2.ravel()) + np.asarray(b, dtype=float) @ _PAULI_ROWS
+    return op.reshape(op.shape[:-1] + (2, 2)) / 2
+
+
 def qubit_state(x) -> np.ndarray:
     """Density matrix (I + x . sigma) / 2 for a Stokes vector inside the ball."""
-    x = _check_ball(x)
-    rho = ID2.copy()
-    for mu in range(3):
-        rho += x[mu] * PAULIS[mu]
-    return rho / 2
+    return bloch_operator(1.0, _check_ball(x))
 
 
 def qubit_slds(x) -> ModelDerivatives:

@@ -5,6 +5,7 @@ from qest.bounds import (
     RotWeight,
     SingularOutcomeError,
     UnsupportedDimError,
+    _min_trace,
     anisotropy,
     c_opt_closed,
     c_tomo_closed,
@@ -173,6 +174,45 @@ class TestOptimalMeasurement:
         j = model_qfi(derivs)
         with pytest.raises(UnsupportedDimError):
             optimal_measurement(derivs, j, np.eye(8))
+
+
+def _spectral_route(derivs, j, h):
+    """Optimal measurement built branch by branch from the eigenprojectors
+    of each rotated SLD combination Lhat^i = sum_k (U^-1 sqrt(J^-1))^{ik} L_k."""
+    sol, inv_sq_j = _min_trace(j, h, hilbert_dim=2)
+    k_mat = sol.basis.T @ inv_sq_j
+    probs = sol.scales / float(np.sum(sol.scales))
+    kept = np.flatnonzero(probs > 1e-15)
+    keep_probs = probs[kept] / probs[kept].sum()
+    ops = []
+    for i, p in zip(kept, keep_probs):
+        lhat = sum(k_mat[i, k] * derivs.slds[k] for k in range(derivs.n_params))
+        ops.extend(float(p) * pvm_from_observable(lhat).ops)
+    return keep_probs, np.array(ops)
+
+
+class TestOptimalMeasurementMatchesSpectralRoute:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_same_probabilities_and_elements_in_order(self, d):
+        rng = np.random.default_rng(70 + d)
+        for _ in range(60):
+            x = random_point(rng, rmax=0.95)
+            full = qubit_slds(x)
+            derivs = ModelDerivatives(rho=full.rho, partials=full.partials[:d],
+                                      slds=full.slds[:d])
+            a = rng.standard_normal((d, d))
+            h = a @ a.T + np.diag(rng.uniform(0.1, 1.0, size=d))
+            j = qubit_qfi(x)[:d, :d]
+            sol = optimal_measurement(derivs, j, h)
+            probs, ops = _spectral_route(derivs, j, h)
+            assert np.array_equal(sol.probs, probs)
+            assert sol.measurement.ops.shape == ops.shape
+            assert np.max(np.abs(sol.measurement.ops - ops)) <= 1e-14
+            n = len(probs)
+            assert sol.measurement.labels == tuple(
+                f"{i + 1}{sign}" for i in range(n) for sign in "-+")
+            assert sol.measurement.provenance == tuple(
+                (i, float(p)) for i, p in enumerate(probs) for _ in "-+")
 
 
 class TestLuEstimator:

@@ -90,6 +90,16 @@ class TestSimulate:
     def test_bad_config_exit_code(self):
         assert run_cli(["simulate", "--x0", "1.5,0,0"]) == 2
 
+    def test_update_every_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--update-every", "2"])
+        assert exc.value.code == 2
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"update-every": 1}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--config", str(config)])
+        assert exc.value.code == 2
+
 
 class TestIndicatrix:
     def test_identity_unit_circle(self, tmp_path):
@@ -143,6 +153,23 @@ class TestMub:
         with pytest.raises(SystemExit) as exc:
             run_cli(["mub", "--q", "3", *flags])
         assert exc.value.code == 2
+
+
+class TestSweepSizes:
+    @pytest.mark.parametrize("args", [
+        ["bounds", "--rstep", "0"],
+        ["bounds", "--rstep", "-0.1"],
+        ["bounds", "--rstep", "nan"],
+        ["mub", "--q", "3", "--bounds", "--rstep", "0"],
+        ["mub", "--q", "3", "--bounds", "--rstep", "-0.1"],
+        ["indicatrix", "--n", "0"],
+        ["indicatrix", "--n", "-5"],
+    ])
+    def test_non_positive_sweep_is_a_usage_error(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
+        assert "expected a positive" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -117,6 +117,14 @@ class TestQubitTomographyPovm:
     def test_labels_axis_sign(self):
         assert qubit_tomography_povm().labels == ("1-", "1+", "2-", "2+", "3-", "3+")
 
+    def test_matches_the_pauli_spectral_projectors(self):
+        weight = 1.0 / 3.0
+        ops = np.concatenate([weight * pvm_from_observable(s).ops for s in PAULIS])
+        povm = qubit_tomography_povm()
+        assert np.max(np.abs(povm.ops - ops)) <= 1e-15
+        assert povm.labels == tuple(f"{axis}{sign}" for axis in range(1, 4) for sign in "-+")
+        assert povm.provenance == tuple((mu, weight) for mu in range(3) for _ in "-+")
+
 
 class TestMubBases:
     @pytest.mark.parametrize("q", [2, 3, 4, 5])

@@ -88,6 +88,8 @@ ANY_VALUE = {
     "eps_ball": st.floats(-0.5, 1.5, allow_nan=False),
     "x_init": any_triples,
     "checkpoints": st.lists(st.integers(-1, 30), max_size=4),
+    "weight": st.lists(st.floats(), min_size=9, max_size=9).map(
+        lambda v: np.array(v).reshape(3, 3)),
 }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qest.measurements import pvm_from_observable, qubit_tomography_povm
+from qest.measurements import bloch_pvm_mixture, pvm_from_observable, qubit_tomography_povm
 from qest.simulate import (
     RunConfig,
     adaptive_run,
@@ -175,18 +175,50 @@ class TestOptimalBranches:
             sol = optimal_measurement(derivs, j, h)
             probs, axes = _optimal_branches(x, h)
             # same Fisher matrix either way
-            ops = []
-            for p, axis in zip(probs, axes):
-                bloch_op = sum(axis[mu] * [np.array([[0, 1], [1, 0]]),
-                                           np.array([[0, -1j], [1j, 0]]),
-                                           np.diag([1, -1])][mu] for mu in range(3))
-                ops.append(p * (np.eye(2) + bloch_op) / 2)
-                ops.append(p * (np.eye(2) - bloch_op) / 2)
-            from qest.measurements import Povm
-            fast = Povm(dim=2, labels=tuple(str(i) for i in range(len(ops))),
-                        ops=np.array(ops))
-            g_fast = classical_fisher(derivs, fast)
+            g_fast = classical_fisher(derivs, bloch_pvm_mixture(probs, axes))
             assert np.max(np.abs(g_fast - sol.fisher_target)) <= 1e-8
+
+
+    @pytest.mark.parametrize("weight", ["tomography", "custom"])
+    def test_generic_weights_match_the_closed_form_sqrt_j_route(self, weight):
+        rng = np.random.default_rng(43)
+        a = rng.standard_normal((3, 3))
+        selector = a @ a.T + 0.3 * np.eye(3) if weight == "custom" else weight
+        # on a coordinate axis the tomography weight makes R a multiple of
+        # the identity, where any orthonormal axes are optimal
+        points = [np.zeros(3)] if weight == "custom" else []
+        for _ in range(50):
+            x = rng.standard_normal(3)
+            points.append(x * rng.random() * 0.95 / np.linalg.norm(x))
+        for x in points:
+            probs, axes = _optimal_branches(x, selector)
+            old_probs, old_axes = _sqrt_j_route(x, resolve_weight(selector, x))
+            assert probs.shape == old_probs.shape
+            assert np.max(np.abs(probs - old_probs)) <= 1e-12
+            signs = np.sign(np.sum(axes * old_axes, axis=1))
+            assert np.max(np.abs(axes - signs[:, None] * old_axes)) <= 1e-10
+
+
+def _sqrt_j_route(x, h):
+    """Design branches through the closed-form sqrt(J) of the Stokes model
+    and one eigendecomposition of the core J^-1/2 H J^-1/2."""
+    r2 = float(x @ x)
+    s = np.sqrt(1.0 - r2)
+    if r2 > 0.0:
+        en = x / np.sqrt(r2)
+        proj = np.outer(en, en)
+        sqrt_j = np.eye(3) + (1.0 / s - 1.0) * proj
+        inv_sqrt_j = np.eye(3) + (s - 1.0) * proj
+    else:
+        sqrt_j = inv_sqrt_j = np.eye(3)
+    core = inv_sqrt_j @ h @ inv_sqrt_j
+    scales, basis = np.linalg.eigh((core + core.T) / 2)
+    scales = np.sqrt(np.clip(scales, 0.0, None))  # eigenvalues of R
+    axes = basis.T @ sqrt_j
+    probs = scales / scales.sum()
+    keep = probs > 1e-15
+    axes = axes[keep]
+    return probs[keep] / probs[keep].sum(), axes / np.linalg.norm(axes, axis=1)[:, None]
 
 
 class TestAdaptiveRun:
@@ -368,6 +400,22 @@ class TestInputValidation:
         cfg = RunConfig(x0=X0, eps_ball=0.01, x_init=on_sphere)
         assert np.array_equal(cfg.x_init, on_sphere)
 
+    @pytest.mark.parametrize("weight", [
+        np.full((3, 3), np.nan),
+        np.diag([1.0, 1.0, -1.0]),    # indefinite
+        np.diag([1.0, 1.0, 0.0]),     # singular
+        [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # not symmetric
+        np.eye(2),
+    ])
+    def test_bad_custom_weight_rejected(self, weight):
+        with pytest.raises(ValueError):
+            RunConfig(x0=X0, weight=weight)
+
+    def test_symmetric_custom_weight_kept_bit_for_bit(self):
+        a = np.random.default_rng(7).standard_normal((3, 3))
+        h = (a + a.T) / 2 + 4.0 * np.eye(3)
+        assert np.array_equal(RunConfig(x0=X0, weight=h).weight, h)
+
     @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
     def test_invalid_thread_count_raises(self, raw, monkeypatch):
         monkeypatch.setenv("QEST_THREADS", raw)
@@ -487,7 +535,6 @@ class TestRotationalDesign:
     @pytest.mark.parametrize("selector", ["identity", "qfi"])
     def test_closed_form_matches_eigh_route_and_bounds(self, selector):
         from qest.bounds import optimal_measurement
-        from qest.measurements import Povm
         rng = np.random.default_rng(41)
         points = [np.zeros(3), np.array([0.0, 0.0, 0.7]), np.array([0.99, 0.0, 0.0])]
         for _ in range(20):
@@ -495,16 +542,7 @@ class TestRotationalDesign:
             points.append(x * rng.random() * 0.999 / np.linalg.norm(x))
 
         def fisher(x, probs, axes):
-            ops = []
-            for p, axis in zip(probs, axes):
-                bloch_op = sum(axis[mu] * [np.array([[0, 1], [1, 0]]),
-                                           np.array([[0, -1j], [1j, 0]]),
-                                           np.diag([1, -1])][mu] for mu in range(3))
-                ops.append(p * (np.eye(2) + bloch_op) / 2)
-                ops.append(p * (np.eye(2) - bloch_op) / 2)
-            povm = Povm(dim=2, labels=tuple(str(i) for i in range(len(ops))),
-                        ops=np.array(ops))
-            return classical_fisher(qubit_slds(x), povm)
+            return classical_fisher(qubit_slds(x), bloch_pvm_mixture(probs, axes))
 
         for x in points:
             h = resolve_weight(selector, x)

@@ -6,7 +6,9 @@ from qest.measurements import mub_bases
 from qest.states import (
     NotPositiveError,
     OutOfBallError,
+    ID2,
     PAULIS,
+    bloch_operator,
     bures_distance,
     model_qfi,
     mub_derivatives,
@@ -265,3 +267,25 @@ class TestModelQfiEinsum:
         derivs = mub_derivatives(rng.uniform(-0.04, 0.04, size=(5, 3)), family)
         for dp, sld in zip(mub_partials(family), derivs.slds):
             assert np.array_equal(sld, solve_sld(derivs.rho, dp))
+
+
+class TestBlochOperator:
+    def test_equals_the_term_by_term_sum(self):
+        rng = np.random.default_rng(90)
+        for _ in range(2000):
+            x = random_point(rng, rmax=0.999)
+            loop = ID2.copy()
+            for mu in range(3):
+                loop += x[mu] * PAULIS[mu]
+            assert np.array_equal(bloch_operator(1, x), loop / 2)
+            assert np.array_equal(qubit_state(x), loop / 2)
+
+    def test_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(91)
+        t = rng.random((4, 1))
+        b = rng.standard_normal((5, 3))
+        ops = bloch_operator(t, b)
+        assert ops.shape == (4, 5, 2, 2)
+        for i in range(4):
+            for k in range(5):
+                assert np.array_equal(ops[i, k], bloch_operator(t[i, 0], b[k]))
