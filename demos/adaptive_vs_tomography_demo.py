@@ -4,11 +4,12 @@
 Both schemes estimate the same qubit state from m single-shot
 measurements.  Tomography draws the three Pauli measurements uniformly;
 the adaptive scheme re-derives the merit-optimal random measurement at its
-running maximum-likelihood estimate before every shot.
+running estimate before every shot, and reports the certified
+maximum-likelihood estimate.
 
 The figure of merit 2m x BuresDistance(true, estimate) is plotted against
 its theoretical floors.  This is a scaled-down run (fewer repetitions and
-steps than a publication plot) so it finishes in about a minute.
+steps than a publication plot) so it finishes in a few seconds.
 """
 
 import time

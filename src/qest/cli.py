@@ -112,6 +112,15 @@ def _rot_weight_values(kind: str, r: float, f: float, g: float) -> bd.RotWeight:
     return bd.RotWeight(f, g)
 
 
+def _sweep(first: float, rmax: float, rstep: float) -> np.ndarray:
+    """Radii first, first + rstep, ... up to rmax; a usage error when rmax
+    lies below the first point."""
+    radii = np.arange(first, rmax + 1e-12, rstep)
+    if radii.size == 0:
+        raise ValueError(f"--rmax {rmax:g} is below the first sweep point {first:g}")
+    return radii
+
+
 def cmd_bounds(args) -> int:
     direction = _parse_vec(args.dir)
     norm = np.linalg.norm(direction)
@@ -122,7 +131,7 @@ def cmd_bounds(args) -> int:
     if args.weight == "custom" and (args.f is None or args.g is None):
         print("error: --weight custom requires --f and --g", file=sys.stderr)
         return 2
-    radii = np.arange(0.0, args.rmax + 1e-12, args.rstep)
+    radii = _sweep(0.0, args.rmax, args.rstep)
     tomo = ms.qubit_tomography_povm()
     rows = []
     worst = 0.0
@@ -240,9 +249,10 @@ def cmd_mub(args) -> int:
     if not (0 <= a_idx <= q) or not (0 <= i_idx <= q - 2):
         print(f"error: direction {args.dir} out of range for q={q}", file=sys.stderr)
         return 2
+    radii = _sweep(args.rstep, args.rmax, args.rstep)
     tomo = ms.mub_tomography_povm(family)
     rows = []
-    for r in np.arange(args.rstep, args.rmax + 1e-12, args.rstep):
+    for r in radii:
         coords = np.zeros((q + 1, q - 1))
         coords[a_idx, i_idx] = r
         try:
@@ -254,6 +264,8 @@ def cmd_mub(args) -> int:
         ct = float(np.trace(j @ np.linalg.inv(g)))
         cgm = bd.gm_lower_bound(j, j, q)
         rows.append([float(r), float(cgm), float(ct)])
+    if not rows:
+        raise ValueError(f"the first sweep point {args.rstep:g} lies outside the state space")
     emit_table(["r", "cGM", "cT"], rows, args.out, args.format)
     if args.svg and args.out:
         write_svg(str(Path(args.out).with_suffix(".svg")),

@@ -1,11 +1,14 @@
 """Stochastic comparison of plain tomography against adaptive estimation.
 
 One adaptive trial alternates: derive the merit-optimal random measurement
-at the current estimate, sample one outcome from the true state, and update
-the estimate by constrained maximum likelihood over the recorded history.
-Monte Carlo aggregation reports the scaled Bures and squared-error figures
-of merit at geometrically spaced checkpoints, next to the theoretical
-limits of both schemes.
+at the running design estimate, sample one outcome from the true state, and
+move the design estimate by one O(1) scoring step on the observed
+information.  On a fixed geometric grid of anchor steps the design estimate
+is reset to the certified constrained maximum-likelihood estimate over the
+recorded history, and that certified estimate is what every checkpoint
+reports.  Monte Carlo aggregation reports the scaled Bures and
+squared-error figures of merit at geometrically spaced checkpoints, next to
+the theoretical limits of both schemes.
 
 Everything is deterministic given the seed: trial i draws from an
 independent substream derived from (seed, estimator, i), and aggregation
@@ -329,6 +332,33 @@ def _bloch_products(bt: np.ndarray) -> np.ndarray:
     return np.stack([b0 * b0, b1 * b1, b2 * b2, b0 * b1, b0 * b2, b1 * b2])
 
 
+def _chol_solve(h6, c0: float, c1: float, c2: float):
+    """Solution (y0, y1, y2) of H y = c by Cholesky, H given as
+    (h00, h11, h22, h01, h02, h12); None when a pivot is at most 1e-12 Tr H,
+    that is when H is not numerically positive definite."""
+    a00, a11, a22, a01, a02, a12 = h6
+    pivot = 1e-12 * (a00 + a11 + a22)
+    if not a00 > pivot:
+        return None
+    l00 = math.sqrt(a00)
+    l10, l20 = a01 / l00, a02 / l00
+    d1 = a11 - l10 * l10
+    if not d1 > pivot:
+        return None
+    l11 = math.sqrt(d1)
+    l21 = (a12 - l20 * l10) / l11
+    d2 = a22 - l20 * l20 - l21 * l21
+    if not d2 > pivot:
+        return None
+    l22 = math.sqrt(d2)
+    z0 = c0 / l00
+    z1 = (c1 - l10 * z0) / l11
+    z2 = (c2 - l20 * z0 - l21 * z1) / l22
+    y2 = z2 / l22
+    y1 = (z1 - l21 * y2) / l11
+    return (z0 - l10 * y1 - l20 * y2) / l00, y1, y2
+
+
 def _ball_newton_point(h6: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
     """Maximizer of c.y - y^T H y / 2 over |y| <= rho for positive
     semidefinite H given as (h00, h11, h22, h01, h02, h12).
@@ -342,27 +372,12 @@ def _ball_newton_point(h6: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
     b_i . v = 0, so the log-likelihood is flat along v); such directions get
     no component, which picks the minimum-norm maximizer.
     """
-    a00, a11, a22, a01, a02, a12 = h6.tolist()
+    h = h6.tolist()
     c0, c1, c2 = c.tolist()
-    pivot = 1e-12 * (a00 + a11 + a22)
-    if a00 > pivot:
-        l00 = math.sqrt(a00)
-        l10, l20 = a01 / l00, a02 / l00
-        d1 = a11 - l10 * l10
-        if d1 > pivot:
-            l11 = math.sqrt(d1)
-            l21 = (a12 - l20 * l10) / l11
-            d2 = a22 - l20 * l20 - l21 * l21
-            if d2 > pivot:
-                l22 = math.sqrt(d2)
-                z0 = c0 / l00
-                z1 = (c1 - l10 * z0) / l11
-                z2 = (c2 - l20 * z0 - l21 * z1) / l22
-                y2 = z2 / l22
-                y1 = (z1 - l21 * y2) / l11
-                y0 = (z0 - l10 * y1 - l20 * y2) / l00
-                if y0 * y0 + y1 * y1 + y2 * y2 <= rho * rho:
-                    return np.array([y0, y1, y2])
+    y = _chol_solve(h, c0, c1, c2)
+    if y is not None and y[0] * y[0] + y[1] * y[1] + y[2] * y[2] <= rho * rho:
+        return np.array(y)
+    a00, a11, a22, a01, a02, a12 = h
     mu, vecs = np.linalg.eigh(np.array([[a00, a01, a02], [a01, a11, a12],
                                         [a02, a12, a22]]))
     mu_max = max(float(mu[2]), 0.0)
@@ -449,18 +464,50 @@ def mle_maximize(traces, bloch, init, *, eps_ball: float = 1e-6,
     return x, False
 
 
+def _running_update(info: list, x: np.ndarray, p: float, b: tuple,
+                    eps_ball: float):
+    """One O(1) step of the running design estimate after the element
+    (p I + b.sigma)/2 was observed: with u = max(p + b.x, 2 PROB_FLOOR), add
+    b b^T / u^2 to the observed information info (six entries, updated in
+    place) and return clamp_to_ball(x + info^-1 b / u), or None when info
+    is not positive definite."""
+    b0, b1, b2 = b
+    x0, x1, x2 = x.tolist()
+    u = max(p + b0 * x0 + b1 * x1 + b2 * x2, 2.0 * PROB_FLOOR)
+    w = 1.0 / (u * u)
+    info[0] += b0 * b0 * w
+    info[1] += b1 * b1 * w
+    info[2] += b2 * b2 * w
+    info[3] += b0 * b1 * w
+    info[4] += b0 * b2 * w
+    info[5] += b1 * b2 * w
+    step = _chol_solve(info, b0 / u, b1 / u, b2 / u)
+    if step is None:
+        return None
+    return clamp_to_ball(np.array([x0 + step[0], x1 + step[1], x2 + step[2]]), eps_ball)
+
+
 def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     """One adaptive trial of cfg.m_max steps.
 
-    At step m the measurement optimal for the weight at the previous
-    estimate is applied, one outcome is sampled from the true state with
-    one uniform draw, and the estimate is updated by maximum likelihood
-    warm-started at the previous estimate.  The history is kept as Bloch
-    columns together with their pairwise products, each written once when
-    its outcome is drawn.
+    At step m the measurement optimal for the weight at the running design
+    estimate is applied and one outcome is sampled from the true state with
+    one uniform draw.  The design estimate then takes one scoring step,
+    x += I^-1 b / u with I the observed information of the history
+    (_running_update).  At the anchors checkpoint_schedule(m_max), a fixed
+    grid that does not depend on cfg.checkpoints, and at any step where I
+    is not yet positive definite, it is replaced by the certified
+    full-history maximum-likelihood estimate, warm-started at it, and I is
+    rebuilt there.  The estimate reported at a checkpoint is always that
+    certified estimate; an off-grid checkpoint gets its own solve, which
+    leaves the design estimate alone.  The history is kept as Bloch columns
+    together with their pairwise products, each written once when its
+    outcome is drawn.
     """
     checkpoints = (cfg.checkpoints if cfg.checkpoints is not None
                    else checkpoint_schedule(cfg.m_max))
+    anchors = set(checkpoint_schedule(cfg.m_max).tolist())
+    eps_ball = cfg.eps_ball
     x_true = cfg.x0.tolist()
     x_hat = cfg.x_init if cfg.x_init is not None else np.zeros(3)
     m_max = cfg.m_max
@@ -481,17 +528,34 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
         idx = min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
         p = probs[idx // 2]
         signed = p if idx % 2 else -p
-        b0, b1, b2 = (a * signed for a in axes[idx // 2])
+        b = tuple(a * signed for a in axes[idx // 2])
+        b0, b1, b2 = b
         traces[m] = p
-        bloch[:, m] = (b0, b1, b2)
+        bloch[:, m] = b
         products[:, m] = (b0 * b0, b1 * b1, b2 * b2, b0 * b1, b0 * b2, b1 * b2)
         outcomes[m] = idx
-        x_hat, ok = mle_maximize(traces[:m + 1], bloch[:, :m + 1].T, x_hat,
-                                 eps_ball=cfg.eps_ball, products=products[:, :m + 1])
-        if not ok:
-            n_failed += 1
-        if ckpt_pos < len(checkpoints) and m + 1 == checkpoints[ckpt_pos]:
-            estimates[ckpt_pos] = x_hat
+        n = m + 1
+        # step 1 is an anchor, so info exists before the first running update
+        anchored = n in anchors
+        if not anchored:
+            x_run = _running_update(info, x_hat, p, b, eps_ball)
+            anchored = x_run is None
+        if anchored:
+            x_hat, ok = mle_maximize(traces[:n], bloch[:, :n].T, x_hat,
+                                     eps_ball=eps_ball, products=products[:, :n])
+            n_failed += not ok
+            u = np.maximum(traces[:n] + x_hat @ bloch[:, :n], 2.0 * PROB_FLOOR)
+            info = (products[:, :n] @ (1.0 / (u * u))).tolist()
+        else:
+            x_hat = x_run
+        if ckpt_pos < len(checkpoints) and n == checkpoints[ckpt_pos]:
+            if anchored:
+                estimates[ckpt_pos] = x_hat
+            else:
+                estimates[ckpt_pos], ok = mle_maximize(
+                    traces[:n], bloch[:, :n].T, x_hat, eps_ball=eps_ball,
+                    products=products[:, :n])
+                n_failed += not ok
             ckpt_pos += 1
     return TrialRecord(element_traces=traces, element_bloch=bloch.T, outcomes=outcomes,
                        checkpoints=checkpoints, estimates=estimates,
@@ -573,9 +637,10 @@ def _env_threads() -> int:
 
 
 # Rough one-core trial cost per adaptive step and per tomography checkpoint
-# (2-vCPU Xeon).  A process pool costs about 0.1 s to start and feed, so a
-# job with less estimated serial work than POOL_MIN_WORK_S runs serially.
-_TRIAL_COST_S = {"adaptive": 1.7e-4, "tomography": 1e-5}
+# (2-vCPU Xeon; an adaptive step took 23-26 us at m_max = 3000 for both
+# rotational weights).  A process pool costs about 0.1 s to start and feed,
+# so a job with less estimated serial work than POOL_MIN_WORK_S runs serially.
+_TRIAL_COST_S = {"adaptive": 2.5e-5, "tomography": 1e-5}
 POOL_MIN_WORK_S = 0.25
 
 

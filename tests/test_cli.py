@@ -171,6 +171,28 @@ class TestSweepSizes:
         assert exc.value.code == 2
         assert "expected a positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["bounds", "--rmax", "-1"],
+        ["bounds", "--rmax", "-0.01"],
+        ["mub", "--q", "3", "--bounds", "--rmax", "0.01"],
+        ["mub", "--q", "3", "--bounds", "--rstep", "0.2", "--rmax", "0.1"],
+        ["mub", "--q", "3", "--bounds", "--rstep", "2", "--rmax", "2"],
+    ])
+    def test_empty_sweep_is_a_usage_error(self, args, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(args + ["--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["bounds", "--rmax", "-1"],
+        ["mub", "--q", "3", "--bounds", "--rmax", "0.01"],
+    ])
+    def test_empty_sweep_with_svg_leaves_no_file(self, args, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(args + ["--svg", "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerify:
     def test_bounds_suite_passes(self, tmp_path, capsys):

@@ -1,8 +1,4 @@
-"""Smoke test: the quick demos run to the end against the current API.
-
-The Monte Carlo demo (adaptive_vs_tomography_demo) takes about a minute
-and is left out.
-"""
+"""Smoke test: the demos run to the end against the current API."""
 
 import importlib.util
 from pathlib import Path
@@ -19,8 +15,8 @@ def load_demo(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["bound_curves_demo", "mub_bounds_demo",
-                                  "weight_indicatrix_demo"])
+@pytest.mark.parametrize("name", ["adaptive_vs_tomography_demo", "bound_curves_demo",
+                                  "mub_bounds_demo", "weight_indicatrix_demo"])
 def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     demo = load_demo(name)
     if hasattr(demo, "OUT"):

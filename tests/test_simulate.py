@@ -684,3 +684,79 @@ class TestSmallJobsRunSerially:
         assert started == [2, 2]
         for kind in ("tomography", "adaptive"):
             assert pooled[kind].to_csv() == serial[kind].to_csv()
+
+
+class TestRunningDesignEstimate:
+    @pytest.mark.parametrize("weight", ["identity", "qfi"])
+    def test_sampling_law_does_not_depend_on_checkpoints(self, weight):
+        records = []
+        for checkpoints in ([3000], None, [7, 333, 1234, 3000]):
+            cfg = RunConfig(x0=X0, weight=weight, m_max=3000, reps=1, seed=11,
+                            eps_ball=0.01, checkpoints=checkpoints)
+            records.append(adaptive_run(cfg, np.random.default_rng((11, 1, 0))))
+        first = records[0]
+        for rec in records[1:]:
+            assert np.array_equal(rec.outcomes, first.outcomes)
+            assert np.array_equal(rec.element_traces, first.element_traces)
+            assert np.array_equal(rec.element_bloch, first.element_bloch)
+            assert np.array_equal(rec.estimates[-1], first.estimates[-1])
+
+    @pytest.mark.parametrize("weight, eps_ball", [("identity", 0.01), ("identity", 1e-6),
+                                                  ("qfi", 0.01)])
+    def test_every_reported_estimate_is_a_certified_maximizer(self, weight, eps_ball):
+        # 7, 333 and 1234 are off the anchor grid, the default schedule is on it
+        for checkpoints in ([7, 333, 1234, 3000], None):
+            cfg = RunConfig(x0=X0, weight=weight, m_max=3000, reps=1, seed=12,
+                            eps_ball=eps_ball, checkpoints=checkpoints)
+            rec = adaptive_run(cfg, np.random.default_rng((12, 1, 0)))
+            assert rec.n_opt_failed == 0
+            for m, est in zip(rec.checkpoints, rec.estimates):
+                x, ok = mle_maximize(rec.element_traces[:m], rec.element_bloch[:m], est,
+                                     eps_ball=eps_ball)
+                assert ok and np.array_equal(x, est)
+
+    def test_off_grid_steps_take_one_scoring_step(self, monkeypatch):
+        import qest.simulate as simulate
+        calls = []
+        update = simulate._running_update
+
+        def recording(info, x, p, b, eps_ball):
+            before = np.array(info)
+            out = update(info, x, p, b, eps_ball)
+            calls.append((before, x.copy(), p, np.array(b), eps_ball, out))
+            return out
+
+        monkeypatch.setattr(simulate, "_running_update", recording)
+        cfg = RunConfig(x0=X0, weight="identity", m_max=600, reps=1, seed=13,
+                        eps_ball=0.01)
+        adaptive_run(cfg, np.random.default_rng((13, 1, 0)))
+        # every step off the anchor grid, and no anchor, updates the running estimate
+        assert len(calls) == cfg.m_max - len(checkpoint_schedule(cfg.m_max))
+        clamped = 0
+        for h6, x, p, b, eps_ball, out in calls:
+            h, step = _reference_running_step(h6, x, p, b)
+            if out is None:
+                assert np.min(np.linalg.eigvalsh(h)) <= 1e-10 * np.trace(h)
+                continue
+            want = clamp_to_ball(step, eps_ball)
+            clamped += not np.array_equal(want, step)
+            assert np.max(np.abs(out - want)) <= 1e-12
+        assert 0 < clamped < len(calls)
+
+    def test_running_step_floors_the_outcome_probability(self):
+        from qest.simulate import _running_update
+        # p + b.x = 1e-14 lies below the floor 2e-12 of the likelihood terms
+        p, b, x = 1e-13, np.array([0.0, 0.0, 1e-13]), np.array([0.0, 0.0, -0.9])
+        info = [50.0, 40.0, 30.0, 1.0, 2.0, 3.0]
+        _, step = _reference_running_step(np.array(info), x, p, b)
+        out = _running_update(info, x, p, tuple(b), 0.01)
+        assert np.max(np.abs(out - clamp_to_ball(step, 0.01))) <= 1e-12
+
+
+def _reference_running_step(h6, x, p, b):
+    """(H, x + H^-1 b / u) after H += b b^T / u^2, u = max(p + b.x, 2e-12),
+    by np.linalg.solve."""
+    u = max(p + float(b @ x), 2e-12)
+    h = np.array([[h6[0], h6[3], h6[4]], [h6[3], h6[1], h6[5]],
+                  [h6[4], h6[5], h6[2]]]) + np.outer(b, b) / u ** 2
+    return h, x + np.linalg.solve(h, b / u)
