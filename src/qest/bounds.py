@@ -165,17 +165,22 @@ def qcr_min_trace(j: np.ndarray, h: np.ndarray,
     when the underlying Hilbert space is two-dimensional, so `attainable`
     is only set when `hilbert_dim` is given.
     """
-    return _min_trace(j, h, hilbert_dim)[0]
+    return _min_trace(_sqrt_and_inv_sqrt(j), h, hilbert_dim)
 
 
-def _min_trace(j: np.ndarray, h: np.ndarray,
-               hilbert_dim: int | None = None) -> tuple[OptimalSolution, np.ndarray]:
-    """qcr_min_trace's solution, and J^-1/2.
+def qcr_min_traces(j: np.ndarray, weights) -> list:
+    """qcr_min_trace(j, h) for each h in weights, with J checked and
+    decomposed once."""
+    roots = _sqrt_and_inv_sqrt(j)
+    return [_min_trace(roots, h) for h in weights]
 
-    One eigendecomposition of J gives its square roots, one of the core
-    sqrt(J^-1) H sqrt(J^-1) gives R, its basis and its eigenvalues.
-    """
-    sq_j, inv_sq_j = _sqrt_and_inv_sqrt(j)
+
+def _min_trace(roots: tuple[np.ndarray, np.ndarray], h: np.ndarray,
+               hilbert_dim: int | None = None) -> OptimalSolution:
+    """qcr_min_trace's solution, given (sqrt(J), J^-1/2) from
+    _sqrt_and_inv_sqrt; one eigendecomposition of the core
+    sqrt(J^-1) H sqrt(J^-1) gives R, its basis and its eigenvalues."""
+    sq_j, inv_sq_j = roots
     h = _check_sym_pd(h, "weight")
     core = inv_sq_j @ h @ inv_sq_j
     eigs, basis = np.linalg.eigh((core + core.T) / 2)
@@ -185,11 +190,10 @@ def _min_trace(j: np.ndarray, h: np.ndarray,
     r = (r + r.T) / 2
     tr_r = float(scales.sum())
     target = sq_j @ r @ sq_j / tr_r
-    sol = OptimalSolution(
+    return OptimalSolution(
         bound=tr_r ** 2, r_matrix=r, basis=basis, scales=scales,
         fisher_target=(target + target.T) / 2,
         attainable=(hilbert_dim == 2) if hilbert_dim is not None else None)
-    return sol, inv_sq_j
 
 
 def qubit_design(sld_bloch: np.ndarray, j: np.ndarray, h: np.ndarray) -> OptimalSolution:
@@ -202,10 +206,11 @@ def qubit_design(sld_bloch: np.ndarray, j: np.ndarray, h: np.ndarray) -> Optimal
     (Tr sigma L_k) / 2.  Zero-probability branches are dropped; within
     degenerate eigenvalue clusters of R any orthogonal diagonalizer works.
     """
-    sol, inv_sq_j = _min_trace(j, h, hilbert_dim=2)
+    roots = _sqrt_and_inv_sqrt(j)
+    sol = _min_trace(roots, h, hilbert_dim=2)
     probs = sol.scales / float(np.sum(sol.scales))
     kept = probs > 1e-15
-    axes = (sol.basis.T @ inv_sq_j @ sld_bloch)[kept]
+    axes = (sol.basis.T @ roots[1] @ sld_bloch)[kept]
     sol.probs = probs[kept] / probs[kept].sum()
     sol.axes = axes / np.linalg.norm(axes, axis=1)[:, None]
     return sol

@@ -22,7 +22,6 @@ import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -183,31 +182,31 @@ def clamp_to_ball(x, eps: float = 1e-6) -> np.ndarray:
     whether to project, so clamping it again returns it unchanged.
     """
     x = np.asarray(x, dtype=float)
-    rho = 1.0 - eps
+    lst = x.tolist()
+    y = _clamp_point(lst, 1.0 - eps)
+    return x if y is lst else np.array(y)
+
+
+def _clamp_point(x: list, rho: float) -> list:
+    """The projection of clamp_to_ball for a point given as floats: the
+    scaled point, or x itself when |x| <= rho already.  Every clamp in this
+    module goes through it, so all share one norm and one rounding rule."""
     r = math.hypot(*x)
     if r <= rho:
         return x
-    y = x * (rho / r)
+    s = rho / r
+    y = [v * s for v in x]
     while math.hypot(*y) > rho:
         # rounding left y an ulp outside; shrink each coordinate by >= 1 ulp
-        y = y * (1.0 - 2.0 ** -52)
+        y = [v * (1.0 - 2.0 ** -52) for v in y]
     return y
 
 
 def _clamp_rows(x: np.ndarray, eps: float) -> np.ndarray:
-    """clamp_to_ball applied to every row of x, with the same math.hypot
-    norms and the same ulp shrink, so each row equals clamp_to_ball's."""
+    """clamp_to_ball applied to every row of x."""
     rho = 1.0 - eps
-    norms = np.array([math.hypot(*row) for row in x.tolist()])
-    far = norms > rho
-    rows = (x[far] * (rho / norms[far])[:, None]).tolist()
-    for row in rows:
-        while math.hypot(*row) > rho:
-            row[:] = [v * (1.0 - 2.0 ** -52) for v in row]
-    out = x.copy()
-    if rows:
-        out[far] = rows
-    return out
+    rows = [_clamp_point(row, rho) for row in x.tolist()]
+    return np.array(rows, dtype=float).reshape(x.shape)
 
 
 def checkpoint_schedule(m_max: int, per_decade: int = 10) -> np.ndarray:
@@ -280,9 +279,9 @@ def tomography_estimate(counts: np.ndarray) -> np.ndarray:
                      out=np.zeros(per_axis.shape), where=per_axis > 0)
 
 
-def _optimal_branches(x: np.ndarray, weight):
+def _optimal_branches(x, weight):
     """Branch probabilities and PVM axes of the merit-optimal random
-    measurement at x, in Bloch form.
+    measurement at x, in Bloch form, as lists of floats.
 
     Branch i measures the PVM with projectors (I +- axes[i].sigma)/2 and is
     chosen with probability probs[i].  weight is a selector or a fixed
@@ -295,10 +294,10 @@ def _optimal_branches(x: np.ndarray, weight):
     # the SLD Bloch vectors of the Stokes model are the rows of J
     j = qubit_qfi(x)
     sol = qubit_design(j, j, resolve_weight(weight, x))
-    return sol.probs, sol.axes
+    return sol.probs.tolist(), sol.axes.tolist()
 
 
-def _rotational_branches(x: np.ndarray, selector: str):
+def _rotational_branches(x, selector: str):
     """Closed-form design for a weight f (I - n n^T) + g n n^T, n = x/|x|.
 
     J^-1/2 H J^-1/2 has eigenvalues f, f on the plane orthogonal to n and
@@ -307,18 +306,32 @@ def _rotational_branches(x: np.ndarray, selector: str):
     chosen with weights sqrt((1 - r^2) g), sqrt(f), sqrt(f).  Both
     selectors have f = 1; g = 1 for "identity" and 1/(1 - r^2) for "qfi".
     """
-    r2 = float(x @ x)
+    x = np.array(x, dtype=float)
+    # numpy's dot, not a Python sum: BLAS fuses its multiply-adds, which
+    # rounds differently, and the sampled histories depend on these bits
+    r2 = float(x.dot(x))
     if r2 == 0.0:
-        return np.full(3, 1.0 / 3.0), np.eye(3)
+        third = 1.0 / 3.0
+        return [third, third, third], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     w = math.sqrt(1.0 - r2) if selector == "identity" else 1.0
-    n = (x / math.sqrt(r2)).tolist()
-    # Gram-Schmidt on the coordinate axis least aligned with n
-    k = min(range(3), key=lambda i: abs(n[i]))
-    a = [float(i == k) - n[k] * n[i] for i in range(3)]
-    na = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-    a = [ai / na for ai in a]
-    cross = [n[1] * a[2] - n[2] * a[1], n[2] * a[0] - n[0] * a[2], n[0] * a[1] - n[1] * a[0]]
-    return np.array([w, 1.0, 1.0]) / (w + 2.0), np.array([n, a, cross])
+    s = math.sqrt(r2)
+    n0, n1, n2 = x.tolist()
+    n0, n1, n2 = n0 / s, n1 / s, n2 / s
+    # Gram-Schmidt on the first coordinate axis least aligned with n; the
+    # off-axis entries are 0.0 - t, not -t, which would turn +0.0 into -0.0
+    m0, m1, m2 = abs(n0), abs(n1), abs(n2)
+    if m0 <= m1 and m0 <= m2:
+        a0, a1, a2 = 1.0 - n0 * n0, 0.0 - n0 * n1, 0.0 - n0 * n2
+    elif m1 <= m2:
+        a0, a1, a2 = 0.0 - n1 * n0, 1.0 - n1 * n1, 0.0 - n1 * n2
+    else:
+        a0, a1, a2 = 0.0 - n2 * n0, 0.0 - n2 * n1, 1.0 - n2 * n2
+    na = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    a0, a1, a2 = a0 / na, a1 / na, a2 / na
+    total = w + 2.0
+    return [w / total, 1.0 / total, 1.0 / total], [
+        [n0, n1, n2], [a0, a1, a2],
+        [n1 * a2 - n2 * a1, n2 * a0 - n0 * a2, n0 * a1 - n1 * a0]]
 
 
 def _log_likelihood(traces: np.ndarray, bloch: np.ndarray, x: np.ndarray) -> float:
@@ -464,15 +477,14 @@ def mle_maximize(traces, bloch, init, *, eps_ball: float = 1e-6,
     return x, False
 
 
-def _running_update(info: list, x: np.ndarray, p: float, b: tuple,
-                    eps_ball: float):
+def _running_update(info: list, x: list, p: float, b: tuple, eps_ball: float):
     """One O(1) step of the running design estimate after the element
     (p I + b.sigma)/2 was observed: with u = max(p + b.x, 2 PROB_FLOOR), add
     b b^T / u^2 to the observed information info (six entries, updated in
-    place) and return clamp_to_ball(x + info^-1 b / u), or None when info
-    is not positive definite."""
+    place) and return x + info^-1 b / u clamped to the ball, as a list of
+    floats, or None when info is not positive definite."""
     b0, b1, b2 = b
-    x0, x1, x2 = x.tolist()
+    x0, x1, x2 = x
     u = max(p + b0 * x0 + b1 * x1 + b2 * x2, 2.0 * PROB_FLOOR)
     w = 1.0 / (u * u)
     info[0] += b0 * b0 * w
@@ -484,7 +496,24 @@ def _running_update(info: list, x: np.ndarray, p: float, b: tuple,
     step = _chol_solve(info, b0 / u, b1 / u, b2 / u)
     if step is None:
         return None
-    return clamp_to_ball(np.array([x0 + step[0], x1 + step[1], x2 + step[2]]), eps_ball)
+    y = [x0 + step[0], x1 + step[1], x2 + step[2]]
+    return _clamp_point(y, 1.0 - eps_ball)
+
+
+def _draw_outcome(probs: list, axes: list, x_true: list, u: float) -> int:
+    """Outcome index, 2 * branch for the - projector and 2 * branch + 1 for
+    the +, of the branch mixture (probs, axes) measured on the state with
+    Stokes vector x_true, by inverse CDF at the uniform u."""
+    t0, t1, t2 = x_true
+    cum = []
+    acc = 0.0
+    for p, (a0, a1, a2) in zip(probs, axes):
+        d = a0 * t0 + a1 * t1 + a2 * t2
+        acc += p * (1.0 - d) / 2.0
+        cum.append(acc)
+        acc += p * (1.0 + d) / 2.0
+        cum.append(acc)
+    return min(bisect_right(cum, u * acc), len(cum) - 1)
 
 
 def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
@@ -492,48 +521,68 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
 
     At step m the measurement optimal for the weight at the running design
     estimate is applied and one outcome is sampled from the true state with
-    one uniform draw.  The design estimate then takes one scoring step,
-    x += I^-1 b / u with I the observed information of the history
-    (_running_update).  At the anchors checkpoint_schedule(m_max), a fixed
-    grid that does not depend on cfg.checkpoints, and at any step where I
-    is not yet positive definite, it is replaced by the certified
-    full-history maximum-likelihood estimate, warm-started at it, and I is
-    rebuilt there.  The estimate reported at a checkpoint is always that
-    certified estimate; an off-grid checkpoint gets its own solve, which
-    leaves the design estimate alone.  The history is kept as Bloch columns
-    together with their pairwise products, each written once when its
-    outcome is drawn.
+    one uniform draw; the m_max uniforms are drawn up front in one call,
+    which yields the same stream as one draw per step.  The design estimate
+    then takes one scoring step, x += I^-1 b / u with I the observed
+    information of the history (_running_update).  At the anchors
+    checkpoint_schedule(m_max), a fixed grid that does not depend on
+    cfg.checkpoints, and at any step where I is not yet positive definite,
+    it is replaced by the certified full-history maximum-likelihood
+    estimate, warm-started at it, and I is rebuilt there.  The estimate
+    reported at a checkpoint is always that certified estimate; an off-grid
+    checkpoint gets its own solve, which leaves the design estimate alone.
+
+    Between solves a step works on Python floats only: the design estimate
+    is a list of three floats, and the applied elements and outcomes are
+    appended to lists.  Before each solve the steps since the previous one
+    are written into the history arrays (Bloch columns, their pairwise
+    products, traces and outcomes); m_max is an anchor, so the arrays are
+    complete when the trial ends.
     """
     checkpoints = (cfg.checkpoints if cfg.checkpoints is not None
                    else checkpoint_schedule(cfg.m_max))
+    ckpts = checkpoints.tolist()
     anchors = set(checkpoint_schedule(cfg.m_max).tolist())
+    weight = cfg.weight
     eps_ball = cfg.eps_ball
     x_true = cfg.x0.tolist()
-    x_hat = cfg.x_init if cfg.x_init is not None else np.zeros(3)
+    x_hat = cfg.x_init.tolist() if cfg.x_init is not None else [0.0, 0.0, 0.0]
     m_max = cfg.m_max
+    draws = rng.random(m_max).tolist()
     traces = np.empty(m_max)
     bloch = np.empty((3, m_max))
     products = np.empty((6, m_max))
     outcomes = np.empty(m_max, dtype=np.int8)
     estimates = np.empty((len(checkpoints), 3))
+    # the steps since the last solve, which copies them into the arrays
+    written = 0
+    step_traces, step_bloch, step_outcomes = [], [], []
+
+    def solve(n, init):
+        nonlocal written
+        traces[written:n] = step_traces
+        bloch[:, written:n] = np.array(step_bloch).T
+        products[:, written:n] = _bloch_products(bloch[:, written:n])
+        outcomes[written:n] = step_outcomes
+        written = n
+        for steps in (step_traces, step_bloch, step_outcomes):
+            steps.clear()
+        return mle_maximize(traces[:n], bloch[:, :n].T, init, eps_ball=eps_ball,
+                            products=products[:, :n])
+
     ckpt_pos = 0
     n_failed = 0
     for m in range(m_max):
-        probs, axes = _optimal_branches(x_hat, cfg.weight)
-        probs, axes = probs.tolist(), axes.tolist()
-        # cumulative outcome probabilities, layout per branch i: (i, -), (i, +)
-        cum = list(accumulate(
-            p * (1.0 + sign * (a0 * x_true[0] + a1 * x_true[1] + a2 * x_true[2])) / 2.0
-            for p, (a0, a1, a2) in zip(probs, axes) for sign in (-1.0, 1.0)))
-        idx = min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
-        p = probs[idx // 2]
+        probs, axes = _optimal_branches(x_hat, weight)
+        idx = _draw_outcome(probs, axes, x_true, draws[m])
+        branch = idx // 2
+        p = probs[branch]
         signed = p if idx % 2 else -p
-        b = tuple(a * signed for a in axes[idx // 2])
-        b0, b1, b2 = b
-        traces[m] = p
-        bloch[:, m] = b
-        products[:, m] = (b0 * b0, b1 * b1, b2 * b2, b0 * b1, b0 * b2, b1 * b2)
-        outcomes[m] = idx
+        a0, a1, a2 = axes[branch]
+        b = (a0 * signed, a1 * signed, a2 * signed)
+        step_traces.append(p)
+        step_bloch.append(b)
+        step_outcomes.append(idx)
         n = m + 1
         # step 1 is an anchor, so info exists before the first running update
         anchored = n in anchors
@@ -541,20 +590,18 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
             x_run = _running_update(info, x_hat, p, b, eps_ball)
             anchored = x_run is None
         if anchored:
-            x_hat, ok = mle_maximize(traces[:n], bloch[:, :n].T, x_hat,
-                                     eps_ball=eps_ball, products=products[:, :n])
+            x_mle, ok = solve(n, x_hat)
             n_failed += not ok
-            u = np.maximum(traces[:n] + x_hat @ bloch[:, :n], 2.0 * PROB_FLOOR)
+            u = np.maximum(traces[:n] + x_mle @ bloch[:, :n], 2.0 * PROB_FLOOR)
             info = (products[:, :n] @ (1.0 / (u * u))).tolist()
+            x_hat = x_mle.tolist()
         else:
             x_hat = x_run
-        if ckpt_pos < len(checkpoints) and n == checkpoints[ckpt_pos]:
+        if ckpt_pos < len(ckpts) and n == ckpts[ckpt_pos]:
             if anchored:
-                estimates[ckpt_pos] = x_hat
+                estimates[ckpt_pos] = x_mle
             else:
-                estimates[ckpt_pos], ok = mle_maximize(
-                    traces[:n], bloch[:, :n].T, x_hat, eps_ball=eps_ball,
-                    products=products[:, :n])
+                estimates[ckpt_pos], ok = solve(n, x_hat)
                 n_failed += not ok
             ckpt_pos += 1
     return TrialRecord(element_traces=traces, element_bloch=bloch.T, outcomes=outcomes,
@@ -637,10 +684,10 @@ def _env_threads() -> int:
 
 
 # Rough one-core trial cost per adaptive step and per tomography checkpoint
-# (2-vCPU Xeon; an adaptive step took 23-26 us at m_max = 3000 for both
+# (2-vCPU Xeon; an adaptive step took 10-11 us at m_max = 3000 for both
 # rotational weights).  A process pool costs about 0.1 s to start and feed,
 # so a job with less estimated serial work than POOL_MIN_WORK_S runs serially.
-_TRIAL_COST_S = {"adaptive": 2.5e-5, "tomography": 1e-5}
+_TRIAL_COST_S = {"adaptive": 1.1e-5, "tomography": 1e-5}
 POOL_MIN_WORK_S = 0.25
 
 

@@ -298,9 +298,9 @@ def check_closed_vs_numeric_grid(rng, tol: float = 1e-8) -> CheckResult:
             derivs = st.qubit_slds(x)
             g_num_inv = np.linalg.inv(bd.classical_fisher(derivs, tomo))
             weights = [bd.RotWeight(1.0, 1.0), bd.qfi_rot_weight(r), bd.RotWeight(2.0, 0.5)]
-            for w in weights:
-                h = bd.rot_weight_along(w, v)
-                worst = max(worst, abs(bd.c_opt_closed(w, r) - bd.qcr_min_trace(j, h).bound))
+            hs = [bd.rot_weight_along(w, v) for w in weights]
+            for w, h, sol in zip(weights, hs, bd.qcr_min_traces(j, hs)):
+                worst = max(worst, abs(bd.c_opt_closed(w, r) - sol.bound))
                 worst = max(worst, abs(bd.c_tomo_closed(w, x)
                                        - float(np.trace(h @ g_num_inv))))
     return CheckResult("closed-vs-numeric-grid", worst <= tol,

@@ -334,9 +334,21 @@ def test_criterion_9_mub_suite():
     report(9, f"overlaps within 1e-9 for q in 2..5; {'; '.join(notes)}")
 
 
-def test_criterion_10_byte_identical_csv(tmp_path):
+def test_criterion_10_byte_identical_csv(tmp_path, monkeypatch):
+    import qest.simulate as simulate
     from qest.cli import main
 
+    # the job is small enough to run serially; force the pool at 8 threads,
+    # so that pooled output is compared with serial output
+    started = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(simulate, "POOL_MIN_WORK_S", 0.0)
     args = ["simulate", "--x0", "0.55,0.55,0.55", "--weight", "qfi",
             "--m", "400", "--reps", "12", "--seed", "2024",
             "--estimator", "both"]
@@ -346,6 +358,8 @@ def test_criterion_10_byte_identical_csv(tmp_path):
         for tag, threads in (("a", "1"), ("b", "8"), ("c", "1")):
             os.environ["QEST_THREADS"] = threads
             assert main(args + ["--out", str(tmp_path / tag)]) == 0
+            # one pool per estimator, and only in the 8-thread run
+            assert started == ([8, 8] if tag != "a" else [])
             outputs[tag] = {
                 kind: (tmp_path / f"{tag}_{kind}.csv").read_bytes()
                 for kind in ("tomography", "adaptive")

@@ -3,9 +3,11 @@ import pytest
 
 from qest.bounds import (
     RotWeight,
+    SingularInputError,
     SingularOutcomeError,
     UnsupportedDimError,
     _min_trace,
+    _sqrt_and_inv_sqrt,
     anisotropy,
     c_opt_closed,
     c_tomo_closed,
@@ -17,6 +19,7 @@ from qest.bounds import (
     min_trace_unit_trace,
     optimal_measurement,
     qcr_min_trace,
+    qcr_min_traces,
     qfi_rot_weight,
     rot_weight,
     tomo_excess,
@@ -179,8 +182,9 @@ class TestOptimalMeasurement:
 def _spectral_route(derivs, j, h):
     """Optimal measurement built branch by branch from the eigenprojectors
     of each rotated SLD combination Lhat^i = sum_k (U^-1 sqrt(J^-1))^{ik} L_k."""
-    sol, inv_sq_j = _min_trace(j, h, hilbert_dim=2)
-    k_mat = sol.basis.T @ inv_sq_j
+    roots = _sqrt_and_inv_sqrt(j)
+    sol = _min_trace(roots, h, hilbert_dim=2)
+    k_mat = sol.basis.T @ roots[1]
     probs = sol.scales / float(np.sum(sol.scales))
     kept = np.flatnonzero(probs > 1e-15)
     keep_probs = probs[kept] / probs[kept].sum()
@@ -613,6 +617,20 @@ class TestKernelsMatchTheirLoopRoutes:
             assert np.allclose(sol.basis.T @ sol.basis, np.eye(3), rtol=0, atol=1e-12)
             assert np.max(np.abs(sol.r_matrix @ sol.basis - sol.basis * sol.scales)) \
                 <= 1e-12 * scale_r
+
+    def test_qcr_min_traces_equals_one_call_per_weight(self):
+        rng = np.random.default_rng(74)
+        for _ in range(20):
+            x = random_point(rng, rmax=0.97)
+            j = qubit_qfi(x)
+            weights = [np.eye(3), random_weight(rng), tomography_weight(x)]
+            for sol, h in zip(qcr_min_traces(j, weights), weights):
+                want = qcr_min_trace(j, h)
+                assert sol.bound == want.bound and sol.attainable == want.attainable
+                for field in ("r_matrix", "basis", "scales", "fisher_target"):
+                    assert np.array_equal(getattr(sol, field), getattr(want, field))
+        with pytest.raises(SingularInputError):
+            qcr_min_traces(np.eye(3), [np.eye(3), -np.eye(3)])
 
     def test_min_trace_unit_trace_iterates_are_unchanged(self):
         rng = np.random.default_rng(73)

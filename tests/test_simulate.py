@@ -191,7 +191,7 @@ class TestOptimalBranches:
             x = rng.standard_normal(3)
             points.append(x * rng.random() * 0.95 / np.linalg.norm(x))
         for x in points:
-            probs, axes = _optimal_branches(x, selector)
+            probs, axes = map(np.asarray, _optimal_branches(x, selector))
             old_probs, old_axes = _sqrt_j_route(x, resolve_weight(selector, x))
             assert probs.shape == old_probs.shape
             assert np.max(np.abs(probs - old_probs)) <= 1e-12
@@ -546,7 +546,7 @@ class TestRotationalDesign:
 
         for x in points:
             h = resolve_weight(selector, x)
-            probs, axes = _optimal_branches(x, selector)
+            probs, axes = map(np.asarray, _optimal_branches(x, selector))
             assert probs.sum() == pytest.approx(1.0, abs=1e-14)
             assert np.allclose(axes @ axes.T, np.eye(3), atol=1e-12)
             g_closed = fisher(x, probs, axes)
@@ -760,3 +760,171 @@ def _reference_running_step(h6, x, p, b):
     h = np.array([[h6[0], h6[3], h6[4]], [h6[3], h6[1], h6[5]],
                   [h6[4], h6[5], h6[2]]]) + np.outer(b, b) / u ** 2
     return h, x + np.linalg.solve(h, b / u)
+
+
+def _numpy_rotational_branches(x, selector):
+    """The rotational design as numpy arrays, the route adaptive_run took
+    before its step ran on Python floats."""
+    import math
+    r2 = float(x @ x)
+    if r2 == 0.0:
+        return np.full(3, 1.0 / 3.0), np.eye(3)
+    w = math.sqrt(1.0 - r2) if selector == "identity" else 1.0
+    n = (x / math.sqrt(r2)).tolist()
+    k = min(range(3), key=lambda i: abs(n[i]))
+    a = [float(i == k) - n[k] * n[i] for i in range(3)]
+    na = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+    a = [ai / na for ai in a]
+    cross = [n[1] * a[2] - n[2] * a[1], n[2] * a[0] - n[0] * a[2], n[0] * a[1] - n[1] * a[0]]
+    return np.array([w, 1.0, 1.0]) / (w + 2.0), np.array([n, a, cross])
+
+
+def _accumulate_draw(probs, axes, x_true, u):
+    """Outcome index by itertools.accumulate over the six outcome
+    probabilities, the sampler adaptive_run used before the scalar loop."""
+    from bisect import bisect_right
+    from itertools import accumulate
+    cum = list(accumulate(
+        p * (1.0 + sign * (a0 * x_true[0] + a1 * x_true[1] + a2 * x_true[2])) / 2.0
+        for p, (a0, a1, a2) in zip(probs, axes) for sign in (-1.0, 1.0)))
+    return min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
+
+
+def _per_step_adaptive_run(cfg, rng):
+    """adaptive_run as it was before its step ran on Python floats: numpy
+    design and running estimate, one uniform drawn per step, and every
+    step's element written into the history arrays as it is drawn."""
+    from qest.simulate import PROB_FLOOR, _chol_solve
+    checkpoints = (cfg.checkpoints if cfg.checkpoints is not None
+                   else checkpoint_schedule(cfg.m_max))
+    anchors = set(checkpoint_schedule(cfg.m_max).tolist())
+    x_true = cfg.x0.tolist()
+    x_hat = cfg.x_init if cfg.x_init is not None else np.zeros(3)
+    m_max = cfg.m_max
+    traces = np.empty(m_max)
+    bloch = np.empty((3, m_max))
+    products = np.empty((6, m_max))
+    outcomes = np.empty(m_max, dtype=np.int8)
+    estimates = np.empty((len(checkpoints), 3))
+    ckpt_pos, n_failed = 0, 0
+    for m in range(m_max):
+        if isinstance(cfg.weight, str) and cfg.weight in ("identity", "qfi"):
+            probs, axes = _numpy_rotational_branches(x_hat, cfg.weight)
+            probs, axes = probs.tolist(), axes.tolist()
+        else:
+            probs, axes = _optimal_branches(x_hat, cfg.weight)
+        idx = _accumulate_draw(probs, axes, x_true, rng.random())
+        p = probs[idx // 2]
+        signed = p if idx % 2 else -p
+        b0, b1, b2 = b = tuple(a * signed for a in axes[idx // 2])
+        traces[m] = p
+        bloch[:, m] = b
+        products[:, m] = (b0 * b0, b1 * b1, b2 * b2, b0 * b1, b0 * b2, b1 * b2)
+        outcomes[m] = idx
+        n = m + 1
+        anchored = n in anchors
+        if not anchored:
+            x0, x1, x2 = x_hat.tolist()
+            u = max(p + b0 * x0 + b1 * x1 + b2 * x2, 2.0 * PROB_FLOOR)
+            w = 1.0 / (u * u)
+            for i, v in enumerate((b0 * b0, b1 * b1, b2 * b2, b0 * b1, b0 * b2, b1 * b2)):
+                info[i] += v * w
+            step = _chol_solve(info, b0 / u, b1 / u, b2 / u)
+            anchored = step is None
+        if anchored:
+            x_hat, ok = mle_maximize(traces[:n], bloch[:, :n].T, x_hat,
+                                     eps_ball=cfg.eps_ball, products=products[:, :n])
+            n_failed += not ok
+            u = np.maximum(traces[:n] + x_hat @ bloch[:, :n], 2.0 * PROB_FLOOR)
+            info = (products[:, :n] @ (1.0 / (u * u))).tolist()
+        else:
+            x_hat = clamp_to_ball(np.array([x0 + step[0], x1 + step[1], x2 + step[2]]),
+                                  cfg.eps_ball)
+        if ckpt_pos < len(checkpoints) and n == checkpoints[ckpt_pos]:
+            if anchored:
+                estimates[ckpt_pos] = x_hat
+            else:
+                estimates[ckpt_pos], ok = mle_maximize(
+                    traces[:n], bloch[:, :n].T, x_hat, eps_ball=cfg.eps_ball,
+                    products=products[:, :n])
+                n_failed += not ok
+            ckpt_pos += 1
+    return traces, bloch.T, outcomes, estimates, n_failed
+
+
+class TestFloatAdaptiveStep:
+    @pytest.mark.parametrize("selector", ["identity", "qfi"])
+    def test_rotational_branches_equal_the_numpy_route(self, selector):
+        from qest.simulate import _rotational_branches
+        rng = np.random.default_rng(95)
+        dirs = rng.standard_normal((2000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        radii = rng.random(2000)
+        # points near the sphere, and on coordinate axes and planes and
+        # diagonals, where the Gram-Schmidt axis is chosen among ties
+        radii[:400] = 1.0 - 10.0 ** rng.uniform(-12, -2, size=400)
+        dirs[400:440] = np.eye(3)[rng.integers(0, 3, size=40)]
+        dirs[440:480, rng.integers(0, 3)] = 0.0
+        dirs[480:520] = rng.choice([-1.0, 1.0], size=(40, 3))
+        dirs[500:520, 2] = 0.0
+        dirs[440:520] /= np.linalg.norm(dirs[440:520], axis=1)[:, None]
+        points = dirs * radii[:, None]
+        points[0] = 0.0
+        for x in points:
+            want_probs, want_axes = _numpy_rotational_branches(x, selector)
+            for arg in (x, x.tolist()):
+                probs, axes = _rotational_branches(arg, selector)
+                assert probs == want_probs.tolist()
+                assert axes == want_axes.tolist()
+
+    @pytest.mark.parametrize("weight", ["identity", "qfi", "tomography"])
+    def test_scalar_sampler_equals_the_accumulate_sampler(self, weight):
+        from qest.simulate import _draw_outcome
+        rng = np.random.default_rng(96)
+        designs = [_optimal_branches(np.zeros(3), weight)]
+        for _ in range(100):
+            x = rng.standard_normal(3)
+            designs.append(_optimal_branches(x * rng.random() * 0.99 / np.linalg.norm(x),
+                                             weight))
+        # true states on a design axis, and hence outcomes of probability 0
+        truths = [X0, np.array([0.0, 0.0, 0.999]), np.array([1.0, 0.0, 0.0]),
+                  np.array([0.0, -1.0, 0.0])]
+        for probs, axes in designs:
+            for x_true in truths:
+                x_true = x_true.tolist()
+                uniforms = [0.0, 1.0 - 2.0 ** -53, *rng.random(20).tolist()]
+                for u in uniforms:
+                    assert (_draw_outcome(probs, axes, x_true, u)
+                            == _accumulate_draw(probs, axes, x_true, u))
+
+    def test_one_batch_of_uniforms_equals_single_draws(self):
+        for trial in range(20):
+            for m in (1, 2, 7, 3000):
+                batch = np.random.default_rng((trial, 1, m))
+                single = np.random.default_rng((trial, 1, m))
+                assert batch.random(m).tolist() == [single.random() for _ in range(m)]
+                # the generator is left in the same state
+                assert batch.random() == single.random()
+
+    @pytest.mark.parametrize("weight", ["identity", "qfi", "tomography", "custom"])
+    @pytest.mark.parametrize("eps_ball", [0.01, 1e-6])
+    def test_trials_equal_the_per_step_array_route(self, weight, eps_ball):
+        rotational = weight in ("identity", "qfi")
+        m_max = 800 if rotational else 150
+        if weight == "custom":
+            a = np.random.default_rng(97).standard_normal((3, 3))
+            weight = a @ a.T + 0.3 * np.eye(3)
+        for checkpoints in (None, [7, 45, 101, m_max - 1]):
+            for x_init in (None, [0.1, -0.2, 0.3]):
+                cfg = RunConfig(x0=X0, weight=weight, m_max=m_max, reps=1, seed=98,
+                                eps_ball=eps_ball, checkpoints=checkpoints,
+                                x_init=x_init)
+                rec = adaptive_run(cfg, np.random.default_rng((98, 1, m_max)))
+                traces, bloch, outcomes, estimates, n_failed = _per_step_adaptive_run(
+                    cfg, np.random.default_rng((98, 1, m_max)))
+                assert np.array_equal(rec.element_traces, traces)
+                assert np.array_equal(rec.element_bloch, bloch)
+                assert np.array_equal(rec.outcomes, outcomes)
+                assert rec.outcomes.dtype == outcomes.dtype
+                assert np.array_equal(rec.estimates, estimates)
+                assert rec.n_opt_failed == n_failed
