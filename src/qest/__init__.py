@@ -55,10 +55,8 @@ from .measurements import (
     randomize,
 )
 from .bounds import (
-    IDENTITY_WEIGHT,
     OptimalSolution,
     RotWeight,
-    SingularFisherError,
     SingularInputError,
     SingularOutcomeError,
     UnsupportedDimError,
@@ -69,12 +67,10 @@ from .bounds import (
     gm_lower_bound,
     hat_fisher,
     indicatrix_points,
-    lu_estimator,
     min_trace_unit_trace,
     optimal_measurement,
     qcr_min_trace,
     qfi_rot_weight,
-    rot_weight,
     rot_weight_along,
     tomo_excess,
     tomo_excess_forms,
@@ -92,8 +88,6 @@ from .simulate import (
     mle_maximize,
     monte_carlo,
     resolve_weight,
-    run_tomography,
-    sample_outcome,
     theoretical_merits,
     tomography_estimate,
 )

@@ -30,11 +30,6 @@ class SingularOutcomeError(ValueError):
     Fisher information is undefined."""
 
 
-class SingularFisherError(ValueError):
-    """Fisher matrix is singular; the locally unbiased estimator needs its
-    inverse."""
-
-
 class UnsupportedDimError(ValueError):
     """Optimal-measurement construction only exists for a two-level system."""
 
@@ -54,9 +49,6 @@ class RotWeight:
     def __post_init__(self):
         if self.transverse <= 0 or self.radial <= 0:
             raise ValueError("weight values must be positive")
-
-
-IDENTITY_WEIGHT = RotWeight(1.0, 1.0)
 
 
 def qfi_rot_weight(r: float) -> RotWeight:
@@ -235,29 +227,6 @@ def optimal_measurement(derivs: ModelDerivatives, j: np.ndarray,
     return sol
 
 
-def lu_estimator(theta, derivs: ModelDerivatives, povm: Povm,
-                 g: np.ndarray | None = None) -> np.ndarray:
-    """Locally unbiased estimator saturating the classical Cramer-Rao bound.
-
-    Row n is theta + g^-1 (grad log p_n); its exact single-shot covariance
-    under the outcome distribution is g^-1.  All outcome probabilities must
-    be positive.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if g is None:
-        g = classical_fisher(derivs, povm)
-    probs = np.einsum("ij,nji->n", derivs.rho, povm.ops).real
-    if np.any(probs <= 0.0):
-        raise SingularOutcomeError("all outcome probabilities must be positive")
-    partials = np.stack(derivs.partials)
-    dprobs = np.einsum("kij,nji->nk", partials, povm.ops).real
-    try:
-        ginv = np.linalg.inv(_check_sym_pd(g, "Fisher matrix"))
-    except SingularInputError as exc:
-        raise SingularFisherError(str(exc)) from exc
-    return theta[None, :] + (dprobs / probs[:, None]) @ ginv.T
-
-
 def tomography_fisher(x) -> np.ndarray:
     """Classical Fisher matrix of the 6-outcome tomography measurement:
     diag(1 / (1 - (x^mu)^2)) / 3.
@@ -302,24 +271,10 @@ def weight_from_fisher(f: np.ndarray, j: np.ndarray,
     return (w + w.T) / 2, feasible
 
 
-def rot_weight(w: RotWeight, x) -> np.ndarray:
-    """Matrix of a rotationally symmetric weight at the point x.
-
-    transverse*I + (radial - transverse)|x><x| / r^2; at the origin the
-    radial direction is undefined and transverse*I is returned.
-    """
-    x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    if r2 == 0.0:
-        return w.transverse * np.eye(3)
-    return w.transverse * np.eye(3) + (w.radial - w.transverse) * np.outer(x, x) / r2
-
-
 def rot_weight_along(w: RotWeight, direction) -> np.ndarray:
-    """Rotational weight matrix for a point approached along `direction`.
-
-    Identical to rot_weight away from the origin, but keeps the radial term
-    at r = 0, where the closed-form merits are directional limits.
+    """Matrix transverse*I + (radial - transverse) v v^T of a rotational
+    weight at any point r v, v the unit `direction`; also at r = 0, where
+    the closed-form merits are directional limits.
     """
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)

@@ -87,10 +87,12 @@ def write_svg(path: str, series: list, xlabel: str, ylabel: str,
 
 
 def _parse_vec(text: str, n: int = 3) -> np.ndarray:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != n:
-        raise argparse.ArgumentTypeError(f"expected {n} comma-separated numbers, got {text!r}")
-    return np.array(parts)
+    """n comma-separated finite numbers; a ValueError, which main reports
+    as a usage error, otherwise."""
+    vec = np.array([float(p) for p in text.split(",")])
+    if vec.size != n or not np.all(np.isfinite(vec)):
+        raise ValueError(f"expected {n} comma-separated finite numbers, got {text!r}")
+    return vec
 
 
 def _positive(kind):
@@ -137,7 +139,7 @@ def cmd_bounds(args) -> int:
     worst = 0.0
     for r in radii:
         x = r * direction
-        w = _rot_weight_values(args.weight, float(r), args.f or 1.0, args.g or 1.0)
+        w = _rot_weight_values(args.weight, float(r), args.f, args.g)
         c = bd.c_opt_closed(w, float(r))
         ct = bd.c_tomo_closed(w, x)
         h = bd.rot_weight_along(w, direction)
@@ -185,10 +187,9 @@ def cmd_simulate(args) -> int:
             path = base.parent / f"{base.stem}_{kind}.csv"
             path.write_text(summary.to_csv())
         print(f"wrote {path}")
-        total_steps = cfg.reps * cfg.m_max
-        if kind == "adaptive" and summary.n_opt_failed > 0.01 * total_steps:
-            print(f"warning: likelihood maximization failed on "
-                  f"{summary.n_opt_failed}/{total_steps} steps", file=sys.stderr)
+        if kind == "adaptive" and summary.n_opt_failed > 0:
+            print(f"warning: {summary.n_opt_failed} likelihood maximization solves "
+                  f"were not certified", file=sys.stderr)
         if args.svg:
             ms_ax = [int(m) for m in summary.checkpoints]
             write_svg(str(base.parent / f"{base.stem}_{kind}.svg"),

@@ -36,8 +36,7 @@ from .bounds import (
     tomography_fisher,
     tomography_weight,
 )
-from .measurements import Povm, outcome_distribution
-from .states import bloch_operator, qubit_bures, qubit_qfi
+from .states import qubit_bures, qubit_qfi
 
 WEIGHT_SELECTORS = ("identity", "qfi", "tomography")
 PROB_FLOOR = 1e-12
@@ -124,9 +123,6 @@ class TrialRecord:
     def labels(self) -> list:
         """Outcome labels "<branch><sign>", branches counted from 1."""
         return [f"{k // 2 + 1}{'+' if k % 2 else '-'}" for k in self.outcomes.tolist()]
-
-    def element_matrix(self, i: int) -> np.ndarray:
-        return bloch_operator(self.element_traces[i], self.element_bloch[i])
 
 
 @dataclass
@@ -234,39 +230,6 @@ def resolve_weight(selector, x) -> np.ndarray:
             return tomography_weight(x)
         raise ValueError(f"unknown weight selector {selector!r}")
     return np.asarray(selector, dtype=float)
-
-
-def sample_outcome(rho: np.ndarray, povm: Povm, rng: np.random.Generator) -> int:
-    """Draw one outcome index by inverse CDF over the label order."""
-    probs = outcome_distribution(rho, povm)
-    u = rng.random()
-    acc = 0.0
-    for n, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return n
-    return len(probs) - 1
-
-
-def run_tomography(x0, m_total: int, rng: np.random.Generator):
-    """Plain tomography: m_total draws of the uniform Pauli mixture.
-
-    Counts are drawn multinomially over the six outcomes, equivalent in law
-    to i.i.d. single draws.  Returns (estimate, counts) where counts[mu] =
-    (minus, plus) for axis mu and estimate[mu] = (plus - minus) / total,
-    zero for an axis that was never measured.
-    """
-    if m_total < 1:
-        raise ValueError("m_total must be at least 1")
-    counts = rng.multinomial(m_total, _tomography_probs(x0)).reshape(3, 2)
-    return tomography_estimate(counts), counts
-
-
-def _tomography_probs(x0) -> np.ndarray:
-    """Outcome probabilities of the uniform Pauli mixture at x0, ordered
-    (axis 0 -, axis 0 +, axis 1 -, ...)."""
-    x0 = np.asarray(x0, dtype=float)
-    return np.stack([1.0 - x0, 1.0 + x0], axis=-1).ravel() / 6.0
 
 
 def tomography_estimate(counts: np.ndarray) -> np.ndarray:
@@ -622,13 +585,26 @@ def _merits(x0: np.ndarray, checkpoints: np.ndarray, estimates: np.ndarray,
     return out
 
 
+def _tomography_estimates(x0: np.ndarray, checkpoints,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Frequency estimates of one plain-tomography trial at each checkpoint.
+
+    Every draw measures the uniform mixture of the three Pauli PVMs, with
+    outcomes ordered (axis 0 -, axis 0 +, axis 1 -, ...); the draws between
+    consecutive checkpoints come from one multinomial call, in checkpoint
+    order.
+    """
+    probs = np.stack([1.0 - x0, 1.0 + x0], axis=-1).ravel() / 6.0
+    draws = rng.multinomial(np.diff(checkpoints, prepend=0), probs)
+    counts = np.cumsum(draws, axis=0).reshape(len(checkpoints), 3, 2)
+    return tomography_estimate(counts)
+
+
 def _tomography_trial(cfg: RunConfig, checkpoints: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
-    """One tomography trial: the draws between consecutive checkpoints come
-    from one multinomial call, in checkpoint order."""
-    draws = rng.multinomial(np.diff(checkpoints, prepend=0), _tomography_probs(cfg.x0))
-    counts = np.cumsum(draws, axis=0).reshape(len(checkpoints), 3, 2)
-    return _merits(cfg.x0, checkpoints, tomography_estimate(counts), cfg.eps_ball)
+    """Per-checkpoint merits of one tomography trial."""
+    return _merits(cfg.x0, checkpoints, _tomography_estimates(cfg.x0, checkpoints, rng),
+                   cfg.eps_ball)
 
 
 def _trial_block(cfg: RunConfig, kind: str, checkpoints: np.ndarray,

@@ -12,40 +12,33 @@ import numpy as np
 import pytest
 
 from qest.bounds import (
-    RotWeight,
-    c_opt_closed,
-    c_tomo_closed,
     classical_fisher,
     gm_lower_bound,
-    hat_fisher,
-    min_trace_unit_trace,
-    optimal_measurement,
     qcr_min_trace,
-    qfi_rot_weight,
-    rot_weight_along,
     tomography_fisher,
     tomography_weight,
 )
-from qest.linalg import psd_sqrt
-from qest.measurements import (
-    mub_bases,
-    mub_tomography_povm,
-    qubit_tomography_povm,
-    random_povm,
-    randomize,
-)
+from qest.measurements import mub_bases, mub_tomography_povm
 from qest.simulate import RunConfig, monte_carlo
 from qest.states import (
     bures_distance,
     model_qfi,
     mub_derivatives,
     qubit_qfi,
-    qubit_slds,
     qubit_state,
+)
+from qest.verify import (
+    check_closed_vs_numeric_grid,
+    check_fisher_convexity,
+    check_info_trace_bound,
+    check_limit_values,
+    check_optimal_measurement_fisher,
+    check_rank_one_hat_fisher,
+    check_unit_info_identity,
+    check_unit_trace_minimum,
 )
 
 X0 = np.array([0.55, 0.55, 0.55])
-TOMO = qubit_tomography_povm()
 
 
 def report(number: int, detail: str) -> None:
@@ -59,44 +52,17 @@ def random_point(rng, rmax=0.9):
 
 def test_criterion_1_closed_forms_match_numerics():
     start = time.time()
-    rng = np.random.default_rng(101)
-    dirs = rng.standard_normal((20, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    worst = 0.0
-    for r in np.arange(0.0, 0.951, 0.05):
-        for v in dirs:
-            x = r * v
-            j = qubit_qfi(x)
-            g_num = classical_fisher(qubit_slds(x), TOMO)
-            for w in (RotWeight(1.0, 1.0), qfi_rot_weight(float(r)), RotWeight(2.0, 0.5)):
-                h = rot_weight_along(w, v)
-                dev_c = abs(c_opt_closed(w, float(r)) - qcr_min_trace(j, h).bound)
-                dev_t = abs(c_tomo_closed(w, x)
-                            - float(np.trace(h @ np.linalg.inv(g_num))))
-                worst = max(worst, dev_c, dev_t)
+    res = check_closed_vs_numeric_grid(np.random.default_rng(101))
     elapsed = time.time() - start
-    assert worst <= 1e-8
+    assert res.passed, res.line()
     assert elapsed < 10.0
-    report(1, f"max deviation {worst:.2e} over 1200 grid points in {elapsed:.1f} s")
+    report(1, f"{res.detail} in {elapsed:.1f} s")
 
 
 def test_criterion_2_boundary_limits():
-    v = np.ones(3) / np.sqrt(3)
-    ident = RotWeight(1.0, 1.0)
-    # c converges to 4 slowly (sqrt of 1-r^2): evaluate in the r -> 1 limit
-    c_limit = c_opt_closed(ident, 1.0 - 1e-8)
-    assert 4.0 <= c_limit <= 4.01
-    ct_limit = c_tomo_closed(ident, (1.0 - 1e-8) * v)
-    ct_9999 = c_tomo_closed(ident, 0.9999 * v)
-    assert 5.99 <= ct_limit <= 6.01
-    assert 5.99 <= ct_9999 <= 6.01
-    worst_nine = max(abs(c_opt_closed(qfi_rot_weight(float(r)), float(r)) - 9.0)
-                     for r in np.arange(0.0, 0.996, 0.05))
-    assert worst_nine <= 1e-8
-    ct_fisher = c_tomo_closed(qfi_rot_weight(0.995), 0.995 * v)
-    assert ct_fisher > 100.0
-    report(2, f"c -> {c_limit:.4f}, cT -> {ct_9999:.4f}; Fisher weight: "
-              f"|c - 9| <= {worst_nine:.1e}, cT(0.995) = {ct_fisher:.1f}")
+    res = check_limit_values()
+    assert res.passed, res.line()
+    report(2, res.detail)
 
 
 def test_criterion_3_tomography_weight_is_the_optimum():
@@ -126,110 +92,28 @@ def test_criterion_3_tomography_weight_is_the_optimum():
 
 
 def test_criterion_4_constructed_measurement_attains_target():
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for _ in range(100):
-        x = random_point(rng)
-        a = rng.standard_normal((3, 3))
-        h = a @ a.T + np.diag(rng.uniform(0.1, 1.0, size=3))
-        derivs = qubit_slds(x)
-        sol = optimal_measurement(derivs, qubit_qfi(x), h)
-        g = classical_fisher(derivs, sol.measurement)
-        worst = max(worst, float(np.max(np.abs(g - sol.fisher_target))))
-    assert worst <= 1e-8
-    report(4, f"max |g(M_opt) - target| = {worst:.2e} over 100 random (x, H)")
+    res = check_optimal_measurement_fisher(np.random.default_rng(104), cases=100)
+    assert res.passed, res.line()
+    report(4, res.detail)
 
 
 def test_criterion_5_information_lemmas():
     rng = np.random.default_rng(105)
-
-    # rank-one normalized Fisher for the PVM of a normalized SLD combination
-    worst_vv = 0.0
-    for _ in range(50):
-        x = random_point(rng)
-        derivs = qubit_slds(x)
-        j = qubit_qfi(x)
-        values, vectors = np.linalg.eigh(j)
-        inv_sq = (vectors / np.sqrt(values)) @ vectors.T
-        u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        k_mat = u.T @ inv_sq
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        l_v = sum(float(v[i]) * sum(k_mat[i, k] * derivs.slds[k] for k in range(3))
-                  for i in range(3))
-        from qest.measurements import pvm_from_observable
-        ghat = hat_fisher(classical_fisher(derivs, pvm_from_observable(l_v)), j, u)
-        worst_vv = max(worst_vv, float(np.max(np.abs(ghat - np.outer(v, v)))))
-    assert worst_vv <= 1e-8
-
-    # normalized information trace never exceeds dim - 1
-    worst_excess = -np.inf
-    for q in (2, 3, 4):
-        family = mub_bases(q) if q > 2 else None
-        derivs_pool = []
-        for _ in range(10):
-            if q == 2:
-                derivs_pool.append(qubit_slds(random_point(rng)))
-            else:
-                while True:
-                    coords = rng.uniform(-0.04, 0.04, size=(q + 1, q - 1))
-                    try:
-                        derivs_pool.append(mub_derivatives(coords, family))
-                        break
-                    except Exception:
-                        continue
-        for i in range(100):
-            derivs = derivs_pool[i % 10]
-            j = model_qfi(derivs)
-            povm = random_povm(q, int(rng.integers(2, 2 * q + 2)), rng)
-            ghat = hat_fisher(classical_fisher(derivs, povm), j)
-            worst_excess = max(worst_excess, float(np.trace(ghat)) - (q - 1))
-    assert worst_excess <= 1e-9
-
-    # Fisher information is affine under randomized combination
-    worst_affine = 0.0
-    for _ in range(30):
-        x = random_point(rng)
-        derivs = qubit_slds(x)
-        m1 = random_povm(2, 3, rng)
-        m2 = random_povm(2, 4, rng)
-        p = float(rng.random())
-        lhs = classical_fisher(derivs, randomize([(p, m1), (1 - p, m2)]))
-        rhs = (p * classical_fisher(derivs, m1)
-               + (1 - p) * classical_fisher(derivs, m2))
-        worst_affine = max(worst_affine, float(np.max(np.abs(lhs - rhs))))
-    assert worst_affine <= 1e-10
-
-    # independent projected-gradient oracle for the constrained minimum
-    worst_lagrange = 0.0
-    for _ in range(20):
-        d = int(rng.integers(2, 4))
-        q_mat = np.linalg.qr(rng.standard_normal((d, d)))[0]
-        s = q_mat @ np.diag(rng.uniform(0.2, 3.0, size=d)) @ q_mat.T
-        s = (s + s.T) / 2
-        numeric, _ = min_trace_unit_trace(s)
-        worst_lagrange = max(worst_lagrange,
-                             abs(numeric - float(np.trace(psd_sqrt(s))) ** 2))
-    assert worst_lagrange <= 1e-5
-    report(5, f"rank-one defect {worst_vv:.2e}; trace-bound excess {worst_excess:.2e}; "
-              f"affinity defect {worst_affine:.2e}; oracle gap {worst_lagrange:.2e}")
+    results = [
+        check_rank_one_hat_fisher(rng, cases=50),
+        check_info_trace_bound(rng, povms_per_dim=100),
+        check_fisher_convexity(rng, cases=30),
+        check_unit_trace_minimum(rng, cases=20),
+    ]
+    for res in results:
+        assert res.passed, res.line()
+    report(5, "; ".join(f"{res.name}: {res.detail}" for res in results))
 
 
 def test_criterion_6_unit_trace_and_weight_identities():
-    rng = np.random.default_rng(106)
-    worst_tr = 0.0
-    worst_h = 0.0
-    for _ in range(100):
-        x = random_point(rng)
-        j = qubit_qfi(x)
-        g = tomography_fisher(x)
-        worst_tr = max(worst_tr, abs(float(np.trace(np.linalg.inv(j) @ g)) - 1.0))
-        worst_h = max(worst_h, float(np.max(np.abs(
-            9.0 * g @ np.linalg.inv(j) @ g - tomography_weight(x)))))
-    assert worst_tr <= 1e-10
-    assert worst_h <= 1e-9
-    report(6, f"max |Tr J^-1 g - 1| = {worst_tr:.2e}; "
-              f"max |9 g J^-1 g - H_T| = {worst_h:.2e} over 100 points")
+    res = check_unit_info_identity(np.random.default_rng(106), cases=100)
+    assert res.passed, res.line()
+    report(6, f"{res.detail} over 100 points")
 
 
 @pytest.fixture(scope="module")

@@ -15,13 +15,12 @@ from qest.bounds import (
     gm_lower_bound,
     hat_fisher,
     indicatrix_points,
-    lu_estimator,
     min_trace_unit_trace,
     optimal_measurement,
     qcr_min_trace,
     qcr_min_traces,
     qfi_rot_weight,
-    rot_weight,
+    rot_weight_along,
     tomo_excess,
     tomo_excess_forms,
     tomography_fisher,
@@ -36,7 +35,7 @@ from qest.measurements import (
     qubit_tomography_povm,
     random_povm,
 )
-from qest.states import ModelDerivatives, PAULIS, SIGMA_3, qubit_qfi, qubit_slds
+from qest.states import ModelDerivatives, SIGMA_3, qubit_qfi, qubit_slds
 
 X0 = np.array([0.55, 0.55, 0.55])
 TOMO = qubit_tomography_povm()
@@ -219,43 +218,6 @@ class TestOptimalMeasurementMatchesSpectralRoute:
                 (i, float(p)) for i, p in enumerate(probs) for _ in "-+")
 
 
-class TestLuEstimator:
-    def test_covariance_inverts_fisher_at_origin(self):
-        derivs = qubit_slds([0, 0, 0])
-        est = lu_estimator(np.zeros(3), derivs, TOMO)
-        probs = outcome_distribution(derivs.rho, TOMO)
-        mean = probs @ est
-        assert np.allclose(mean, np.zeros(3), atol=1e-12)
-        cov = (est.T * probs) @ est - np.outer(mean, mean)
-        assert np.max(np.abs(cov - 3 * np.eye(3))) <= 1e-8
-
-    def test_covariance_general(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            x = random_point(rng)
-            derivs = qubit_slds(x)
-            g = classical_fisher(derivs, TOMO)
-            est = lu_estimator(x, derivs, TOMO, g)
-            probs = outcome_distribution(derivs.rho, TOMO)
-            mean = probs @ est
-            assert np.allclose(mean, x, atol=1e-10)
-            cov = (est.T * probs) @ est - np.outer(mean, mean)
-            assert np.max(np.abs(cov - np.linalg.inv(g))) <= 1e-8
-
-    def test_single_parameter_variance(self):
-        x = np.array([0.0, 0.0, 0.5])
-        full = qubit_slds(x)
-        derivs = ModelDerivatives(rho=full.rho, partials=full.partials[2:],
-                                  slds=full.slds[2:])
-        pvm = pvm_from_observable(SIGMA_3)
-        g = classical_fisher(derivs, pvm)
-        est = lu_estimator(x[2:], derivs, pvm, g)
-        probs = outcome_distribution(full.rho, pvm)
-        mean = float(probs @ est[:, 0])
-        var = float(probs @ (est[:, 0] - mean) ** 2)
-        assert var == pytest.approx(0.75, abs=1e-10)
-
-
 class TestTomographyWeight:
     def test_identity_at_origin(self):
         assert np.allclose(tomography_weight([0, 0, 0]), np.eye(3))
@@ -300,14 +262,15 @@ class TestWeightFromFisher:
 class TestRotationalWeights:
     def test_identity_values(self):
         w = RotWeight(1.0, 1.0)
-        assert np.allclose(rot_weight(w, [0.3, 0.2, 0.1]), np.eye(3))
+        assert np.allclose(rot_weight_along(w, [0.3, 0.2, 0.1]), np.eye(3))
 
     def test_qfi_values_reproduce_fisher(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             x = random_point(rng)
             r = np.linalg.norm(x)
-            assert np.max(np.abs(rot_weight(qfi_rot_weight(r), x) - qubit_qfi(x))) <= 1e-10
+            h = rot_weight_along(qfi_rot_weight(r), x)
+            assert np.max(np.abs(h - qubit_qfi(x))) <= 1e-10
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(8)
@@ -315,12 +278,12 @@ class TestRotationalWeights:
         x = random_point(rng)
         for _ in range(20):
             u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-            assert np.max(np.abs(u.T @ rot_weight(w, u @ x) @ u
-                                 - rot_weight(w, x))) <= 1e-10
+            assert np.max(np.abs(u.T @ rot_weight_along(w, u @ x) @ u
+                                 - rot_weight_along(w, x))) <= 1e-10
 
     def test_eigenvalues(self):
         w = RotWeight(0.5, 2.0)
-        h = rot_weight(w, [0.0, 0.6, 0.0])
+        h = rot_weight_along(w, [0.0, 0.6, 0.0])
         assert np.allclose(sorted(np.linalg.eigvalsh(h)), [0.5, 0.5, 2.0])
 
 
@@ -372,7 +335,7 @@ class TestClosedForms:
             x = random_point(rng, rmax=0.95)
             r = np.linalg.norm(x)
             w = RotWeight(float(rng.uniform(0.2, 2)), float(rng.uniform(0.2, 2)))
-            h = rot_weight(w, x)
+            h = rot_weight_along(w, x)
             assert c_opt_closed(w, r) == pytest.approx(
                 qcr_min_trace(qubit_qfi(x), h).bound, abs=1e-8)
             assert c_tomo_closed(w, x) == pytest.approx(

@@ -52,6 +52,13 @@ class TestBounds:
     def test_zero_direction_usage_error(self):
         assert run_cli(["bounds", "--dir", "0,0,0"]) == 2
 
+    @pytest.mark.parametrize("values", [["--f", "0", "--g", "0.5"], ["--f", "2", "--g", "0"]])
+    def test_zero_custom_value_is_a_usage_error(self, values, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        assert run_cli(["bounds", "--weight", "custom", *values, "--out", str(out)]) == 2
+        assert "weight values must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_determinism_across_runs_and_threads(self, tmp_path):
@@ -78,9 +85,9 @@ class TestSimulate:
         code = run_cli(["simulate", "--x0", "0.2,0.1,0.3", "--weight", "identity",
                         "--m", "400", "--reps", "400", "--seed", "3",
                         "--estimator", "tomo", "--format", "json",
-                        "--out", str(tmp_path / "run")])
+                        "--out", str(tmp_path / "mc")])
         assert code == 0
-        doc = json.loads((tmp_path / "run_tomography.json").read_text())
+        doc = json.loads((tmp_path / "mc_tomography.json").read_text())
         assert doc["estimator"] == "tomography"
         x0 = np.array([0.2, 0.1, 0.3])
         assert doc["cTomo"] == pytest.approx(3 * (3 - float(x0 @ x0)))
@@ -89,6 +96,31 @@ class TestSimulate:
 
     def test_bad_config_exit_code(self):
         assert run_cli(["simulate", "--x0", "1.5,0,0"]) == 2
+
+    def test_uncertified_solves_warn(self, tmp_path, capsys, monkeypatch):
+        import qest.simulate as simulate
+        monkeypatch.setenv("QEST_THREADS", "1")
+        args = ["simulate", "--m", "3000", "--reps", "2", "--seed", "5",
+                "--estimator", "adaptive"]
+        assert run_cli(args + ["--out", str(tmp_path / "clean")]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+        certified = []
+        solve = simulate.mle_maximize
+
+        def every_other_uncertified(*a, **kw):
+            x, ok = solve(*a, **kw)
+            certified.append(ok)
+            return x, ok and len(certified) % 2 == 0
+
+        monkeypatch.setattr(simulate, "mle_maximize", every_other_uncertified)
+        assert run_cli(args + ["--out", str(tmp_path / "failing")]) == 0
+        assert all(certified)
+        n_failed = (len(certified) + 1) // 2
+        assert (f"warning: {n_failed} likelihood maximization solves were not certified"
+                in capsys.readouterr().err)
+        assert ((tmp_path / "clean_adaptive.csv").read_bytes()
+                == (tmp_path / "failing_adaptive.csv").read_bytes())
 
     def test_update_every_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -153,6 +185,17 @@ class TestMub:
         with pytest.raises(SystemExit) as exc:
             run_cli(["mub", "--q", "3", *flags])
         assert exc.value.code == 2
+
+
+class TestVectorArguments:
+    @pytest.mark.parametrize("flag", [["simulate", "--x0"], ["bounds", "--dir"],
+                                      ["indicatrix", "--weight", "identity", "--x"]])
+    @pytest.mark.parametrize("value", ["0.1,0.2", "nan,0,0", "0,inf,0"])
+    def test_bad_vector_is_a_usage_error(self, flag, value, tmp_path, capsys):
+        assert run_cli([*flag, value, "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: expected 3 comma-separated finite numbers, got {value!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepSizes:
