@@ -16,24 +16,16 @@ the model boundary.
 
 import numpy as np
 
-from qest.bounds import classical_fisher, gm_lower_bound
-from qest.measurements import mub_bases, mub_tomography_povm
-from qest.states import model_qfi, mub_derivatives
+from qest.bounds import mub_tomography_sweep
+from qest.measurements import mub_bases
 
 
 def sweep(q: int) -> None:
     family = mub_bases(q)
     print(f"\ndim {q}: {q + 1} bases ({family.name}), "
           f"overlap defect {family.max_overlap_defect():.1e}")
-    tomo = mub_tomography_povm(family)
     print(f"{'r':>6} {'cGM (bound)':>12} {'cT (tomography)':>16} {'ratio':>8}")
-    for r in np.arange(0.1, 0.91, 0.1):
-        coords = np.zeros((q + 1, q - 1))
-        coords[0, 0] = r
-        derivs = mub_derivatives(coords, family)
-        j = model_qfi(derivs)
-        ct = float(np.trace(j @ np.linalg.inv(classical_fisher(derivs, tomo))))
-        cgm = gm_lower_bound(j, j, q)
+    for r, cgm, ct in mub_tomography_sweep(family, np.arange(0.1, 0.91, 0.1)):
         print(f"{r:6.2f} {cgm:12.2f} {ct:16.2f} {ct / cgm:8.3f}")
 
 

@@ -68,6 +68,7 @@ from .bounds import (
     hat_fisher,
     indicatrix_points,
     min_trace_unit_trace,
+    mub_tomography_sweep,
     optimal_measurement,
     qcr_min_trace,
     qfi_rot_weight,

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import Povm, bloch_pvm_mixture
-from .states import PAULIS, ModelDerivatives, OutOfBallError
+from .measurements import MubFamily, Povm, bloch_pvm_mixture, mub_tomography_povm
+from .states import (PAULIS, ModelDerivatives, NotPositiveError, OutOfBallError, model_qfi,
+                     mub_derivatives)
 
 PD_TOL = 1e-12
 SYM_TOL = 1e-10
@@ -40,19 +41,21 @@ class RotWeight:
 
     `transverse` weights directions orthogonal to the state vector,
     `radial` the direction along it: H = transverse*I +
-    (radial - transverse) |x><x| / r^2.  Both must be positive.
+    (radial - transverse) |x><x| / r^2.  Both must be positive and finite.
     """
 
     transverse: float
     radial: float
 
     def __post_init__(self):
-        if self.transverse <= 0 or self.radial <= 0:
-            raise ValueError("weight values must be positive")
+        if not (0.0 < self.transverse < math.inf and 0.0 < self.radial < math.inf):
+            raise ValueError("weight values must be positive and finite")
 
 
 def qfi_rot_weight(r: float) -> RotWeight:
     """Rotational values reproducing the qubit Fisher matrix at radius r."""
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"radius {r} outside [0, 1)")
     return RotWeight(1.0, 1.0 / (1.0 - r * r))
 
 
@@ -354,6 +357,31 @@ def gm_lower_bound(j: np.ndarray, h: np.ndarray, hilbert_dim: int) -> float:
     return sol.bound / (hilbert_dim - 1)
 
 
+def mub_tomography_sweep(family: MubFamily, radii, coord: tuple[int, int] = (0, 0)) -> list:
+    """Rows (r, cGM, cT) along one affine coordinate of the MUB model.
+
+    At coordinates zero except coord = (basis, vector), which is set to r,
+    cT = Tr J g(M_T)^-1 is the merit of uniform MUB tomography and cGM =
+    gm_lower_bound(J, J, q) the bound valid for every POVM, both with the
+    Fisher-matrix weight.  The sweep stops at the first radius whose state
+    is not positive.
+    """
+    q = family.q
+    tomo = mub_tomography_povm(family)
+    rows = []
+    for r in radii:
+        coords = np.zeros((q + 1, q - 1))
+        coords[coord] = r
+        try:
+            derivs = mub_derivatives(coords, family)
+        except NotPositiveError:
+            break
+        j = model_qfi(derivs)
+        ct = float(np.trace(j @ np.linalg.inv(classical_fisher(derivs, tomo))))
+        rows.append((float(r), gm_lower_bound(j, j, q), ct))
+    return rows
+
+
 def indicatrix_points(h: np.ndarray, plane: tuple[int, int] = (0, 1),
                       n: int = 180) -> np.ndarray:
     """Unit-merit locus of a weight restricted to a coordinate plane.
@@ -374,14 +402,14 @@ def indicatrix_points(h: np.ndarray, plane: tuple[int, int] = (0, 1),
     return pts
 
 
-def min_trace_unit_trace(s: np.ndarray, max_iter: int = 50000,
-                         grad_tol: float = 1e-10) -> tuple[float, np.ndarray]:
+def min_trace_unit_trace(s: np.ndarray) -> tuple[float, np.ndarray]:
     """Numerically minimize Tr S G^-1 over positive definite G with Tr G = 1.
 
     Projected-gradient descent: steps follow the gradient component tangent
     to the unit-trace slice, with eigenvalue flooring to stay positive
-    definite and an adaptive step size.  Serves as an oracle independent of
-    the closed-form answer (Tr sqrt(S))^2.
+    definite and an adaptive step size, for at most 50000 steps or until the
+    tangent gradient's norm falls below 1e-10.  Serves as an oracle
+    independent of the closed-form answer (Tr sqrt(S))^2.
     """
     s = _check_sym_pd(s, "target matrix")
     d = s.shape[0]
@@ -401,12 +429,12 @@ def min_trace_unit_trace(s: np.ndarray, max_iter: int = 50000,
 
     val, ginv = objective(g)
     step = 0.1
-    for _ in range(max_iter):
+    for _ in range(50000):
         grad = -(ginv @ s @ ginv)
         grad = (grad + grad.T) / 2
         grad_t = grad - (np.trace(grad) / d) * eye
         gnorm = float(np.linalg.norm(grad_t))
-        if gnorm < grad_tol:
+        if gnorm < 1e-10:
             break
         improved = False
         while step > 1e-18:

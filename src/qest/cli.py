@@ -46,10 +46,9 @@ def emit_table(header: list, rows: list, out: str | None, fmt: str) -> None:
         sys.stdout.write(text)
 
 
-def write_svg(path: str, series: list, xlabel: str, ylabel: str,
-              width: int = 640, height: int = 420) -> None:
-    """Minimal polyline plot; data files remain the source of truth."""
-    margin = 50
+def write_svg(path: str, series: list, xlabel: str, ylabel: str) -> None:
+    """Minimal 640 x 420 polyline plot; data files remain the source of truth."""
+    width, height, margin = 640, 420, 50
     xs = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -181,10 +180,10 @@ def cmd_simulate(args) -> int:
     base = Path(args.out) if args.out else Path("simulate")
     for kind, summary in results.items():
         if args.format == "json":
-            path = base.parent / f"{base.stem}_{kind}.json"
+            path = base.parent / f"{base.name}_{kind}.json"
             path.write_text(json.dumps(summary.to_json_dict(), indent=1) + "\n")
         else:
-            path = base.parent / f"{base.stem}_{kind}.csv"
+            path = base.parent / f"{base.name}_{kind}.csv"
             path.write_text(summary.to_csv())
         print(f"wrote {path}")
         if kind == "adaptive" and summary.n_opt_failed > 0:
@@ -192,7 +191,7 @@ def cmd_simulate(args) -> int:
                   f"were not certified", file=sys.stderr)
         if args.svg:
             ms_ax = [int(m) for m in summary.checkpoints]
-            write_svg(str(base.parent / f"{base.stem}_{kind}.svg"),
+            write_svg(str(base.parent / f"{base.name}_{kind}.svg"),
                       [("2mB", ms_ax, list(summary.mean_bures)),
                        ("cOpt", ms_ax, [summary.c_opt] * len(ms_ax)),
                        ("cTomo", ms_ax, [summary.c_tomo] * len(ms_ax))],
@@ -250,21 +249,8 @@ def cmd_mub(args) -> int:
     if not (0 <= a_idx <= q) or not (0 <= i_idx <= q - 2):
         print(f"error: direction {args.dir} out of range for q={q}", file=sys.stderr)
         return 2
-    radii = _sweep(args.rstep, args.rmax, args.rstep)
-    tomo = ms.mub_tomography_povm(family)
-    rows = []
-    for r in radii:
-        coords = np.zeros((q + 1, q - 1))
-        coords[a_idx, i_idx] = r
-        try:
-            derivs = st.mub_derivatives(coords, family)
-        except st.NotPositiveError:
-            break
-        j = st.model_qfi(derivs)
-        g = bd.classical_fisher(derivs, tomo)
-        ct = float(np.trace(j @ np.linalg.inv(g)))
-        cgm = bd.gm_lower_bound(j, j, q)
-        rows.append([float(r), float(cgm), float(ct)])
+    rows = bd.mub_tomography_sweep(family, _sweep(args.rstep, args.rmax, args.rstep),
+                                   (a_idx, i_idx))
     if not rows:
         raise ValueError(f"the first sweep point {args.rstep:g} lies outside the state space")
     emit_table(["r", "cGM", "cT"], rows, args.out, args.format)

@@ -46,12 +46,12 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def hermitian_eig(a: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEig:
+def hermitian_eig(a: np.ndarray) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     The input is symmetrized before decomposition to strip accumulation
     noise from repeated products; inputs whose anti-Hermitian part exceeds
-    `tol` are rejected.
+    HERMITIAN_TOL are rejected.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -61,8 +61,8 @@ def hermitian_eig(a: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEig:
     defect = float(np.abs(a - adjoint).max()) if a.size else 0.0
     if not math.isfinite(defect):
         raise ValueError("matrix has non-finite entries")
-    if defect > tol:
-        raise NotHermitianError(f"anti-Hermitian part {defect:.3e} exceeds {tol:.1e}")
+    if defect > HERMITIAN_TOL:
+        raise NotHermitianError(f"anti-Hermitian part {defect:.3e} exceeds {HERMITIAN_TOL:.1e}")
     try:
         values, vectors = np.linalg.eigh((a + adjoint) / 2)
     except np.linalg.LinAlgError as exc:
@@ -70,15 +70,15 @@ def hermitian_eig(a: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEig:
     return HermitianEig(values, vectors)
 
 
-def psd_sqrt(a: np.ndarray, tol: float = PSD_EIG_TOL) -> np.ndarray:
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Positive-semidefinite square root of a PSD Hermitian matrix.
 
-    Eigenvalues in [-tol, 0) are clamped to zero; anything lower raises
-    NotPSDError.  The result is Hermitian and commutes with the input.
+    Eigenvalues in [-PSD_EIG_TOL, 0) are clamped to zero; anything lower
+    raises NotPSDError.  The result is Hermitian and commutes with the input.
     """
     values, vectors = hermitian_eig(a)
-    if values[0] < -tol:
-        raise NotPSDError(f"minimum eigenvalue {values[0]:.3e} below -{tol:.1e}")
+    if values[0] < -PSD_EIG_TOL:
+        raise NotPSDError(f"minimum eigenvalue {values[0]:.3e} below -{PSD_EIG_TOL:.1e}")
     root = np.sqrt(np.clip(values, 0.0, None))
     out = (vectors * root) @ vectors.conj().T
     if np.isrealobj(np.asarray(a)):
@@ -86,18 +86,18 @@ def psd_sqrt(a: np.ndarray, tol: float = PSD_EIG_TOL) -> np.ndarray:
     return hermitize(out)
 
 
-def solve_sld(rho: np.ndarray, drho: np.ndarray,
-              tol: float = SINGULAR_STATE_TOL) -> np.ndarray:
+def solve_sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Solve (L rho + rho L) / 2 = drho for Hermitian L.
 
     Works in the eigenbasis of rho, where L_jk = 2 drho_jk / (lam_j + lam_k).
-    Requires rho strictly positive (min eigenvalue > tol) and drho Hermitian
-    traceless.  drho may also be a stack of shape (k, q, q): the k equations
-    share one eigendecomposition of rho, and L has the stack's shape.
+    Requires rho strictly positive (min eigenvalue > SINGULAR_STATE_TOL) and
+    drho Hermitian traceless.  drho may also be a stack of shape (k, q, q):
+    the k equations share one eigendecomposition of rho, and L has the
+    stack's shape.
     """
     values, vectors = hermitian_eig(rho)
-    if values[0] <= tol:
-        raise SingularStateError(f"state eigenvalue {values[0]:.3e} <= {tol:.1e}")
+    if values[0] <= SINGULAR_STATE_TOL:
+        raise SingularStateError(f"state eigenvalue {values[0]:.3e} <= {SINGULAR_STATE_TOL:.1e}")
     drho = np.asarray(drho, dtype=complex)
     if drho.size and float(np.abs(drho - drho.conj().swapaxes(-1, -2)).max()) > HERMITIAN_TOL:
         raise NotHermitianError("drho is not Hermitian")

@@ -120,13 +120,13 @@ class MubFamily:
             raise ValueError(f"expected bases of shape {(self.q + 1, self.q, self.q)}")
         self.validate()
 
-    def validate(self, ortho_tol: float = 1e-10, overlap_tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         gram = self.bases @ self.bases.conj().transpose(0, 2, 1)
-        bad = np.flatnonzero(np.max(np.abs(gram - np.eye(self.q)), axis=(1, 2)) > ortho_tol)
+        bad = np.flatnonzero(np.max(np.abs(gram - np.eye(self.q)), axis=(1, 2)) > 1e-10)
         if bad.size:
             raise ValueError(f"basis {bad[0]} is not orthonormal")
         first, second, defects = self._overlap_defects()
-        bad = np.flatnonzero(defects > overlap_tol)
+        bad = np.flatnonzero(defects > 1e-9)
         if bad.size:
             raise ValueError(f"bases {first[bad[0]]},{second[bad[0]]} are not mutually unbiased")
 
@@ -142,10 +142,10 @@ class MubFamily:
         return float(self._overlap_defects()[2].max())
 
 
-def pvm_from_observable(a: np.ndarray, gap: float = CLUSTER_GAP) -> Povm:
+def pvm_from_observable(a: np.ndarray) -> Povm:
     """PVM from the spectral decomposition of a Hermitian observable.
 
-    Eigenvalues closer than `gap` are merged into one cluster; each cluster
+    Eigenvalues closer than CLUSTER_GAP are merged into one cluster; each cluster
     contributes the projector onto its eigenspace, labeled by the (mean)
     eigenvalue, in ascending eigenvalue order.  Downstream code must not
     depend on the basis chosen inside a degenerate cluster.
@@ -153,7 +153,7 @@ def pvm_from_observable(a: np.ndarray, gap: float = CLUSTER_GAP) -> Povm:
     values, vectors = hermitian_eig(a)
     ascending = values.tolist()
     starts = [0] + [i for i in range(1, len(ascending))
-                    if ascending[i] - ascending[i - 1] > gap]
+                    if ascending[i] - ascending[i - 1] > CLUSTER_GAP]
     ops = []
     labels = []
     for start, stop in zip(starts, starts[1:] + [len(ascending)]):

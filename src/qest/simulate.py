@@ -3,12 +3,12 @@
 One adaptive trial alternates: derive the merit-optimal random measurement
 at the running design estimate, sample one outcome from the true state, and
 move the design estimate by one O(1) scoring step on the observed
-information.  On a fixed geometric grid of anchor steps the design estimate
-is reset to the certified constrained maximum-likelihood estimate over the
-recorded history, and that certified estimate is what every checkpoint
-reports.  Monte Carlo aggregation reports the scaled Bures and
-squared-error figures of merit at geometrically spaced checkpoints, next to
-the theoretical limits of both schemes.
+information.  At each checkpoint of a fixed geometric grid the design
+estimate is reset to the certified constrained maximum-likelihood estimate
+over the recorded history, and that certified estimate is what the
+checkpoint reports.  Monte Carlo aggregation reports the scaled Bures and
+squared-error figures of merit at the checkpoints, next to the theoretical
+limits of both schemes.
 
 Everything is deterministic given the seed: trial i draws from an
 independent substream derived from (seed, estimator, i), and aggregation
@@ -62,8 +62,6 @@ class RunConfig:
     reps: int = 300
     seed: int = 0
     eps_ball: float = 1e-6
-    x_init: np.ndarray | None = None
-    checkpoints: np.ndarray | None = None
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -86,21 +84,6 @@ class RunConfig:
             if weight.shape != (3, 3):
                 raise ValueError("custom weight must be a 3x3 matrix")
             self.weight = _check_sym_pd(weight, "weight")
-        if self.x_init is not None:
-            self.x_init = np.asarray(self.x_init, dtype=float)
-            if self.x_init.shape != (3,):
-                raise ValueError("x_init must be a Stokes vector")
-            if not math.hypot(*self.x_init) <= 1.0 - self.eps_ball:
-                raise ValueError("x_init must lie in the ball of radius 1 - eps_ball")
-        if self.checkpoints is not None:
-            points = np.asarray(self.checkpoints, dtype=float)
-            if points.ndim != 1 or points.size == 0:
-                raise ValueError("checkpoints must be a nonempty list of step counts")
-            if not np.all(points == np.round(points)):
-                raise ValueError("checkpoints must be integers")
-            if points[0] < 1 or points[-1] > self.m_max or np.any(np.diff(points) <= 0):
-                raise ValueError("checkpoints must increase strictly within [1, m_max]")
-            self.checkpoints = points.astype(int)
 
 
 @dataclass
@@ -205,13 +188,13 @@ def _clamp_rows(x: np.ndarray, eps: float) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(x.shape)
 
 
-def checkpoint_schedule(m_max: int, per_decade: int = 10) -> np.ndarray:
-    """Geometric checkpoint grid, about per_decade points per decade,
-    always ending at m_max."""
+def checkpoint_schedule(m_max: int) -> np.ndarray:
+    """Geometric checkpoint grid, about ten points per decade, always
+    starting at 1 and ending at m_max."""
     points = {m_max}
     j = 0
     while True:
-        m = int(round(10 ** (j / per_decade)))
+        m = int(round(10 ** (j / 10)))
         if m >= m_max:
             break
         points.add(max(m, 1))
@@ -486,30 +469,27 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     estimate is applied and one outcome is sampled from the true state with
     one uniform draw; the m_max uniforms are drawn up front in one call,
     which yields the same stream as one draw per step.  The design estimate
-    then takes one scoring step, x += I^-1 b / u with I the observed
-    information of the history (_running_update).  At the anchors
-    checkpoint_schedule(m_max), a fixed grid that does not depend on
-    cfg.checkpoints, and at any step where I is not yet positive definite,
-    it is replaced by the certified full-history maximum-likelihood
-    estimate, warm-started at it, and I is rebuilt there.  The estimate
-    reported at a checkpoint is always that certified estimate; an off-grid
-    checkpoint gets its own solve, which leaves the design estimate alone.
+    starts at the origin and takes one scoring step per outcome,
+    x += I^-1 b / u with I the observed information of the history
+    (_running_update).  At the checkpoints checkpoint_schedule(m_max), and
+    at any step where I is not yet positive definite, it is replaced by the
+    certified full-history maximum-likelihood estimate, warm-started at it,
+    and I is rebuilt there.  The estimate reported at a checkpoint is that
+    certified estimate.
 
     Between solves a step works on Python floats only: the design estimate
     is a list of three floats, and the applied elements and outcomes are
     appended to lists.  Before each solve the steps since the previous one
     are written into the history arrays (Bloch columns, their pairwise
-    products, traces and outcomes); m_max is an anchor, so the arrays are
-    complete when the trial ends.
+    products, traces and outcomes); m_max is a checkpoint, so the arrays
+    are complete when the trial ends.
     """
-    checkpoints = (cfg.checkpoints if cfg.checkpoints is not None
-                   else checkpoint_schedule(cfg.m_max))
+    checkpoints = checkpoint_schedule(cfg.m_max)
     ckpts = checkpoints.tolist()
-    anchors = set(checkpoint_schedule(cfg.m_max).tolist())
     weight = cfg.weight
     eps_ball = cfg.eps_ball
     x_true = cfg.x0.tolist()
-    x_hat = cfg.x_init.tolist() if cfg.x_init is not None else [0.0, 0.0, 0.0]
+    x_hat = [0.0, 0.0, 0.0]
     m_max = cfg.m_max
     draws = rng.random(m_max).tolist()
     traces = np.empty(m_max)
@@ -520,19 +500,6 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     # the steps since the last solve, which copies them into the arrays
     written = 0
     step_traces, step_bloch, step_outcomes = [], [], []
-
-    def solve(n, init):
-        nonlocal written
-        traces[written:n] = step_traces
-        bloch[:, written:n] = np.array(step_bloch).T
-        products[:, written:n] = _bloch_products(bloch[:, written:n])
-        outcomes[written:n] = step_outcomes
-        written = n
-        for steps in (step_traces, step_bloch, step_outcomes):
-            steps.clear()
-        return mle_maximize(traces[:n], bloch[:, :n].T, init, eps_ball=eps_ball,
-                            products=products[:, :n])
-
     ckpt_pos = 0
     n_failed = 0
     for m in range(m_max):
@@ -547,25 +514,27 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
         step_bloch.append(b)
         step_outcomes.append(idx)
         n = m + 1
-        # step 1 is an anchor, so info exists before the first running update
-        anchored = n in anchors
-        if not anchored:
-            x_run = _running_update(info, x_hat, p, b, eps_ball)
-            anchored = x_run is None
-        if anchored:
-            x_mle, ok = solve(n, x_hat)
-            n_failed += not ok
-            u = np.maximum(traces[:n] + x_mle @ bloch[:, :n], 2.0 * PROB_FLOOR)
-            info = (products[:, :n] @ (1.0 / (u * u))).tolist()
-            x_hat = x_mle.tolist()
-        else:
+        # step 1 is a checkpoint, so info exists before the first running update
+        at_checkpoint = n == ckpts[ckpt_pos]
+        x_run = None if at_checkpoint else _running_update(info, x_hat, p, b, eps_ball)
+        if x_run is not None:
             x_hat = x_run
-        if ckpt_pos < len(ckpts) and n == ckpts[ckpt_pos]:
-            if anchored:
-                estimates[ckpt_pos] = x_mle
-            else:
-                estimates[ckpt_pos], ok = solve(n, x_hat)
-                n_failed += not ok
+            continue
+        traces[written:n] = step_traces
+        bloch[:, written:n] = np.array(step_bloch).T
+        products[:, written:n] = _bloch_products(bloch[:, written:n])
+        outcomes[written:n] = step_outcomes
+        written = n
+        for steps in (step_traces, step_bloch, step_outcomes):
+            steps.clear()
+        x_mle, ok = mle_maximize(traces[:n], bloch[:, :n].T, x_hat, eps_ball=eps_ball,
+                                 products=products[:, :n])
+        n_failed += not ok
+        u = np.maximum(traces[:n] + x_mle @ bloch[:, :n], 2.0 * PROB_FLOOR)
+        info = (products[:, :n] @ (1.0 / (u * u))).tolist()
+        x_hat = x_mle.tolist()
+        if at_checkpoint:
+            estimates[ckpt_pos] = x_mle
             ckpt_pos += 1
     return TrialRecord(element_traces=traces, element_bloch=bloch.T, outcomes=outcomes,
                        checkpoints=checkpoints, estimates=estimates,
@@ -640,7 +609,7 @@ def theoretical_merits(cfg: RunConfig) -> tuple[float, float]:
         w = qfi_rot_weight(r)
         return c_opt_closed(w, r), c_tomo_closed(w, x0)
     h = resolve_weight(cfg.weight, x0)
-    bound = qcr_min_trace(qubit_qfi(x0), h, hilbert_dim=2).bound
+    bound = qcr_min_trace(qubit_qfi(x0), h).bound
     g_tomo = tomography_fisher(x0)
     return bound, float(np.trace(h @ np.linalg.inv(g_tomo)))
 
@@ -679,8 +648,7 @@ def monte_carlo(cfg: RunConfig, estimators=("tomography", "adaptive"),
     """
     if threads is None:
         threads = _env_threads()
-    checkpoints = (cfg.checkpoints if cfg.checkpoints is not None
-                   else checkpoint_schedule(cfg.m_max))
+    checkpoints = checkpoint_schedule(cfg.m_max)
     c_opt, c_tomo = theoretical_merits(cfg)
     out = {}
     for kind in estimators:

@@ -58,7 +58,7 @@ def _qubit_hat_fisher(x, povm, u=None):
 # lemma suite
 # ---------------------------------------------------------------------------
 
-def check_rank_one_hat_fisher(rng, cases: int = 50, tol: float = 1e-8) -> CheckResult:
+def check_rank_one_hat_fisher(rng, cases: int = 50) -> CheckResult:
     """PVM of a normalized SLD combination has normalized Fisher |v><v|."""
     worst = 0.0
     for _ in range(cases):
@@ -76,12 +76,11 @@ def check_rank_one_hat_fisher(rng, cases: int = 50, tol: float = 1e-8) -> CheckR
         pvm = ms.pvm_from_observable(l_v)
         ghat = _qubit_hat_fisher(x, pvm, u)
         worst = max(worst, float(np.max(np.abs(ghat - np.outer(v, v)))))
-    return CheckResult("rank-one-hat-fisher", worst <= tol,
-                       f"max |ghat - vv^T| = {worst:.3e} (tol {tol:.0e}, {cases} cases)")
+    return CheckResult("rank-one-hat-fisher", worst <= 1e-8,
+                       f"max |ghat - vv^T| = {worst:.3e} (tol 1e-08, {cases} cases)")
 
 
-def check_info_trace_bound(rng, povms_per_dim: int = 100,
-                           tol: float = 1e-9) -> CheckResult:
+def check_info_trace_bound(rng, povms_per_dim: int = 100) -> CheckResult:
     """Tr of the normalized Fisher matrix never exceeds dim - 1."""
     worst_excess = -np.inf
     for q in (2, 3, 4):
@@ -100,11 +99,11 @@ def check_info_trace_bound(rng, povms_per_dim: int = 100,
             povm = ms.random_povm(q, int(rng.integers(2, 2 * q + 2)), rng)
             ghat = bd.hat_fisher(bd.classical_fisher(derivs, povm), j)
             worst_excess = max(worst_excess, float(np.trace(ghat)) - (q - 1))
-    return CheckResult("info-trace-bound", worst_excess <= tol,
-                       f"max (Tr ghat - (q-1)) = {worst_excess:.3e} (tol {tol:.0e})")
+    return CheckResult("info-trace-bound", worst_excess <= 1e-9,
+                       f"max (Tr ghat - (q-1)) = {worst_excess:.3e} (tol 1e-09)")
 
 
-def check_fisher_convexity(rng, cases: int = 30, tol: float = 1e-10) -> CheckResult:
+def check_fisher_convexity(rng, cases: int = 30) -> CheckResult:
     """g of a randomized combination is the probability mix of the g's."""
     worst = 0.0
     for _ in range(cases):
@@ -118,11 +117,11 @@ def check_fisher_convexity(rng, cases: int = 30, tol: float = 1e-10) -> CheckRes
         rhs = (p * bd.classical_fisher(derivs, m1)
                + (1.0 - p) * bd.classical_fisher(derivs, m2))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return CheckResult("fisher-convexity", worst <= tol,
-                       f"max |g(mix) - mix(g)| = {worst:.3e} (tol {tol:.0e})")
+    return CheckResult("fisher-convexity", worst <= 1e-10,
+                       f"max |g(mix) - mix(g)| = {worst:.3e} (tol 1e-10)")
 
 
-def check_unit_trace_minimum(rng, cases: int = 20, tol: float = 1e-5) -> CheckResult:
+def check_unit_trace_minimum(rng, cases: int = 20) -> CheckResult:
     """Projected-gradient minimum of Tr S G^-1 over unit-trace G matches
     (Tr sqrt(S))^2."""
     worst = 0.0
@@ -134,8 +133,8 @@ def check_unit_trace_minimum(rng, cases: int = 20, tol: float = 1e-5) -> CheckRe
         numeric, _ = bd.min_trace_unit_trace(s)
         closed = float(np.trace(psd_sqrt(s))) ** 2
         worst = max(worst, abs(numeric - closed))
-    return CheckResult("unit-trace-minimum", worst <= tol,
-                       f"max |numeric - closed| = {worst:.3e} (tol {tol:.0e}, {cases} cases)")
+    return CheckResult("unit-trace-minimum", worst <= 1e-5,
+                       f"max |numeric - closed| = {worst:.3e} (tol 1e-05, {cases} cases)")
 
 
 def check_tomography_weight_optimality(rng, cases: int = 20) -> CheckResult:
@@ -177,8 +176,7 @@ def check_unit_info_identity(rng, cases: int = 100) -> CheckResult:
                        f"max |Tr J^-1 g - 1| = {worst_tr:.3e}, max weight defect = {worst_h:.3e}")
 
 
-def check_optimal_measurement_fisher(rng, cases: int = 40,
-                                     tol: float = 1e-8) -> CheckResult:
+def check_optimal_measurement_fisher(rng, cases: int = 40) -> CheckResult:
     """Constructed random measurement has exactly the target Fisher matrix."""
     worst = 0.0
     for _ in range(cases):
@@ -190,8 +188,8 @@ def check_optimal_measurement_fisher(rng, cases: int = 40,
         sol = bd.optimal_measurement(derivs, j, h)
         g = bd.classical_fisher(derivs, sol.measurement)
         worst = max(worst, float(np.max(np.abs(g - sol.fisher_target))))
-    return CheckResult("optimal-measurement-fisher", worst <= tol,
-                       f"max |g - target| = {worst:.3e} (tol {tol:.0e}, {cases} cases)")
+    return CheckResult("optimal-measurement-fisher", worst <= 1e-8,
+                       f"max |g - target| = {worst:.3e} (tol 1e-08, {cases} cases)")
 
 
 def check_bound_ordering(rng, cases: int = 40) -> CheckResult:
@@ -283,7 +281,7 @@ def lemma_suite(seed: int = 1) -> list:
 # bound suite
 # ---------------------------------------------------------------------------
 
-def check_closed_vs_numeric_grid(rng, tol: float = 1e-8) -> CheckResult:
+def check_closed_vs_numeric_grid(rng) -> CheckResult:
     """Closed-form c and c_T match the generic bound and Fisher routes on a
     radius grid times random directions times three weights."""
     tomo = ms.qubit_tomography_povm()
@@ -303,7 +301,7 @@ def check_closed_vs_numeric_grid(rng, tol: float = 1e-8) -> CheckResult:
                 worst = max(worst, abs(bd.c_opt_closed(w, r) - sol.bound))
                 worst = max(worst, abs(bd.c_tomo_closed(w, x)
                                        - float(np.trace(h @ g_num_inv))))
-    return CheckResult("closed-vs-numeric-grid", worst <= tol,
+    return CheckResult("closed-vs-numeric-grid", worst <= 1e-8,
                        f"max |closed - numeric| = {worst:.3e} over {len(radii) * 20 * 3} points")
 
 
@@ -349,27 +347,16 @@ def check_mub_bound_sweep() -> CheckResult:
     bound along the first affine direction and grows near the boundary."""
     ok = True
     notes = []
+    radii = np.arange(0.05, 0.91, 0.05)
     for q in (3, 4):
-        family = ms.mub_bases(q)
-        tomo = ms.mub_tomography_povm(family)
-        last_ct = None
-        first_ct = None
-        for r in np.arange(0.05, 0.91, 0.05):
-            coords = np.zeros((q + 1, q - 1))
-            coords[0, 0] = r
-            derivs = st.mub_derivatives(coords, family)
-            j = st.model_qfi(derivs)
-            g = bd.classical_fisher(derivs, tomo)
-            ct = float(np.trace(j @ np.linalg.inv(g)))
-            cgm = bd.gm_lower_bound(j, j, q)
-            ok = ok and ct >= cgm - 1e-9
-            if first_ct is None:
-                first_ct = ct
-            if last_ct is not None:
-                ok = ok and (r < 0.5 or ct > last_ct)
-            last_ct = ct
-        ok = ok and last_ct > 2.0 * first_ct
-        notes.append(f"q={q}: cT range [{first_ct:.1f}, {last_ct:.1f}]")
+        rows = bd.mub_tomography_sweep(ms.mub_bases(q), radii)
+        cts = [ct for _, _, ct in rows]
+        # every radius lies inside the state space, so the sweep must not stop
+        ok = ok and len(rows) == len(radii)
+        ok = ok and all(ct >= cgm - 1e-9 for _, cgm, ct in rows)
+        ok = ok and all(ct > prev for (r, _, ct), prev in zip(rows[1:], cts) if r >= 0.5)
+        ok = ok and cts[-1] > 2.0 * cts[0]
+        notes.append(f"q={q}: cT range [{cts[0]:.1f}, {cts[-1]:.1f}]")
     return CheckResult("mub-bound-sweep", ok, "; ".join(notes))
 
 

@@ -16,6 +16,7 @@ from qest.bounds import (
     hat_fisher,
     indicatrix_points,
     min_trace_unit_trace,
+    mub_tomography_sweep,
     optimal_measurement,
     qcr_min_trace,
     qcr_min_traces,
@@ -286,6 +287,17 @@ class TestRotationalWeights:
         h = rot_weight_along(w, [0.0, 0.6, 0.0])
         assert np.allclose(sorted(np.linalg.eigvalsh(h)), [0.5, 0.5, 2.0])
 
+    @pytest.mark.parametrize("values", [(np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf),
+                                        (1.0, np.nan)])
+    def test_non_finite_values_rejected(self, values):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RotWeight(*values)
+
+    @pytest.mark.parametrize("r", [1.0, 1.5, -0.1, np.nan])
+    def test_qfi_values_need_a_radius_inside_the_ball(self, r):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            qfi_rot_weight(r)
+
 
 class TestClosedForms:
     def test_c_opt_trivial(self):
@@ -387,6 +399,23 @@ class TestGmLowerBound:
                     continue
                 checked += 1
                 assert np.trace(h @ np.linalg.inv(g)) >= bound - 1e-6
+
+
+class TestMubTomographySweep:
+    def test_stops_at_the_first_non_positive_state(self):
+        from qest.measurements import mub_bases
+        rows = mub_tomography_sweep(mub_bases(3), [0.1, 0.2, 2.0, 0.3])
+        assert [r for r, _, _ in rows] == [0.1, 0.2]
+        assert all(ct >= cgm for _, cgm, ct in rows)
+
+    def test_verify_check_fails_when_the_sweep_stops_early(self, monkeypatch):
+        import qest.bounds as bd
+        from qest.verify import check_mub_bound_sweep
+        assert check_mub_bound_sweep().passed
+        sweep = bd.mub_tomography_sweep
+        monkeypatch.setattr(bd, "mub_tomography_sweep",
+                            lambda family, radii: sweep(family, radii)[:-1])
+        assert not check_mub_bound_sweep().passed
 
 
 class TestIndicatrix:

@@ -59,6 +59,21 @@ class TestBounds:
         assert "weight values must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_custom_value_is_a_usage_error(self, value, tmp_path, capsys, recwarn):
+        out = tmp_path / "bounds.csv"
+        assert run_cli(["bounds", "--weight", "custom", "--f", value, "--g", "1",
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: weight values must be positive and finite\n"
+        assert [str(w.message) for w in recwarn] == []
+        assert not out.exists()
+
+    def test_qfi_weight_at_radius_one_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        assert run_cli(["bounds", "--weight", "qfi", "--rmax", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: radius 1.0 outside [0, 1)\n"
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_determinism_across_runs_and_threads(self, tmp_path):
@@ -93,6 +108,12 @@ class TestSimulate:
         assert doc["cTomo"] == pytest.approx(3 * (3 - float(x0 @ x0)))
         # converging toward the tomography line (5 standard errors)
         assert abs(doc["meanSq"][-1] - doc["cTomo"]) <= 5 * doc["seSq"][-1]
+
+    def test_dotted_out_name_is_kept(self, tmp_path, capsys):
+        assert run_cli(["simulate", "--m", "20", "--reps", "2", "--estimator", "tomo",
+                        "--svg", "--out", str(tmp_path / "run.v1")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v1_tomography.csv",
+                                                              "run.v1_tomography.svg"]
 
     def test_bad_config_exit_code(self):
         assert run_cli(["simulate", "--x0", "1.5,0,0"]) == 2

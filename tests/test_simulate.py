@@ -190,8 +190,7 @@ def _sqrt_j_route(x, h):
 
 class TestAdaptiveRun:
     def test_smallest_case(self):
-        cfg = RunConfig(x0=X0, weight="qfi", m_max=1, reps=1, seed=0,
-                        checkpoints=np.array([1]))
+        cfg = RunConfig(x0=X0, weight="qfi", m_max=1, reps=1, seed=0)
         rec = adaptive_run(cfg, np.random.default_rng(0))
         assert len(rec.labels) == 1
         assert rec.element_traces.shape == (1,)
@@ -289,14 +288,11 @@ class TestAdaptiveDominatesTomography:
         # far more than the statistical error of either mean.  The Bures
         # merit of tomography is heavy tailed, so its mean gets many cheap
         # repetitions; the adaptive mean is tight already with few.
-        ckpt = np.array([4000])
         tomo = monte_carlo(
-            RunConfig(x0=X0, weight="qfi", m_max=4000, reps=400, seed=77,
-                      eps_ball=0.01, checkpoints=ckpt),
+            RunConfig(x0=X0, weight="qfi", m_max=4000, reps=400, seed=77, eps_ball=0.01),
             estimators=("tomography",))["tomography"]
         adap = monte_carlo(
-            RunConfig(x0=X0, weight="qfi", m_max=4000, reps=60, seed=77,
-                      eps_ball=0.01, checkpoints=ckpt),
+            RunConfig(x0=X0, weight="qfi", m_max=4000, reps=60, seed=77, eps_ball=0.01),
             estimators=("adaptive",))["adaptive"]
         gap = tomo.mean_bures[-1] - adap.mean_bures[-1]
         se = float(np.hypot(tomo.se_bures[-1], adap.se_bures[-1]))
@@ -323,24 +319,6 @@ class TestResolveWeight:
 
 
 class TestInputValidation:
-    @pytest.mark.parametrize("checkpoints", [
-        [5, 3],        # not increasing
-        [5, 30],       # beyond m_max = 20
-        [0, 5],        # below 1
-        [3, 3, 5],     # repeated
-        [1.5, 4],      # not integral
-        [],            # empty
-        [[1, 2]],      # not one-dimensional
-    ])
-    def test_bad_checkpoints_rejected(self, checkpoints):
-        with pytest.raises(ValueError):
-            RunConfig(x0=X0, m_max=20, reps=1, checkpoints=checkpoints)
-
-    def test_valid_checkpoints_kept(self):
-        cfg = RunConfig(x0=X0, m_max=20, reps=1, checkpoints=[1, 5.0, 20])
-        assert cfg.checkpoints.tolist() == [1, 5, 20]
-        assert cfg.checkpoints.dtype.kind == "i"
-
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, 1.5, float("nan")])
     def test_eps_ball_outside_unit_interval_rejected(self, eps):
         with pytest.raises(ValueError):
@@ -351,17 +329,6 @@ class TestInputValidation:
         # 1 - eps rounds to (nearly) 1, so a clamped estimate is not a state
         with pytest.raises(ValueError, match="at least 1e-12"):
             RunConfig(x0=X0, eps_ball=eps)
-
-    def test_x_init_outside_clamped_ball_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig(x0=X0, eps_ball=0.01, x_init=[0.0, 0.0, 0.995])
-        with pytest.raises(ValueError):
-            RunConfig(x0=X0, x_init=[np.nan, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            RunConfig(x0=X0, x_init=[0.1, 0.2])
-        on_sphere = clamp_to_ball(np.array([1.0, 2.0, -0.5]), 0.01)
-        cfg = RunConfig(x0=X0, eps_ball=0.01, x_init=on_sphere)
-        assert np.array_equal(cfg.x_init, on_sphere)
 
     @pytest.mark.parametrize("weight", [
         np.full((3, 3), np.nan),
@@ -399,8 +366,7 @@ class TestClampIdempotent:
 
 
 def _history(weight, eps_ball, m_max, seed):
-    cfg = RunConfig(x0=X0, weight=weight, m_max=m_max, reps=1, seed=seed,
-                    eps_ball=eps_ball, checkpoints=[m_max])
+    cfg = RunConfig(x0=X0, weight=weight, m_max=m_max, reps=1, seed=seed, eps_ball=eps_ball)
     return cfg, adaptive_run(cfg, np.random.default_rng((seed, 1, 0)))
 
 
@@ -650,33 +616,16 @@ class TestSmallJobsRunSerially:
 
 
 class TestRunningDesignEstimate:
-    @pytest.mark.parametrize("weight", ["identity", "qfi"])
-    def test_sampling_law_does_not_depend_on_checkpoints(self, weight):
-        records = []
-        for checkpoints in ([3000], None, [7, 333, 1234, 3000]):
-            cfg = RunConfig(x0=X0, weight=weight, m_max=3000, reps=1, seed=11,
-                            eps_ball=0.01, checkpoints=checkpoints)
-            records.append(adaptive_run(cfg, np.random.default_rng((11, 1, 0))))
-        first = records[0]
-        for rec in records[1:]:
-            assert np.array_equal(rec.outcomes, first.outcomes)
-            assert np.array_equal(rec.element_traces, first.element_traces)
-            assert np.array_equal(rec.element_bloch, first.element_bloch)
-            assert np.array_equal(rec.estimates[-1], first.estimates[-1])
-
     @pytest.mark.parametrize("weight, eps_ball", [("identity", 0.01), ("identity", 1e-6),
                                                   ("qfi", 0.01)])
     def test_every_reported_estimate_is_a_certified_maximizer(self, weight, eps_ball):
-        # 7, 333 and 1234 are off the anchor grid, the default schedule is on it
-        for checkpoints in ([7, 333, 1234, 3000], None):
-            cfg = RunConfig(x0=X0, weight=weight, m_max=3000, reps=1, seed=12,
-                            eps_ball=eps_ball, checkpoints=checkpoints)
-            rec = adaptive_run(cfg, np.random.default_rng((12, 1, 0)))
-            assert rec.n_opt_failed == 0
-            for m, est in zip(rec.checkpoints, rec.estimates):
-                x, ok = mle_maximize(rec.element_traces[:m], rec.element_bloch[:m], est,
-                                     eps_ball=eps_ball)
-                assert ok and np.array_equal(x, est)
+        cfg = RunConfig(x0=X0, weight=weight, m_max=3000, reps=1, seed=12, eps_ball=eps_ball)
+        rec = adaptive_run(cfg, np.random.default_rng((12, 1, 0)))
+        assert rec.n_opt_failed == 0
+        for m, est in zip(rec.checkpoints, rec.estimates):
+            x, ok = mle_maximize(rec.element_traces[:m], rec.element_bloch[:m], est,
+                                 eps_ball=eps_ball)
+            assert ok and np.array_equal(x, est)
 
     def test_off_grid_steps_take_one_scoring_step(self, monkeypatch):
         import qest.simulate as simulate
@@ -693,7 +642,7 @@ class TestRunningDesignEstimate:
         cfg = RunConfig(x0=X0, weight="identity", m_max=600, reps=1, seed=13,
                         eps_ball=0.01)
         adaptive_run(cfg, np.random.default_rng((13, 1, 0)))
-        # every step off the anchor grid, and no anchor, updates the running estimate
+        # every step off the checkpoint grid, and no checkpoint, updates the running estimate
         assert len(calls) == cfg.m_max - len(checkpoint_schedule(cfg.m_max))
         clamped = 0
         for h6, x, p, b, eps_ball, out in calls:
@@ -758,11 +707,9 @@ def _per_step_adaptive_run(cfg, rng):
     design and running estimate, one uniform drawn per step, and every
     step's element written into the history arrays as it is drawn."""
     from qest.simulate import PROB_FLOOR, _chol_solve
-    checkpoints = (cfg.checkpoints if cfg.checkpoints is not None
-                   else checkpoint_schedule(cfg.m_max))
-    anchors = set(checkpoint_schedule(cfg.m_max).tolist())
+    checkpoints = checkpoint_schedule(cfg.m_max).tolist()
     x_true = cfg.x0.tolist()
-    x_hat = cfg.x_init if cfg.x_init is not None else np.zeros(3)
+    x_hat = np.zeros(3)
     m_max = cfg.m_max
     traces = np.empty(m_max)
     bloch = np.empty((3, m_max))
@@ -785,7 +732,8 @@ def _per_step_adaptive_run(cfg, rng):
         products[:, m] = (b0 * b0, b1 * b1, b2 * b2, b0 * b1, b0 * b2, b1 * b2)
         outcomes[m] = idx
         n = m + 1
-        anchored = n in anchors
+        at_checkpoint = n == checkpoints[ckpt_pos]
+        anchored = at_checkpoint
         if not anchored:
             x0, x1, x2 = x_hat.tolist()
             u = max(p + b0 * x0 + b1 * x1 + b2 * x2, 2.0 * PROB_FLOOR)
@@ -803,14 +751,8 @@ def _per_step_adaptive_run(cfg, rng):
         else:
             x_hat = clamp_to_ball(np.array([x0 + step[0], x1 + step[1], x2 + step[2]]),
                                   cfg.eps_ball)
-        if ckpt_pos < len(checkpoints) and n == checkpoints[ckpt_pos]:
-            if anchored:
-                estimates[ckpt_pos] = x_hat
-            else:
-                estimates[ckpt_pos], ok = mle_maximize(
-                    traces[:n], bloch[:, :n].T, x_hat, eps_ball=cfg.eps_ball,
-                    products=products[:, :n])
-                n_failed += not ok
+        if at_checkpoint:
+            estimates[ckpt_pos] = x_hat
             ckpt_pos += 1
     return traces, bloch.T, outcomes, estimates, n_failed
 
@@ -877,17 +819,13 @@ class TestFloatAdaptiveStep:
         if weight == "custom":
             a = np.random.default_rng(97).standard_normal((3, 3))
             weight = a @ a.T + 0.3 * np.eye(3)
-        for checkpoints in (None, [7, 45, 101, m_max - 1]):
-            for x_init in (None, [0.1, -0.2, 0.3]):
-                cfg = RunConfig(x0=X0, weight=weight, m_max=m_max, reps=1, seed=98,
-                                eps_ball=eps_ball, checkpoints=checkpoints,
-                                x_init=x_init)
-                rec = adaptive_run(cfg, np.random.default_rng((98, 1, m_max)))
-                traces, bloch, outcomes, estimates, n_failed = _per_step_adaptive_run(
-                    cfg, np.random.default_rng((98, 1, m_max)))
-                assert np.array_equal(rec.element_traces, traces)
-                assert np.array_equal(rec.element_bloch, bloch)
-                assert np.array_equal(rec.outcomes, outcomes)
-                assert rec.outcomes.dtype == outcomes.dtype
-                assert np.array_equal(rec.estimates, estimates)
-                assert rec.n_opt_failed == n_failed
+        cfg = RunConfig(x0=X0, weight=weight, m_max=m_max, reps=1, seed=98, eps_ball=eps_ball)
+        rec = adaptive_run(cfg, np.random.default_rng((98, 1, m_max)))
+        traces, bloch, outcomes, estimates, n_failed = _per_step_adaptive_run(
+            cfg, np.random.default_rng((98, 1, m_max)))
+        assert np.array_equal(rec.element_traces, traces)
+        assert np.array_equal(rec.element_bloch, bloch)
+        assert np.array_equal(rec.outcomes, outcomes)
+        assert rec.outcomes.dtype == outcomes.dtype
+        assert np.array_equal(rec.estimates, estimates)
+        assert rec.n_opt_failed == n_failed
