@@ -10,6 +10,7 @@ the dimension-general lower bound of Gill-Massar type.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from .states import (PAULIS, ModelDerivatives, NotPositiveError, OutOfBallError,
 
 PD_TOL = 1e-12
 SYM_TOL = 1e-10
+# a float below this squares without overflow
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 class SingularInputError(ValueError):
@@ -290,8 +293,10 @@ def c_opt_closed(w: RotWeight, r: float) -> float:
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius {r} outside [0, 1)")
-    return (2.0 * np.sqrt(w.transverse)
-            + np.sqrt((1.0 - r * r) * w.radial)) ** 2
+    root = 2.0 * np.sqrt(w.transverse) + np.sqrt((1.0 - r * r) * w.radial)
+    if not root < _SQRT_MAX:
+        raise ValueError("merit overflows for these weight values")
+    return root ** 2
 
 
 def anisotropy(x) -> float:
@@ -319,7 +324,10 @@ def c_tomo_closed(w: RotWeight, x) -> float:
     if r2 >= 1.0:
         raise OutOfBallError(f"|x| = {np.sqrt(r2):.6f} >= 1")
     f, g = w.transverse, w.radial
-    return 3.0 * (2.0 * f + (1.0 - r2) * g) + 3.0 * anisotropy(x) * r2 * (g - f)
+    c = 3.0 * (2.0 * f + (1.0 - r2) * g) + 3.0 * anisotropy(x) * r2 * (g - f)
+    if not math.isfinite(c):
+        raise ValueError("merit overflows for these weight values")
+    return c
 
 
 def tomo_excess(w: RotWeight, x) -> float:

@@ -182,10 +182,17 @@ def _clamp_point(x: list, rho: float) -> list:
 
 
 def _clamp_rows(x: np.ndarray, eps: float) -> np.ndarray:
-    """clamp_to_ball applied to every row of x."""
+    """clamp_to_ball applied to every point x[..., :] of x."""
     rho = 1.0 - eps
-    rows = [_clamp_point(row, rho) for row in x.tolist()]
-    return np.array(rows, dtype=float).reshape(x.shape)
+    rows = x.reshape(-1, 3)
+    out = rows.copy()
+    # a row this far inside the ball is one _clamp_point returns unchanged;
+    # the margin covers the rounding gap between this norm and math.hypot
+    inside = np.einsum("ij,ij->i", rows, rows) <= (rho * (1.0 - 1e-9)) ** 2
+    rest = np.flatnonzero(~inside)
+    if rest.size:
+        out[rest] = [_clamp_point(row, rho) for row in rows[rest].tolist()]
+    return out.reshape(x.shape)
 
 
 def checkpoint_schedule(m_max: int) -> np.ndarray:
@@ -543,52 +550,63 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
 
 def _merits(x0: np.ndarray, checkpoints: np.ndarray, estimates: np.ndarray,
             eps_ball: float) -> np.ndarray:
-    """Per-checkpoint (2m * Bures, m * squared error) for one trial.
+    """Per-checkpoint (2m * Bures, m * squared error) of checkpoint estimates.
 
-    The Bures distance is taken to the estimate clamped to the ball of
-    radius 1 - eps_ball, the squared error to the estimate as given.
+    estimates has shape (..., len(checkpoints), 3), one trial's or a
+    block's, and the result (..., len(checkpoints), 2).  The Bures distance
+    is taken to the estimate clamped to the ball of radius 1 - eps_ball, the
+    squared error to the estimate as given.
     """
-    out = np.empty((len(checkpoints), 2))
-    out[:, 0] = 2.0 * checkpoints * qubit_bures(x0, _clamp_rows(estimates, eps_ball))
-    out[:, 1] = checkpoints * np.sum((x0 - estimates) ** 2, axis=1)
+    out = np.empty(estimates.shape[:-1] + (2,))
+    out[..., 0] = 2.0 * checkpoints * qubit_bures(x0, _clamp_rows(estimates, eps_ball))
+    out[..., 1] = checkpoints * np.sum((x0 - estimates) ** 2, axis=-1)
     return out
 
 
-def _tomography_estimates(x0: np.ndarray, checkpoints,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Frequency estimates of one plain-tomography trial at each checkpoint.
+def _tomography_estimates(x0: np.ndarray, checkpoints, rngs) -> np.ndarray:
+    """Frequency estimates of plain-tomography trials at each checkpoint,
+    one trial per generator in rngs, as an array (len(rngs), len(checkpoints), 3).
 
     Every draw measures the uniform mixture of the three Pauli PVMs, with
-    outcomes ordered (axis 0 -, axis 0 +, axis 1 -, ...); the draws between
-    consecutive checkpoints come from one multinomial call, in checkpoint
-    order.
+    outcomes ordered (axis 0 -, axis 0 +, axis 1 -, ...); a trial's draws
+    between consecutive checkpoints come from one multinomial call on its
+    own generator, in checkpoint order (_tomography_trial).
     """
     probs = np.stack([1.0 - x0, 1.0 + x0], axis=-1).ravel() / 6.0
-    draws = rng.multinomial(np.diff(checkpoints, prepend=0), probs)
-    counts = np.cumsum(draws, axis=0).reshape(len(checkpoints), 3, 2)
+    steps = np.diff(checkpoints, prepend=0)
+    draws = np.empty((len(rngs), len(steps), 6), dtype=np.int64)
+    for pos, rng in enumerate(rngs):
+        draws[pos] = _tomography_trial(steps, probs, rng)
+    counts = np.cumsum(draws, axis=1).reshape(len(rngs), len(steps), 3, 2)
     return tomography_estimate(counts)
 
 
-def _tomography_trial(cfg: RunConfig, checkpoints: np.ndarray,
+def _tomography_trial(steps: np.ndarray, probs: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
-    """Per-checkpoint merits of one tomography trial."""
-    return _merits(cfg.x0, checkpoints, _tomography_estimates(cfg.x0, checkpoints, rng),
-                   cfg.eps_ball)
+    """One tomography trial's outcome counts per checkpoint increment."""
+    return rng.multinomial(steps, probs)
 
 
 def _trial_block(cfg: RunConfig, kind: str, checkpoints: np.ndarray,
                  indices) -> tuple:
-    merits = np.empty((len(indices), len(checkpoints), 2))
+    """(merits, uncertified solves) of the trials with the given indices.
+
+    Each trial draws from its own generator default_rng((seed, kind, i)),
+    in index order; the merits of the whole block are then scored at once,
+    an array (len(indices), len(checkpoints), 2).
+    """
+    rngs = [np.random.default_rng((cfg.seed, _KIND_IDS[kind], int(trial)))
+            for trial in indices]
     failed = 0
-    for pos, trial in enumerate(indices):
-        rng = np.random.default_rng((cfg.seed, _KIND_IDS[kind], int(trial)))
-        if kind == "tomography":
-            merits[pos] = _tomography_trial(cfg, checkpoints, rng)
-        else:
+    if kind == "tomography":
+        estimates = _tomography_estimates(cfg.x0, checkpoints, rngs)
+    else:
+        estimates = np.empty((len(indices), len(checkpoints), 3))
+        for pos, rng in enumerate(rngs):
             record = adaptive_run(cfg, rng)
             failed += record.n_opt_failed
-            merits[pos] = _merits(cfg.x0, checkpoints, record.estimates, cfg.eps_ball)
-    return merits, failed
+            estimates[pos] = record.estimates
+    return _merits(cfg.x0, checkpoints, estimates, cfg.eps_ball), failed
 
 
 _KIND_IDS = {"tomography": 0, "adaptive": 1}
@@ -630,21 +648,27 @@ def _env_threads() -> int:
 
 # Rough one-core trial cost per adaptive step and per tomography checkpoint
 # (2-vCPU Xeon; an adaptive step took 10-11 us at m_max = 3000 for both
-# rotational weights).  A process pool costs about 0.1 s to start and feed,
-# so a job with less estimated serial work than POOL_MIN_WORK_S runs serially.
-_TRIAL_COST_S = {"adaptive": 1.1e-5, "tomography": 1e-5}
+# rotational weights; a tomography trial scored in a block took 60-125 us over
+# its 33 checkpoints, as the machine's load varied).  A process pool costs
+# about 0.1 s to start and feed, so a job with less estimated serial work than
+# POOL_MIN_WORK_S runs serially.
+_TRIAL_COST_S = {"adaptive": 1.1e-5, "tomography": 3e-6}
 POOL_MIN_WORK_S = 0.25
+# trials per block; a block holds its trials' draws and estimates at once
+BLOCK_TRIALS = 256
 
 
 def monte_carlo(cfg: RunConfig, estimators=("tomography", "adaptive"),
                 threads: int | None = None) -> dict:
     """Repeat both estimation schemes cfg.reps times and aggregate.
 
-    Returns {estimator: McSummary}.  Trials run in parallel worker
-    processes when threads > 1 and the estimated serial work repays the
-    pool's start-up; results are identical for any thread count because
-    every trial draws from its own (seed, estimator, index) substream and
-    reduction follows trial order.
+    Returns {estimator: McSummary}.  Trials run in blocks of at most
+    BLOCK_TRIALS (_trial_block): each trial draws from its own (seed,
+    estimator, index) substream, and the block's merits are scored at once.
+    Blocks run in parallel worker processes when threads > 1 and the
+    estimated serial work repays the pool's start-up; results are identical
+    for any thread count and block split, because no trial shares a
+    generator and reduction follows trial order.
     """
     if threads is None:
         threads = _env_threads()
@@ -654,24 +678,25 @@ def monte_carlo(cfg: RunConfig, estimators=("tomography", "adaptive"),
     for kind in estimators:
         if kind not in _KIND_IDS:
             raise ValueError(f"unknown estimator kind {kind!r}")
-        indices = list(range(cfg.reps))
-        blocks = []
         per_trial = cfg.m_max if kind == "adaptive" else len(checkpoints)
         work_s = cfg.reps * per_trial * _TRIAL_COST_S[kind]
-        if threads > 1 and cfg.reps > 1 and work_s >= POOL_MIN_WORK_S:
-            n_chunks = min(4 * threads, cfg.reps)
-            chunks = [indices[i::n_chunks] for i in range(n_chunks)]
+        pooled = threads > 1 and cfg.reps > 1 and work_s >= POOL_MIN_WORK_S
+        n_chunks = max(min(4 * threads, cfg.reps) if pooled else 1,
+                       -(-cfg.reps // BLOCK_TRIALS))
+        indices = list(range(cfg.reps))
+        chunks = [indices[i::n_chunks] for i in range(n_chunks)]
+        if pooled:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 futures = [pool.submit(_trial_block, cfg, kind, checkpoints, chunk)
                            for chunk in chunks]
                 results = [f.result() for f in futures]
-            merits = np.empty((cfg.reps, len(checkpoints), 2))
-            failed = 0
-            for chunk, (block, block_failed) in zip(chunks, results):
-                merits[chunk] = block
-                failed += block_failed
         else:
-            merits, failed = _trial_block(cfg, kind, checkpoints, indices)
+            results = (_trial_block(cfg, kind, checkpoints, chunk) for chunk in chunks)
+        merits = np.empty((cfg.reps, len(checkpoints), 2))
+        failed = 0
+        for chunk, (block, block_failed) in zip(chunks, results):
+            merits[chunk] = block
+            failed += block_failed
         mean = merits.mean(axis=0)
         if cfg.reps > 1:
             se = merits.std(axis=0, ddof=1) / np.sqrt(cfg.reps)

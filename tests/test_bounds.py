@@ -324,6 +324,18 @@ class TestClosedForms:
         assert anisotropy([4e-200, -4e-200, 4e-200]) == pytest.approx(2 / 3)
         assert np.isfinite(c_tomo_closed(RotWeight(1, 1), [0.0, 0.0, 2.8e-127]))
 
+    def test_overflowing_merits_rejected(self, recwarn):
+        x = np.array([0.1, 0.0, 0.0])
+        with pytest.raises(ValueError, match="merit overflows"):
+            c_opt_closed(RotWeight(1e308, 1.0), 0.1)
+        for w in (RotWeight(1e308, 1.0), RotWeight(1.0, 1e308)):
+            with pytest.raises(ValueError, match="merit overflows"):
+                c_tomo_closed(w, x)
+        # near the overflow threshold a finite merit is still returned
+        assert np.isfinite(c_opt_closed(RotWeight(4e307, 1.0), 0.1))
+        assert np.isfinite(c_opt_closed(RotWeight(1.0, 1e308), 0.1))
+        assert [str(w.message) for w in recwarn] == []
+
     def test_excess_identities(self):
         rng = np.random.default_rng(9)
         for _ in range(50):

@@ -68,6 +68,17 @@ class TestBounds:
         assert [str(w.message) for w in recwarn] == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", [["--f", "1e308", "--g", "1"],
+                                        ["--f", "1", "--g", "1e308"]])
+    def test_overflowing_custom_merit_is_a_usage_error(self, values, tmp_path, capsys,
+                                                       recwarn):
+        out = tmp_path / "bounds.csv"
+        assert run_cli(["bounds", "--weight", "custom", *values, "--rmax", "0.1",
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: merit overflows for these weight values\n"
+        assert [str(w.message) for w in recwarn] == []
+        assert not out.exists()
+
     def test_qfi_weight_at_radius_one_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "bounds.csv"
         assert run_cli(["bounds", "--weight", "qfi", "--rmax", "1", "--out", str(out)]) == 2

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from qest.measurements import bloch_pvm_mixture
 from qest.simulate import (
+    BLOCK_TRIALS,
     RunConfig,
     adaptive_run,
     checkpoint_schedule,
@@ -15,6 +18,7 @@ from qest.simulate import (
     _merits,
     _optimal_branches,
     _tomography_estimates,
+    _trial_block,
 )
 from qest.states import qubit_qfi, qubit_state
 from qest.bounds import classical_fisher, qcr_min_trace, tomography_weight
@@ -57,7 +61,7 @@ class TestRunTomography:
 
     def test_concentration_at_origin(self):
         rng = np.random.default_rng(2)
-        est = _tomography_estimates(np.zeros(3), [100000], rng)[0]
+        est = _tomography_estimates(np.zeros(3), [100000], [rng])[0, 0]
         # per-axis variance about 3/m
         assert np.linalg.norm(est) <= 0.05
 
@@ -67,7 +71,7 @@ class TestRunTomography:
         reps, m = 10000, 300
         acc = np.zeros(3)
         for _ in range(reps):
-            acc += _tomography_estimates(x0, [m], rng)[0]
+            acc += _tomography_estimates(x0, [m], [rng])[0, 0]
         mean = acc / reps
         stderr = np.sqrt(3 * (3 - x0 @ x0) / m / reps)  # per-component scale
         assert np.max(np.abs(mean - x0)) <= 4 * stderr
@@ -254,7 +258,7 @@ class TestMeritEquivalence:
         ratios = []
         for trial in range(200):
             rng = np.random.default_rng((77, 0, trial))
-            est = _tomography_estimates(x0, [4000], rng)[0]
+            est = _tomography_estimates(x0, [4000], [rng])[0, 0]
             dx = x0 - est
             bures = bures_distance(rho0, qubit_state(clamp_to_ball(est)))
             num = abs(2 * 4000 * bures - 4000 * dx @ j0 @ dx)
@@ -275,7 +279,7 @@ class TestTomographyMeritConvergence:
             merits = np.empty(reps)
             for trial in range(reps):
                 rng = np.random.default_rng((555, 0, trial))
-                dx = _tomography_estimates(x0, [m], rng)[0] - x0
+                dx = _tomography_estimates(x0, [m], [rng])[0, 0] - x0
                 merits[trial] = m * float(dx @ h @ dx)
             se = merits.std(ddof=1) / np.sqrt(reps)
             assert abs(merits.mean() - target) <= 5 * se
@@ -536,20 +540,17 @@ class TestVectorizedMerits:
             assert np.max(bures_gap) <= 1e-11
             assert np.array_equal(got[:, 1], want[:, 1])
 
-    def test_tomography_trial_matches_the_per_checkpoint_draws(self, monkeypatch):
-        import qest.simulate as simulate
-        # capture the estimates the trial hands to _merits
-        monkeypatch.setattr(simulate, "_merits", lambda x0, ckpts, est, eps: est)
-        cfg = RunConfig(x0=X0, m_max=3000, reps=1, eps_ball=0.01)
+    def test_tomography_trial_matches_the_per_checkpoint_draws(self):
         for checkpoints in (checkpoint_schedule(3000), np.array([1, 2, 3, 3000]),
                             np.array([3000])):
-            for trial in range(5):
-                seed = (9, 0, trial)
-                rng_new = np.random.default_rng(seed)
+            seeds = [(9, 0, trial) for trial in range(5)]
+            rngs_new = [np.random.default_rng(seed) for seed in seeds]
+            got = _tomography_estimates(X0, checkpoints, rngs_new)
+            assert got.shape == (5, len(checkpoints), 3)
+            for rng_new, seed, est in zip(rngs_new, seeds, got):
                 rng_old = np.random.default_rng(seed)
-                got = simulate._tomography_trial(cfg, checkpoints, rng_new)
                 want = _loop_tomography_estimates(X0, checkpoints, rng_old)
-                assert np.array_equal(got, want)
+                assert np.array_equal(est, want)
                 # both consumed the stream up to the same point
                 assert rng_new.random() == rng_old.random()
 
@@ -580,6 +581,87 @@ class TestRowClamp:
         want = np.array([clamp_to_ball(row, eps_ball) for row in rows])
         assert np.array_equal(got, want)
         assert np.array_equal(_clamp_rows(rows[:0], eps_ball), rows[:0])
+
+    @pytest.mark.parametrize("eps_ball", [1e-6, 0.01, 0.3])
+    def test_any_leading_shape(self, eps_ball):
+        from qest.simulate import _clamp_rows
+        rng = np.random.default_rng(91)
+        rho = 1.0 - eps_ball
+        points = rng.standard_normal((6, 50, 3))
+        radii = rng.uniform(0.0, 2.0, size=(6, 50))
+        # rows within a few ulps of the clamp sphere, and of the radius below
+        # which a row is returned without a call to _clamp_point
+        radii[0] = rho + rng.integers(-4, 5, size=50) * np.spacing(rho)
+        edge = rho * (1.0 - 1e-9)
+        radii[1] = edge + rng.integers(-4, 5, size=50) * np.spacing(edge)
+        points *= (radii / np.linalg.norm(points, axis=-1))[..., None]
+        points[2, 0] = 0.0
+        # rows just outside the sphere by math.hypot whose squared norm in
+        # numpy rounds to inside it: only the margin sends them to the clamp
+        cand = rng.standard_normal((50000, 3))
+        cand *= ((rho + rng.integers(1, 5, size=50000) * np.spacing(rho))
+                 / np.linalg.norm(cand, axis=1))[:, None]
+        outside = np.array([math.hypot(*c) > rho for c in cand.tolist()])
+        tricky = cand[outside & (np.einsum("ij,ij->i", cand, cand) <= rho * rho)][:50]
+        points[3, :len(tricky)] = tricky
+        got = _clamp_rows(points, eps_ball)
+        want = np.array([[clamp_to_ball(p, eps_ball) for p in block] for block in points])
+        assert got.shape == points.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(_clamp_rows(points[0, 0], eps_ball),
+                              clamp_to_ball(points[0, 0], eps_ball))
+
+
+class TestBlockScoring:
+    @pytest.mark.parametrize("kind, weight, m_max", [("tomography", "qfi", 3000),
+                                                     ("adaptive", "qfi", 60),
+                                                     ("adaptive", "identity", 60)])
+    def test_a_block_equals_its_trials_one_by_one(self, kind, weight, m_max):
+        cfg = RunConfig(x0=X0, weight=weight, m_max=m_max, reps=1, seed=8, eps_ball=0.01)
+        checkpoints = checkpoint_schedule(m_max)
+        n = 12
+        merits, failed = _trial_block(cfg, kind, checkpoints, range(n))
+        singles = [_trial_block(cfg, kind, checkpoints, [i]) for i in range(n)]
+        assert merits.shape == (n, len(checkpoints), 2)
+        assert np.array_equal(merits, np.concatenate([block for block, _ in singles]))
+        assert failed == sum(f for _, f in singles)
+        # any split into chunks scores each trial the same
+        assert np.array_equal(_trial_block(cfg, kind, checkpoints, range(1, n, 3))[0],
+                              merits[1::3])
+
+    @pytest.mark.parametrize("eps_ball", [1e-6, 0.01, 0.3])
+    def test_merits_of_a_block_equal_per_trial_calls(self, eps_ball):
+        rng = np.random.default_rng(63)
+        checkpoints = checkpoint_schedule(3000)
+        rho = 1.0 - eps_ball
+        estimates = X0 + rng.standard_normal((10, len(checkpoints), 3)) \
+            / np.sqrt(checkpoints)[:, None]
+        # rows on, just outside and far outside the clamp sphere
+        for i, scale in ((0, 1.0), (1, 1.0 + 1e-13), (2, 1.5)):
+            estimates[:, i] *= rho * scale / np.linalg.norm(estimates[:, i], axis=-1)[:, None]
+        got = _merits(X0, checkpoints, estimates, eps_ball)
+        want = np.stack([_merits(X0, checkpoints, est, eps_ball) for est in estimates])
+        assert got.shape == (10, len(checkpoints), 2)
+        assert np.array_equal(got, want)
+
+    def test_a_serial_job_scores_at_most_one_block_at_a_time(self, monkeypatch):
+        import qest.simulate as simulate
+        cfg = RunConfig(x0=X0, m_max=100, reps=2 * BLOCK_TRIALS + 5, seed=4)
+        checkpoints = checkpoint_schedule(cfg.m_max)
+        whole, _ = _trial_block(cfg, "tomography", checkpoints, range(cfg.reps))
+        sizes = []
+        real = simulate._tomography_estimates
+
+        def recording(x0, ckpts, rngs):
+            sizes.append(len(rngs))
+            return real(x0, ckpts, rngs)
+
+        monkeypatch.setattr(simulate, "_tomography_estimates", recording)
+        summary = monte_carlo(cfg, estimators=("tomography",), threads=1)["tomography"]
+        assert max(sizes) <= BLOCK_TRIALS and sum(sizes) == cfg.reps
+        assert np.array_equal(summary.mean_bures, whole[:, :, 0].mean(axis=0))
+        assert np.array_equal(summary.se_sq,
+                              whole[:, :, 1].std(axis=0, ddof=1) / np.sqrt(cfg.reps))
 
 
 class TestSmallJobsRunSerially:
