@@ -146,7 +146,8 @@ def cmd_bounds(args) -> int:
         g_num = bd.classical_fisher(st.qubit_slds(x), tomo)
         disc = max(abs(c - bd.qcr_min_trace(j, h).bound),
                    abs(ct - float(np.trace(h @ np.linalg.inv(g_num)))))
-        worst = max(worst, disc)
+        # absolute for merits of order 1, relative for larger ones
+        worst = max(worst, disc / max(1.0, abs(c), abs(ct)))
         rows.append([float(r), float(c), float(ct), float(disc)])
     emit_table(["r", "c", "cT", "discrepancy"], rows, args.out, args.format)
     if args.svg and args.out:
@@ -155,7 +156,8 @@ def cmd_bounds(args) -> int:
                    ("cT", [row[0] for row in rows], [row[2] for row in rows])],
                   "r", "merit")
     if worst >= 1e-6:
-        print(f"error: closed-form/numeric discrepancy {worst:.3e} >= 1e-6", file=sys.stderr)
+        print(f"error: closed-form/numeric discrepancy {worst:.3e} >= 1e-6, "
+              "relative to max(1, |c|, |cT|)", file=sys.stderr)
         return 1
     return 0
 

@@ -83,6 +83,9 @@ class RunConfig:
             weight = np.asarray(self.weight, dtype=float)
             if weight.shape != (3, 3):
                 raise ValueError("custom weight must be a 3x3 matrix")
+            # the symmetry check forms weight + weight.T, which must not overflow
+            if not np.all(np.abs(weight) <= np.finfo(float).max / 2):
+                raise ValueError("custom weight entries must be finite and at most 8.99e307")
             self.weight = _check_sym_pd(weight, "weight")
 
 
@@ -168,31 +171,31 @@ def clamp_to_ball(x, eps: float = 1e-6) -> np.ndarray:
 
 def _clamp_point(x: list, rho: float) -> list:
     """The projection of clamp_to_ball for a point given as floats: the
-    scaled point, or x itself when |x| <= rho already.  Every clamp in this
-    module goes through it, so all share one norm and one rounding rule."""
-    r = math.hypot(*x)
+    scaled point, or x itself when |x| <= rho already.  |x| is
+    sqrt(x0*x0 + x1*x1 + x2*x2), the one norm of every clamp and design here."""
+    x0, x1, x2 = x
+    r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     if r <= rho:
         return x
     s = rho / r
-    y = [v * s for v in x]
-    while math.hypot(*y) > rho:
+    y0, y1, y2 = x0 * s, x1 * s, x2 * s
+    while math.sqrt(y0 * y0 + y1 * y1 + y2 * y2) > rho:
         # rounding left y an ulp outside; shrink each coordinate by >= 1 ulp
-        y = [v * (1.0 - 2.0 ** -52) for v in y]
-    return y
+        y0, y1, y2 = (v * (1.0 - 2.0 ** -52) for v in (y0, y1, y2))
+    return [y0, y1, y2]
 
 
 def _clamp_rows(x: np.ndarray, eps: float) -> np.ndarray:
-    """clamp_to_ball applied to every point x[..., :] of x."""
+    """clamp_to_ball applied to every point x[..., :] of x, bit for bit."""
     rho = 1.0 - eps
-    rows = x.reshape(-1, 3)
-    out = rows.copy()
-    # a row this far inside the ball is one _clamp_point returns unchanged;
-    # the margin covers the rounding gap between this norm and math.hypot
-    inside = np.einsum("ij,ij->i", rows, rows) <= (rho * (1.0 - 1e-9)) ** 2
-    rest = np.flatnonzero(~inside)
-    if rest.size:
-        out[rest] = [_clamp_point(row, rho) for row in rows[rest].tolist()]
-    return out.reshape(x.shape)
+    x0, x1, x2 = np.moveaxis(x, -1, 0)
+    out = x * (rho / np.maximum(np.sqrt(x0 * x0 + x1 * x1 + x2 * x2), rho))[..., None]
+    while True:
+        y0, y1, y2 = np.moveaxis(out, -1, 0)
+        outside = np.sqrt(y0 * y0 + y1 * y1 + y2 * y2) > rho
+        if not outside.any():
+            return out
+        out[outside] *= 1.0 - 2.0 ** -52
 
 
 def checkpoint_schedule(m_max: int) -> np.ndarray:
@@ -259,17 +262,14 @@ def _rotational_branches(x, selector: str):
     chosen with weights sqrt((1 - r^2) g), sqrt(f), sqrt(f).  Both
     selectors have f = 1; g = 1 for "identity" and 1/(1 - r^2) for "qfi".
     """
-    x = np.array(x, dtype=float)
-    # numpy's dot, not a Python sum: BLAS fuses its multiply-adds, which
-    # rounds differently, and the sampled histories depend on these bits
-    r2 = float(x.dot(x))
+    x0, x1, x2 = x
+    r2 = x0 * x0 + x1 * x1 + x2 * x2
     if r2 == 0.0:
         third = 1.0 / 3.0
         return [third, third, third], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     w = math.sqrt(1.0 - r2) if selector == "identity" else 1.0
     s = math.sqrt(r2)
-    n0, n1, n2 = x.tolist()
-    n0, n1, n2 = n0 / s, n1 / s, n2 / s
+    n0, n1, n2 = x0 / s, x1 / s, x2 / s
     # Gram-Schmidt on the first coordinate axis least aligned with n; the
     # off-axis entries are 0.0 - t, not -t, which would turn +0.0 into -0.0
     m0, m1, m2 = abs(n0), abs(n1), abs(n2)
@@ -341,7 +341,7 @@ def _ball_newton_point(h6: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
     h = h6.tolist()
     c0, c1, c2 = c.tolist()
     y = _chol_solve(h, c0, c1, c2)
-    if y is not None and y[0] * y[0] + y[1] * y[1] + y[2] * y[2] <= rho * rho:
+    if y is not None and math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) <= rho:
         return np.array(y)
     a00, a11, a22, a01, a02, a12 = h
     mu, vecs = np.linalg.eigh(np.array([[a00, a01, a02], [a01, a11, a12],

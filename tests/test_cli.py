@@ -79,6 +79,25 @@ class TestBounds:
         assert [str(w.message) for w in recwarn] == []
         assert not out.exists()
 
+    def test_large_custom_weight_passes_the_scaled_gate(self, tmp_path, capsys, recwarn):
+        # merits of order 1e300 carry rounding gaps of order 1e292
+        out = tmp_path / "bounds.csv"
+        assert run_cli(["bounds", "--weight", "custom", "--f", "1", "--g", "1e300",
+                        "--rmax", "0.1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert [str(w.message) for w in recwarn] == []
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.read_text().strip().split("\n")[1:]]
+        assert max(row[3] for row in rows) > 1e-6
+
+    def test_order_one_gap_still_fails(self, tmp_path, capsys, monkeypatch):
+        from qest import bounds
+        closed = bounds.c_opt_closed
+        monkeypatch.setattr(bounds, "c_opt_closed", lambda w, r: closed(w, r) + 1e-5)
+        assert run_cli(["bounds", "--weight", "qfi", "--rmax", "0.5",
+                        "--out", str(tmp_path / "bounds.csv")]) == 1
+        assert "closed-form/numeric discrepancy 1." in capsys.readouterr().err
+
     def test_qfi_weight_at_radius_one_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "bounds.csv"
         assert run_cli(["bounds", "--weight", "qfi", "--rmax", "1", "--out", str(out)]) == 2

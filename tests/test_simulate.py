@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -345,6 +343,18 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             RunConfig(x0=X0, weight=weight)
 
+    @pytest.mark.parametrize("weight", [
+        1.5e308 * np.eye(3),          # weight + weight.T overflows
+        np.diag([1.0, np.inf, 1.0]),
+        np.diag([1.0, 1.0, np.nan]),
+    ])
+    def test_custom_weight_outside_the_float_range_is_named(self, weight):
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="custom weight entries must be finite"):
+                RunConfig(x0=X0, weight=weight)
+
     def test_symmetric_custom_weight_kept_bit_for_bit(self):
         a = np.random.default_rng(7).standard_normal((3, 3))
         h = (a + a.T) / 2 + 4.0 * np.eye(3)
@@ -589,27 +599,47 @@ class TestRowClamp:
         rho = 1.0 - eps_ball
         points = rng.standard_normal((6, 50, 3))
         radii = rng.uniform(0.0, 2.0, size=(6, 50))
-        # rows within a few ulps of the clamp sphere, and of the radius below
-        # which a row is returned without a call to _clamp_point
         radii[0] = rho + rng.integers(-4, 5, size=50) * np.spacing(rho)
-        edge = rho * (1.0 - 1e-9)
-        radii[1] = edge + rng.integers(-4, 5, size=50) * np.spacing(edge)
         points *= (radii / np.linalg.norm(points, axis=-1))[..., None]
         points[2, 0] = 0.0
-        # rows just outside the sphere by math.hypot whose squared norm in
-        # numpy rounds to inside it: only the margin sends them to the clamp
-        cand = rng.standard_normal((50000, 3))
-        cand *= ((rho + rng.integers(1, 5, size=50000) * np.spacing(rho))
-                 / np.linalg.norm(cand, axis=1))[:, None]
-        outside = np.array([math.hypot(*c) > rho for c in cand.tolist()])
-        tricky = cand[outside & (np.einsum("ij,ij->i", cand, cand) <= rho * rho)][:50]
-        points[3, :len(tricky)] = tricky
+        # rows whose norm sqrt(x0*x0 + x1*x1 + x2*x2) lies on the clamp
+        # sphere, or a few ulps inside or outside it
+        near = _near_sphere(rng, rho, 50)
+        ulps = (_design_norm(near) - rho) / np.spacing(rho)
+        assert (ulps < 0).any() and (ulps == 0).any() and (ulps > 0).any()
+        points[3] = near
         got = _clamp_rows(points, eps_ball)
         want = np.array([[clamp_to_ball(p, eps_ball) for p in block] for block in points])
         assert got.shape == points.shape
         assert np.array_equal(got, want)
         assert np.array_equal(_clamp_rows(points[0, 0], eps_ball),
                               clamp_to_ball(points[0, 0], eps_ball))
+
+    @pytest.mark.parametrize("eps_ball", [1e-6, 0.01, 0.3])
+    def test_clamped_points_lie_in_the_ball_by_the_design_norm(self, eps_ball):
+        from qest.simulate import _clamp_point, _clamp_rows
+        rng = np.random.default_rng(92)
+        rho = 1.0 - eps_ball
+        points = np.concatenate([_near_sphere(rng, rho, 2000),
+                                 rng.standard_normal((2000, 3)) * 3.0])
+        rows = _clamp_rows(points, eps_ball)
+        singles = np.array([_clamp_point(p, rho) for p in points.tolist()])
+        for clamped in (rows, singles):
+            assert np.all(_design_norm(clamped) <= rho)
+
+
+def _near_sphere(rng, rho, n):
+    """n points whose norm sqrt(x0*x0 + x1*x1 + x2*x2) lies within 4 ulps
+    of rho."""
+    cand = rng.standard_normal((4 * n, 3))
+    cand *= ((rho + rng.integers(-3, 4, size=4 * n) * np.spacing(rho))
+             / np.linalg.norm(cand, axis=1))[:, None]
+    return cand[np.abs(_design_norm(cand) - rho) <= 4 * np.spacing(rho)][:n]
+
+
+def _design_norm(x):
+    """|x| as the rotational design and the clamp compute it."""
+    return np.sqrt(x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2])
 
 
 class TestBlockScoring:
@@ -760,7 +790,7 @@ def _numpy_rotational_branches(x, selector):
     """The rotational design as numpy arrays, the route adaptive_run took
     before its step ran on Python floats."""
     import math
-    r2 = float(x @ x)
+    r2 = float(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
     if r2 == 0.0:
         return np.full(3, 1.0 / 3.0), np.eye(3)
     w = math.sqrt(1.0 - r2) if selector == "identity" else 1.0
