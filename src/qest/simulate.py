@@ -3,12 +3,12 @@
 One adaptive trial alternates: derive the merit-optimal random measurement
 at the running design estimate, sample one outcome from the true state, and
 move the design estimate by one O(1) scoring step on the observed
-information.  At each checkpoint of a fixed geometric grid the design
-estimate is reset to the certified constrained maximum-likelihood estimate
-over the recorded history, and that certified estimate is what the
-checkpoint reports.  Monte Carlo aggregation reports the scaled Bures and
-squared-error figures of merit at the checkpoints, next to the theoretical
-limits of both schemes.
+information, on Python floats for rotational weights.  At each checkpoint of
+a fixed geometric grid the design estimate is reset to the certified
+constrained maximum-likelihood estimate over the recorded history, and that
+certified estimate is what the checkpoint reports.  Monte Carlo aggregation
+reports the scaled Bures and squared-error figures of merit at the
+checkpoints, next to the theoretical limits of both schemes.
 
 Everything is deterministic given the seed: trial i draws from an
 independent substream derived from (seed, estimator, i), and aggregation
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -67,10 +66,10 @@ class RunConfig:
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (3,) or not float(self.x0 @ self.x0) < 1.0:
             raise ValueError("x0 must be a Stokes vector strictly inside the ball")
-        if self.m_max < 1 or self.reps < 1:
-            raise ValueError("m_max and reps must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        for name, low in (("m_max", 1), ("reps", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
         if not 0.0 < self.eps_ball < 1.0:
             raise ValueError("eps_ball must lie strictly between 0 and 1")
         if self.eps_ball < 1e-12:
@@ -87,6 +86,13 @@ class RunConfig:
             if not np.all(np.abs(weight) <= np.finfo(float).max / 2):
                 raise ValueError("custom weight entries must be finite and at most 8.99e307")
             self.weight = _check_sym_pd(weight, "weight")
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    finite = all(map(math.isfinite, theoretical_merits(self)))
+                except OverflowError:
+                    finite = False
+            if not finite:
+                raise ValueError("merit overflows for these weight values")
 
 
 @dataclass
@@ -236,38 +242,33 @@ def tomography_estimate(counts: np.ndarray) -> np.ndarray:
 
 
 def _optimal_branches(x, weight):
-    """Branch probabilities and PVM axes of the merit-optimal random
-    measurement at x, in Bloch form, as lists of floats.
+    """The merit-optimal random measurement at x in Bloch form, as the 12
+    floats (p0, p1, p2, axis0, axis1, axis2) of its branch probabilities and
+    PVM axes.
 
-    Branch i measures the PVM with projectors (I +- axes[i].sigma)/2 and is
-    chosen with probability probs[i].  weight is a selector or a fixed
-    matrix.  The rotational selectors "identity" and "qfi" use the closed
-    form; any other weight is resolved at x and handed to
-    bounds.qubit_design.
-    """
-    if isinstance(weight, str) and weight in ("identity", "qfi"):
-        return _rotational_branches(x, weight)
-    # the SLD Bloch vectors of the Stokes model are the rows of J
-    j = qubit_qfi(x)
-    sol = qubit_design(j, j, resolve_weight(weight, x))
-    return sol.probs.tolist(), sol.axes.tolist()
-
-
-def _rotational_branches(x, selector: str):
-    """Closed-form design for a weight f (I - n n^T) + g n n^T, n = x/|x|.
-
+    Branch i measures the PVM with projectors (I +- axis_i.sigma)/2 and is
+    chosen with probability p_i.  weight is a selector or a fixed matrix.
+    The rotational selectors "identity" and "qfi" have a weight
+    f (I - n n^T) + g n n^T, n = x/|x|, with f = 1 and g = 1 or 1/(1 - r^2):
     J^-1/2 H J^-1/2 has eigenvalues f, f on the plane orthogonal to n and
     (1 - r^2) g along n, and sqrt(J) leaves those eigenvectors' directions
     unchanged, so the axes are n and an orthonormal pair orthogonal to it,
-    chosen with weights sqrt((1 - r^2) g), sqrt(f), sqrt(f).  Both
-    selectors have f = 1; g = 1 for "identity" and 1/(1 - r^2) for "qfi".
+    chosen with weights sqrt((1 - r^2) g), sqrt(f), sqrt(f).  Any other
+    weight is resolved at x and handed to bounds.qubit_design; a branch it
+    drops has probability 0 and axis 0.
     """
+    if not (isinstance(weight, str) and weight in ("identity", "qfi")):
+        # the SLD Bloch vectors of the Stokes model are the rows of J
+        j = qubit_qfi(x)
+        sol = qubit_design(j, j, resolve_weight(weight, x))
+        pad = [0.0] * (3 - len(sol.probs))
+        return (*sol.probs.tolist(), *pad, *sol.axes.ravel().tolist(), *pad, *pad, *pad)
     x0, x1, x2 = x
     r2 = x0 * x0 + x1 * x1 + x2 * x2
     if r2 == 0.0:
         third = 1.0 / 3.0
-        return [third, third, third], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    w = math.sqrt(1.0 - r2) if selector == "identity" else 1.0
+        return third, third, third, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    w = math.sqrt(1.0 - r2) if weight == "identity" else 1.0
     s = math.sqrt(r2)
     n0, n1, n2 = x0 / s, x1 / s, x2 / s
     # Gram-Schmidt on the first coordinate axis least aligned with n; the
@@ -282,9 +283,8 @@ def _rotational_branches(x, selector: str):
     na = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
     a0, a1, a2 = a0 / na, a1 / na, a2 / na
     total = w + 2.0
-    return [w / total, 1.0 / total, 1.0 / total], [
-        [n0, n1, n2], [a0, a1, a2],
-        [n1 * a2 - n2 * a1, n2 * a0 - n0 * a2, n0 * a1 - n1 * a0]]
+    return (w / total, 1.0 / total, 1.0 / total, n0, n1, n2, a0, a1, a2,
+            n1 * a2 - n2 * a1, n2 * a0 - n0 * a2, n0 * a1 - n1 * a0)
 
 
 def _log_likelihood(traces: np.ndarray, bloch: np.ndarray, x: np.ndarray) -> float:
@@ -430,14 +430,13 @@ def mle_maximize(traces, bloch, init, *, eps_ball: float = 1e-6,
     return x, False
 
 
-def _running_update(info: list, x: list, p: float, b: tuple, eps_ball: float):
-    """One O(1) step of the running design estimate after the element
+def _running_update(info: list, x0: float, x1: float, x2: float, p: float,
+                    b0: float, b1: float, b2: float, rho: float):
+    """One O(1) step of the running design estimate x after the element
     (p I + b.sigma)/2 was observed: with u = max(p + b.x, 2 PROB_FLOOR), add
     b b^T / u^2 to the observed information info (six entries, updated in
-    place) and return x + info^-1 b / u clamped to the ball, as a list of
-    floats, or None when info is not positive definite."""
-    b0, b1, b2 = b
-    x0, x1, x2 = x
+    place) and return the three floats of x + info^-1 b / u clamped to the
+    ball of radius rho, or None when info is not positive definite."""
     u = max(p + b0 * x0 + b1 * x1 + b2 * x2, 2.0 * PROB_FLOOR)
     w = 1.0 / (u * u)
     info[0] += b0 * b0 * w
@@ -449,24 +448,36 @@ def _running_update(info: list, x: list, p: float, b: tuple, eps_ball: float):
     step = _chol_solve(info, b0 / u, b1 / u, b2 / u)
     if step is None:
         return None
-    y = [x0 + step[0], x1 + step[1], x2 + step[2]]
-    return _clamp_point(y, 1.0 - eps_ball)
+    y0, y1, y2 = x0 + step[0], x1 + step[1], x2 + step[2]
+    if math.sqrt(y0 * y0 + y1 * y1 + y2 * y2) <= rho:
+        return y0, y1, y2
+    return _clamp_point((y0, y1, y2), rho)
 
 
-def _draw_outcome(probs: list, axes: list, x_true: list, u: float) -> int:
+def _draw_outcome(design: tuple, x_true, u: float) -> int:
     """Outcome index, 2 * branch for the - projector and 2 * branch + 1 for
-    the +, of the branch mixture (probs, axes) measured on the state with
-    Stokes vector x_true, by inverse CDF at the uniform u."""
+    the +, of the design (the floats of _optimal_branches) measured on the
+    state x_true: min(bisect_right([q0, ..., q5], u * q5), 5) for the
+    running sums q of the outcome probabilities, probed in bisect_right's
+    own order, because a term can round below zero and then the q are not
+    monotone."""
+    p0, p1, p2, a00, a01, a02, a10, a11, a12, a20, a21, a22 = design
     t0, t1, t2 = x_true
-    cum = []
-    acc = 0.0
-    for p, (a0, a1, a2) in zip(probs, axes):
-        d = a0 * t0 + a1 * t1 + a2 * t2
-        acc += p * (1.0 - d) / 2.0
-        cum.append(acc)
-        acc += p * (1.0 + d) / 2.0
-        cum.append(acc)
-    return min(bisect_right(cum, u * acc), len(cum) - 1)
+    d = a00 * t0 + a01 * t1 + a02 * t2
+    q0 = p0 * (1.0 - d) / 2.0
+    q1 = q0 + p0 * (1.0 + d) / 2.0
+    d = a10 * t0 + a11 * t1 + a12 * t2
+    q2 = q1 + p1 * (1.0 - d) / 2.0
+    q3 = q2 + p1 * (1.0 + d) / 2.0
+    d = a20 * t0 + a21 * t1 + a22 * t2
+    q4 = q3 + p2 * (1.0 - d) / 2.0
+    q5 = q4 + p2 * (1.0 + d) / 2.0
+    v = u * q5
+    if v < q3:
+        if v < q1:
+            return 0 if v < q0 else 1
+        return 2 if v < q2 else 3
+    return 4 if v < q5 and v < q4 else 5
 
 
 def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
@@ -484,67 +495,62 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     and I is rebuilt there.  The estimate reported at a checkpoint is that
     certified estimate.
 
-    Between solves a step works on Python floats only: the design estimate
-    is a list of three floats, and the applied elements and outcomes are
-    appended to lists.  Before each solve the steps since the previous one
-    are written into the history arrays (Bloch columns, their pairwise
-    products, traces and outcomes); m_max is a checkpoint, so the arrays
-    are complete when the trial ends.
+    A step works on Python floats and creates no list: the design is the 12
+    floats of _optimal_branches and the design estimate three floats.  Each
+    step appends its trace, Bloch vector and outcome to one flat list, which
+    the next solve writes into the history arrays (Bloch columns, their
+    pairwise products, traces and outcomes); m_max is a checkpoint, so the
+    arrays are complete when the trial ends.
     """
     checkpoints = checkpoint_schedule(cfg.m_max)
-    ckpts = checkpoints.tolist()
     weight = cfg.weight
-    eps_ball = cfg.eps_ball
+    rho = 1.0 - cfg.eps_ball
     x_true = cfg.x0.tolist()
-    x_hat = [0.0, 0.0, 0.0]
+    x0 = x1 = x2 = 0.0
     m_max = cfg.m_max
-    draws = rng.random(m_max).tolist()
     traces = np.empty(m_max)
     bloch = np.empty((3, m_max))
     products = np.empty((6, m_max))
     outcomes = np.empty(m_max, dtype=np.int8)
-    estimates = np.empty((len(checkpoints), 3))
-    # the steps since the last solve, which copies them into the arrays
-    written = 0
-    step_traces, step_bloch, step_outcomes = [], [], []
-    ckpt_pos = 0
+    estimates = []
+    # (trace, Bloch vector, outcome) of each step since the last solve, end
+    # to end; the solve copies them into the arrays
+    steps = []
+    ckpt_iter = iter(checkpoints.tolist())
+    next_ckpt = next(ckpt_iter)
     n_failed = 0
-    for m in range(m_max):
-        probs, axes = _optimal_branches(x_hat, weight)
-        idx = _draw_outcome(probs, axes, x_true, draws[m])
-        branch = idx // 2
-        p = probs[branch]
+    for n, draw in enumerate(rng.random(m_max).tolist(), 1):
+        design = _optimal_branches((x0, x1, x2), weight)
+        idx = _draw_outcome(design, x_true, draw)
+        p = design[idx // 2]
         signed = p if idx % 2 else -p
-        a0, a1, a2 = axes[branch]
-        b = (a0 * signed, a1 * signed, a2 * signed)
-        step_traces.append(p)
-        step_bloch.append(b)
-        step_outcomes.append(idx)
-        n = m + 1
+        k = 3 + 3 * (idx // 2)
+        b0, b1, b2 = design[k] * signed, design[k + 1] * signed, design[k + 2] * signed
+        steps += p, b0, b1, b2, idx
         # step 1 is a checkpoint, so info exists before the first running update
-        at_checkpoint = n == ckpts[ckpt_pos]
-        x_run = None if at_checkpoint else _running_update(info, x_hat, p, b, eps_ball)
-        if x_run is not None:
-            x_hat = x_run
-            continue
-        traces[written:n] = step_traces
-        bloch[:, written:n] = np.array(step_bloch).T
-        products[:, written:n] = _bloch_products(bloch[:, written:n])
-        outcomes[written:n] = step_outcomes
-        written = n
-        for steps in (step_traces, step_bloch, step_outcomes):
-            steps.clear()
-        x_mle, ok = mle_maximize(traces[:n], bloch[:, :n].T, x_hat, eps_ball=eps_ball,
-                                 products=products[:, :n])
+        if n != next_ckpt:
+            x_run = _running_update(info, x0, x1, x2, p, b0, b1, b2, rho)
+            if x_run is not None:
+                x0, x1, x2 = x_run
+                continue
+        block = np.reshape(steps, (-1, 5)).T
+        written = n - block.shape[1]
+        traces[written:n] = block[0]
+        bloch[:, written:n] = block[1:4]
+        products[:, written:n] = _bloch_products(block[1:4])
+        outcomes[written:n] = block[4]
+        steps.clear()
+        x_mle, ok = mle_maximize(traces[:n], bloch[:, :n].T, (x0, x1, x2),
+                                 eps_ball=cfg.eps_ball, products=products[:, :n])
         n_failed += not ok
         u = np.maximum(traces[:n] + x_mle @ bloch[:, :n], 2.0 * PROB_FLOOR)
         info = (products[:, :n] @ (1.0 / (u * u))).tolist()
-        x_hat = x_mle.tolist()
-        if at_checkpoint:
-            estimates[ckpt_pos] = x_mle
-            ckpt_pos += 1
+        x0, x1, x2 = x_mle.tolist()
+        if n == next_ckpt:
+            estimates.append(x_mle)
+            next_ckpt = next(ckpt_iter, 0)
     return TrialRecord(element_traces=traces, element_bloch=bloch.T, outcomes=outcomes,
-                       checkpoints=checkpoints, estimates=estimates,
+                       checkpoints=checkpoints, estimates=np.array(estimates),
                        n_opt_failed=n_failed)
 
 
@@ -647,12 +653,12 @@ def _env_threads() -> int:
 
 
 # Rough one-core trial cost per adaptive step and per tomography checkpoint
-# (2-vCPU Xeon; an adaptive step took 10-11 us at m_max = 3000 for both
-# rotational weights; a tomography trial scored in a block took 60-125 us over
-# its 33 checkpoints, as the machine's load varied).  A process pool costs
-# about 0.1 s to start and feed, so a job with less estimated serial work than
-# POOL_MIN_WORK_S runs serially.
-_TRIAL_COST_S = {"adaptive": 1.1e-5, "tomography": 3e-6}
+# (2-vCPU Xeon; an adaptive step took 5-5.5 us at m_max = 3000 for both
+# rotational weights, BENCH_12.json; a tomography trial scored in a block took
+# 60-125 us over its 33 checkpoints, as the machine's load varied).  A process
+# pool costs about 0.1 s to start and feed, so a job with less estimated serial
+# work than POOL_MIN_WORK_S runs serially.
+_TRIAL_COST_S = {"adaptive": 5e-6, "tomography": 3e-6}
 POOL_MIN_WORK_S = 0.25
 # trials per block; a block holds its trials' draws and estimates at once
 BLOCK_TRIALS = 256

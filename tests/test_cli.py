@@ -148,6 +148,18 @@ class TestSimulate:
     def test_bad_config_exit_code(self):
         assert run_cli(["simulate", "--x0", "1.5,0,0"]) == 2
 
+    @pytest.mark.parametrize("matrix", ["[[8e307, 0, 0], [0, 8e307, 0], [0, 0, 8e307]]",
+                                        "[[8e307, 0, 0], [0, 1, 0], [0, 0, 1]]"])
+    def test_overflowing_custom_merit_is_a_usage_error(self, matrix, tmp_path, capsys,
+                                                       recwarn):
+        out = tmp_path / "mc"
+        assert run_cli(["simulate", "--x0", "0.1,0.2,0.3", "--weight", "custom",
+                        "--weight-matrix", matrix, "--m", "20", "--reps", "2",
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: merit overflows for these weight values\n")
+        assert [str(w.message) for w in recwarn] == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_uncertified_solves_warn(self, tmp_path, capsys, monkeypatch):
         import qest.simulate as simulate
         monkeypatch.setenv("QEST_THREADS", "1")

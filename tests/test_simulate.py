@@ -127,7 +127,7 @@ class TestMleMaximize:
 
 class TestOptimalBranches:
     def test_origin_rotational_weight_gives_pauli_mix(self):
-        probs, axes = _optimal_branches(np.zeros(3), np.eye(3))
+        probs, axes = _probs_axes(_optimal_branches(np.zeros(3), np.eye(3)))
         assert np.allclose(probs, [1 / 3, 1 / 3, 1 / 3])
         assert np.allclose(np.abs(axes), np.eye(3), atol=1e-12)
 
@@ -142,7 +142,7 @@ class TestOptimalBranches:
             derivs = qubit_slds(x)
             j = qubit_qfi(x)
             sol = optimal_measurement(derivs, j, h)
-            probs, axes = _optimal_branches(x, h)
+            probs, axes = _probs_axes(_optimal_branches(x, h))
             # same Fisher matrix either way
             g_fast = classical_fisher(derivs, bloch_pvm_mixture(probs, axes))
             assert np.max(np.abs(g_fast - sol.fisher_target)) <= 1e-8
@@ -160,7 +160,7 @@ class TestOptimalBranches:
             x = rng.standard_normal(3)
             points.append(x * rng.random() * 0.95 / np.linalg.norm(x))
         for x in points:
-            probs, axes = map(np.asarray, _optimal_branches(x, selector))
+            probs, axes = map(np.asarray, _probs_axes(_optimal_branches(x, selector)))
             old_probs, old_axes = _sqrt_j_route(x, resolve_weight(selector, x))
             assert probs.shape == old_probs.shape
             assert np.max(np.abs(probs - old_probs)) <= 1e-12
@@ -355,6 +355,26 @@ class TestInputValidation:
             with pytest.raises(ValueError, match="custom weight entries must be finite"):
                 RunConfig(x0=X0, weight=weight)
 
+    @pytest.mark.parametrize("weight", [8e307 * np.eye(3), np.diag([8e307, 1.0, 1.0])])
+    def test_custom_weight_whose_merit_overflows_is_named(self, weight):
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="merit overflows"):
+                RunConfig(x0=(0.1, 0.2, 0.3), weight=weight)
+
+    @pytest.mark.parametrize("field, value", [("m_max", 2.5), ("m_max", True), ("reps", 2.5),
+                                              ("reps", False), ("seed", 1.5),
+                                              ("seed", np.float64(2.0)), ("seed", "3")])
+    def test_non_integer_count_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            RunConfig(x0=X0, **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = RunConfig(x0=X0, m_max=np.int64(5), reps=np.int32(2), seed=np.uint8(3))
+        out = monte_carlo(cfg, threads=1)
+        assert [len(s.checkpoints) for s in out.values()] == [5, 5]
+
     def test_symmetric_custom_weight_kept_bit_for_bit(self):
         a = np.random.default_rng(7).standard_normal((3, 3))
         h = (a + a.T) / 2 + 4.0 * np.eye(3)
@@ -489,11 +509,11 @@ class TestRotationalDesign:
 
         for x in points:
             h = resolve_weight(selector, x)
-            probs, axes = map(np.asarray, _optimal_branches(x, selector))
+            probs, axes = map(np.asarray, _probs_axes(_optimal_branches(x, selector)))
             assert probs.sum() == pytest.approx(1.0, abs=1e-14)
             assert np.allclose(axes @ axes.T, np.eye(3), atol=1e-12)
             g_closed = fisher(x, probs, axes)
-            g_eigh = fisher(x, *_optimal_branches(x, h))
+            g_eigh = fisher(x, *_probs_axes(_optimal_branches(x, h)))
             target = optimal_measurement(qubit_slds(x), qubit_qfi(x), h).fisher_target
             assert np.max(np.abs(g_closed - g_eigh)) <= 1e-8 * max(1.0, np.abs(g_eigh).max())
             assert np.max(np.abs(g_closed - target)) <= 1e-8 * max(1.0, np.abs(target).max())
@@ -744,10 +764,11 @@ class TestRunningDesignEstimate:
         calls = []
         update = simulate._running_update
 
-        def recording(info, x, p, b, eps_ball):
+        def recording(info, x0, x1, x2, p, b0, b1, b2, rho):
             before = np.array(info)
-            out = update(info, x, p, b, eps_ball)
-            calls.append((before, x.copy(), p, np.array(b), eps_ball, out))
+            out = update(info, x0, x1, x2, p, b0, b1, b2, rho)
+            calls.append((before, np.array([x0, x1, x2]), p, np.array([b0, b1, b2]),
+                          1.0 - rho, out))
             return out
 
         monkeypatch.setattr(simulate, "_running_update", recording)
@@ -773,7 +794,7 @@ class TestRunningDesignEstimate:
         p, b, x = 1e-13, np.array([0.0, 0.0, 1e-13]), np.array([0.0, 0.0, -0.9])
         info = [50.0, 40.0, 30.0, 1.0, 2.0, 3.0]
         _, step = _reference_running_step(np.array(info), x, p, b)
-        out = _running_update(info, x, p, tuple(b), 0.01)
+        out = _running_update(info, *x, p, *b, 1.0 - 0.01)
         assert np.max(np.abs(out - clamp_to_ball(step, 0.01))) <= 1e-12
 
 
@@ -784,6 +805,49 @@ def _reference_running_step(h6, x, p, b):
     h = np.array([[h6[0], h6[3], h6[4]], [h6[3], h6[1], h6[5]],
                   [h6[4], h6[5], h6[2]]]) + np.outer(b, b) / u ** 2
     return h, x + np.linalg.solve(h, b / u)
+
+
+def _probs_axes(design):
+    """(probs, axes) as lists from the flat floats of _optimal_branches,
+    without the zero-probability branches that pad a design whose weight
+    left qubit_design fewer than three."""
+    kept = [i for i in range(3) if design[i] != 0.0]
+    return [design[i] for i in kept], [list(design[3 + 3 * i:6 + 3 * i]) for i in kept]
+
+
+def _sampler_cases(weight, rng):
+    """(design, true state, uniforms) triples for the sampler tests.
+
+    Designs at the origin and at 100 random points are measured on X0, on
+    three axis states, two of them pure, and on each design axis with
+    either sign.  On a design axis one outcome term can round below zero,
+    so a running sum q_k of the outcome probabilities can fall below
+    q_{k-1}; the uniforms are 0, 1 - 2^-53, 20 random ones, and every u < 1
+    within 4 ulps of q_k / q_5 with u q_5 in [q_k, q_{k-1}).
+    """
+    import math
+    from itertools import accumulate
+    designs = [_optimal_branches(np.zeros(3), weight)]
+    for _ in range(100):
+        x = rng.standard_normal(3)
+        designs.append(_optimal_branches(x * rng.random() * 0.99 / np.linalg.norm(x), weight))
+    fixed = [X0.tolist(), [0.0, 0.0, 0.999], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+    for design in designs:
+        probs, axes = _probs_axes(design)
+        for t in fixed + [[s * a for a in axis] for axis in axes for s in (1.0, -1.0)]:
+            uniforms = [0.0, 1.0 - 2.0 ** -53, *rng.random(20).tolist()]
+            q = list(accumulate(p * (1.0 + s * (a0 * t[0] + a1 * t[1] + a2 * t[2])) / 2.0
+                                for p, (a0, a1, a2) in zip(probs, axes) for s in (-1.0, 1.0)))
+            for k in range(1, len(q)):
+                if q[k] < q[k - 1]:
+                    u = q[k] / q[-1]
+                    for _ in range(4):
+                        u = math.nextafter(u, 0.0)
+                    for _ in range(9):
+                        if u < 1.0 and q[k] <= u * q[-1] < q[k - 1]:
+                            uniforms.append(u)
+                        u = math.nextafter(u, 1.0)
+            yield design, t, uniforms
 
 
 def _numpy_rotational_branches(x, selector):
@@ -834,7 +898,7 @@ def _per_step_adaptive_run(cfg, rng):
             probs, axes = _numpy_rotational_branches(x_hat, cfg.weight)
             probs, axes = probs.tolist(), axes.tolist()
         else:
-            probs, axes = _optimal_branches(x_hat, cfg.weight)
+            probs, axes = _probs_axes(_optimal_branches(x_hat, cfg.weight))
         idx = _accumulate_draw(probs, axes, x_true, rng.random())
         p = probs[idx // 2]
         signed = p if idx % 2 else -p
@@ -872,7 +936,6 @@ def _per_step_adaptive_run(cfg, rng):
 class TestFloatAdaptiveStep:
     @pytest.mark.parametrize("selector", ["identity", "qfi"])
     def test_rotational_branches_equal_the_numpy_route(self, selector):
-        from qest.simulate import _rotational_branches
         rng = np.random.default_rng(95)
         dirs = rng.standard_normal((2000, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -890,29 +953,41 @@ class TestFloatAdaptiveStep:
         for x in points:
             want_probs, want_axes = _numpy_rotational_branches(x, selector)
             for arg in (x, x.tolist()):
-                probs, axes = _rotational_branches(arg, selector)
+                probs, axes = _probs_axes(_optimal_branches(arg, selector))
                 assert probs == want_probs.tolist()
                 assert axes == want_axes.tolist()
 
     @pytest.mark.parametrize("weight", ["identity", "qfi", "tomography"])
     def test_scalar_sampler_equals_the_accumulate_sampler(self, weight):
         from qest.simulate import _draw_outcome
-        rng = np.random.default_rng(96)
-        designs = [_optimal_branches(np.zeros(3), weight)]
-        for _ in range(100):
-            x = rng.standard_normal(3)
-            designs.append(_optimal_branches(x * rng.random() * 0.99 / np.linalg.norm(x),
-                                             weight))
-        # true states on a design axis, and hence outcomes of probability 0
-        truths = [X0, np.array([0.0, 0.0, 0.999]), np.array([1.0, 0.0, 0.0]),
-                  np.array([0.0, -1.0, 0.0])]
-        for probs, axes in designs:
-            for x_true in truths:
-                x_true = x_true.tolist()
-                uniforms = [0.0, 1.0 - 2.0 ** -53, *rng.random(20).tolist()]
-                for u in uniforms:
-                    assert (_draw_outcome(probs, axes, x_true, u)
-                            == _accumulate_draw(probs, axes, x_true, u))
+        windows = 0
+        for design, x_true, uniforms in _sampler_cases(weight, np.random.default_rng(96)):
+            # uniforms past the first 22 put u q_5 where the sums are not monotone
+            windows += len(uniforms) > 22
+            for u in uniforms:
+                assert (_draw_outcome(design, x_true, u)
+                        == _accumulate_draw(*_probs_axes(design), x_true, u))
+        assert windows >= 20
+
+    @pytest.mark.parametrize("weight", [np.diag([1e-9, 1e300, 1e300]),
+                                        np.diag([1e300, 1e-9, 1e-9])])
+    def test_designs_with_dropped_branches_draw_as_before(self, weight):
+        from qest.simulate import _draw_outcome
+        design = _optimal_branches(X0, weight)
+        assert 0.0 in design[:3]
+        for x_true in (X0.tolist(), [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]):
+            for u in [0.0, 1.0 - 2.0 ** -53, *np.random.default_rng(99).random(50).tolist()]:
+                assert (_draw_outcome(design, x_true, u)
+                        == _accumulate_draw(*_probs_axes(design), x_true, u))
+        cfg = RunConfig(x0=X0, weight=weight, m_max=100, reps=1, seed=99, eps_ball=0.01)
+        rec = adaptive_run(cfg, np.random.default_rng((99, 1, 0)))
+        traces, bloch, outcomes, estimates, n_failed = _per_step_adaptive_run(
+            cfg, np.random.default_rng((99, 1, 0)))
+        assert np.array_equal(rec.element_traces, traces)
+        assert np.array_equal(rec.element_bloch, bloch)
+        assert np.array_equal(rec.outcomes, outcomes)
+        assert np.array_equal(rec.estimates, estimates)
+        assert rec.n_opt_failed == n_failed
 
     def test_one_batch_of_uniforms_equals_single_draws(self):
         for trial in range(20):
