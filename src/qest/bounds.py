@@ -70,6 +70,8 @@ class OptimalSolution:
     `scales` diagonalize R; `fisher_target` is the unique Fisher matrix of
     any minimizing measurement.  `probs` and `axes` (unit Bloch vectors)
     are filled by qubit_design, `measurement` by optimal_measurement.
+    For stacks of J and H, `bound` is an array over the stack and each
+    matrix field a stack.
     """
 
     bound: float
@@ -83,22 +85,29 @@ class OptimalSolution:
     attainable: bool | None = None
 
 
+# The kernels below take one matrix or Stokes vector, or a stack (..., d, d)
+# or (..., 3) of them, and return one value or a stack.  A stacked eigh, inv
+# or @ gives each matrix the bits of its own call, and np.vecdot gives each
+# vector the bits of x @ x, so each element of a stack gets the bits of its
+# own call.  A check that fails for any element raises what the call on that
+# element alone raises.
+
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    defect = float(np.abs(m - m.T).max())
+    defect = float(np.abs(m - m.mT).max())
     # a NaN or infinite entry makes its own or its mirror's difference NaN
     if math.isnan(defect):
         raise ValueError(f"{name} has non-finite entries")
     if defect > SYM_TOL:
         raise SingularInputError(f"{name} is not symmetric")
-    return (m + m.T) / 2
+    return (m + m.mT) / 2
 
 
 def _check_sym_pd(m: np.ndarray, name: str) -> np.ndarray:
     m = _symmetrized(m, name)
-    if float(np.linalg.eigvalsh(m)[0]) <= PD_TOL:
+    if np.linalg.eigvalsh(m)[..., 0].min() <= PD_TOL:
         raise SingularInputError(f"{name} is not positive definite")
     return m
 
@@ -107,10 +116,15 @@ def _sqrt_and_inv_sqrt(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(J) and J^-1/2 from one eigendecomposition, which also checks
     that J is symmetric positive definite."""
     values, vectors = np.linalg.eigh(_symmetrized(j, "quantum Fisher matrix"))
-    if values[0] <= PD_TOL:
+    if values[..., 0].min() <= PD_TOL:
         raise SingularInputError("quantum Fisher matrix is not positive definite")
-    root = np.sqrt(values)
-    return (vectors * root) @ vectors.T, (vectors / root) @ vectors.T
+    root = np.sqrt(values)[..., None, :]
+    return (vectors * root) @ vectors.mT, (vectors / root) @ vectors.mT
+
+
+def _scalar(a):
+    """A 0-d result as a Python float; a stack's as it is."""
+    return float(a) if np.ndim(a) == 0 else a
 
 
 def classical_fisher(derivs: ModelDerivatives, povm: Povm) -> np.ndarray:
@@ -119,30 +133,39 @@ def classical_fisher(derivs: ModelDerivatives, povm: Povm) -> np.ndarray:
     g_ij = sum_n (Tr d_i rho M_n)(Tr d_j rho M_n) / Tr(rho M_n).  Outcomes
     with probability below 1e-14 contribute nothing when their derivatives
     also vanish; otherwise the information is undefined and
-    SingularOutcomeError is raised for the first of them.
+    SingularOutcomeError is raised for the first of them.  A stack of
+    states (..., q, q) sharing the partials gives a stack (..., d, d).
     """
     rho = derivs.rho
-    if rho.shape != (povm.dim, povm.dim):
-        raise ValueError(f"state dim {rho.shape[0]} vs measurement dim {povm.dim}")
-    partials = np.stack(derivs.partials)
-    probs = np.einsum("ij,nji->n", rho, povm.ops).real
-    dprobs = np.einsum("kij,nji->nk", partials, povm.ops).real
+    q = povm.dim
+    if rho.shape[-2:] != (q, q):
+        raise ValueError(f"state dim {rho.shape[-1]} vs measurement dim {q}")
+    # Re Tr(rho M_n) = sum_i (sum_j Re(rho_ij M_nji)), each sum in index
+    # order, as np.einsum("ij,nji->n") sums it for one state; adding 0.0 turns
+    # a -0.0 into its +0.0.  Accumulating is sequential for a stack too.
+    terms = (rho.real[..., None, :, :] * povm.ops.real.mT
+             - rho.imag[..., None, :, :] * povm.ops.imag.mT)
+    inner = np.add.accumulate(terms, axis=-1)[..., -1]
+    probs = 0.0 + np.add.accumulate(inner, axis=-1)[..., -1]
+    dprobs = np.einsum("kij,nji->nk", np.stack(derivs.partials), povm.ops).real
     null = probs < 1e-14
     # max_ij |dp_i dp_j| is (max_i |dp_i|)^2
-    live = np.flatnonzero(null & (np.abs(dprobs).max(axis=1) ** 2 >= 1e-20))
-    if live.size:
-        n = live[0]
-        raise SingularOutcomeError(
-            f"outcome {povm.labels[n]} has probability {probs[n]:.3e} but nonzero derivative")
-    g = (dprobs.T / np.where(null, np.inf, probs)) @ dprobs
-    return (g + g.T) / 2
+    live = null & (np.abs(dprobs).max(axis=1) ** 2 >= 1e-20)
+    hits = np.flatnonzero(live)
+    if hits.size:
+        first = np.unravel_index(hits[0], live.shape)
+        raise SingularOutcomeError(f"outcome {povm.labels[first[-1]]} has probability "
+                                   f"{probs[first]:.3e} but nonzero derivative")
+    g = (dprobs.T / np.where(null, np.inf, probs)[..., None, :]) @ dprobs
+    return (g + g.mT) / 2
 
 
 def hat_fisher(g: np.ndarray, j: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
     """Normalized Fisher matrix U^-1 sqrt(J^-1) g sqrt(J^-1) U.
 
     With u omitted the identity is used.  For any POVM the trace of this
-    matrix is at most dim(H) - 1.
+    matrix is at most dim(H) - 1.  Stacks of g and J broadcast, so J's
+    shared by many g's are decomposed once each.
     """
     _, inv_sq = _sqrt_and_inv_sqrt(j)
     core = inv_sq @ np.asarray(g, dtype=float) @ inv_sq
@@ -151,7 +174,7 @@ def hat_fisher(g: np.ndarray, j: np.ndarray, u: np.ndarray | None = None) -> np.
         if float(np.max(np.abs(u.T @ u - np.eye(u.shape[0])))) > 1e-8:
             raise ValueError("u must be orthogonal")
         core = u.T @ core @ u
-    return (core + core.T) / 2
+    return (core + core.mT) / 2
 
 
 def qcr_min_trace(j: np.ndarray, h: np.ndarray,
@@ -161,16 +184,11 @@ def qcr_min_trace(j: np.ndarray, h: np.ndarray,
     The value (Tr R)^2, R = sqrt(sqrt(J^-1) H sqrt(J^-1)), is computed for
     any parameter count; it is known to be attained by a measurement exactly
     when the underlying Hilbert space is two-dimensional, so `attainable`
-    is only set when `hilbert_dim` is given.
+    is only set when `hilbert_dim` is given.  Stacks of J and H broadcast:
+    J of shape (n, d, d) against H of shape (w, n, d, d) decomposes each J
+    once for its w weights.
     """
     return _min_trace(_sqrt_and_inv_sqrt(j), h, hilbert_dim)
-
-
-def qcr_min_traces(j: np.ndarray, weights) -> list:
-    """qcr_min_trace(j, h) for each h in weights, with J checked and
-    decomposed once."""
-    roots = _sqrt_and_inv_sqrt(j)
-    return [_min_trace(roots, h) for h in weights]
 
 
 def _min_trace(roots: tuple[np.ndarray, np.ndarray], h: np.ndarray,
@@ -181,16 +199,19 @@ def _min_trace(roots: tuple[np.ndarray, np.ndarray], h: np.ndarray,
     sq_j, inv_sq_j = roots
     h = _check_sym_pd(h, "weight")
     core = inv_sq_j @ h @ inv_sq_j
-    eigs, basis = np.linalg.eigh((core + core.T) / 2)
+    eigs, basis = np.linalg.eigh((core + core.mT) / 2)
     # H is positive definite, so only rounding can push an eigenvalue below 0
     scales = np.sqrt(np.maximum(eigs, 0.0))
-    r = (basis * scales) @ basis.T
-    r = (r + r.T) / 2
-    tr_r = float(scales.sum())
-    target = sq_j @ r @ sq_j / tr_r
+    r = (basis * scales[..., None, :]) @ basis.mT
+    r = (r + r.mT) / 2
+    tr_r = scales.sum(axis=-1)
+    target = sq_j @ r @ sq_j / tr_r[..., None, None]
+    # both square by libm's pow (an array's ** 2 is tr_r * tr_r, which rounds
+    # differently), and a float's ** 2 raises OverflowError instead of warning
+    bound = float(tr_r) ** 2 if tr_r.ndim == 0 else np.float_power(tr_r, 2)
     return OptimalSolution(
-        bound=tr_r ** 2, r_matrix=r, basis=basis, scales=scales,
-        fisher_target=(target + target.T) / 2,
+        bound=bound, r_matrix=r, basis=basis, scales=scales,
+        fisher_target=(target + target.mT) / 2,
         attainable=(hilbert_dim == 2) if hilbert_dim is not None else None)
 
 
@@ -280,11 +301,13 @@ def weight_from_fisher(f: np.ndarray, j: np.ndarray,
 def rot_weight_along(w: RotWeight, direction) -> np.ndarray:
     """Matrix transverse*I + (radial - transverse) v v^T of a rotational
     weight at any point r v, v the unit `direction`; also at r = 0, where
-    the closed-form merits are directional limits.
+    the closed-form merits are directional limits.  A stack of directions
+    (..., 3) gives a stack (..., 3, 3).
     """
     v = np.asarray(direction, dtype=float)
-    v = v / np.linalg.norm(v)
-    return w.transverse * np.eye(3) + (w.radial - w.transverse) * np.outer(v, v)
+    v = v / np.sqrt(np.vecdot(v, v))[..., None]
+    outer = v[..., :, None] * v[..., None, :]
+    return w.transverse * np.eye(3) + (w.radial - w.transverse) * outer
 
 
 def c_opt_closed(w: RotWeight, r: float) -> float:
@@ -299,35 +322,46 @@ def c_opt_closed(w: RotWeight, r: float) -> float:
     return root ** 2
 
 
-def anisotropy(x) -> float:
+def anisotropy(x):
     """Directional anisotropy t = 1 - sum (x^mu)^4 / r^4, zero at the origin.
 
     Ranges over [0, 2/3]; zero exactly on the coordinate axes, 2/3 exactly
-    along the (+-1, +-1, +-1) diagonals.
+    along the (+-1, +-1, +-1) diagonals.  A float, or an array over a stack
+    (..., 3).
     """
     x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        return 0.0
-    if float(x @ x) < 1e-100:
-        # t is scale invariant, and r^4 would underflow
-        x = x / np.max(np.abs(x))
-    r2 = float(x @ x)
-    return 1.0 - float(np.sum(x ** 4)) / r2 ** 2
+    r2 = np.vecdot(x, x)
+    tiny = r2 < 1e-100
+    if tiny.any():
+        # t is scale invariant, and r^4 would underflow; the origin is
+        # scored as an axis point, whose t is 0
+        peak = np.max(np.abs(x), axis=-1)
+        x = x / np.where(tiny & (peak > 0.0), peak, 1.0)[..., None]
+        x[..., 0] = np.where(peak == 0.0, 1.0, x[..., 0])
+        r2 = np.vecdot(x, x)
+    # libm's pow, as a float's r2 ** 2 (an array's ** 2 is r2 * r2, which
+    # rounds differently)
+    return _scalar(1.0 - np.sum(x ** 4, axis=-1) / np.float_power(r2, 2))
 
 
-def c_tomo_closed(w: RotWeight, x) -> float:
+def c_tomo_closed(w: RotWeight, x):
     """Closed form of the tomography merit Tr H g^-1 for a rotational weight:
-    3 (2f + (1-r^2) g) + 3 t r^2 (g - f).
+    3 (2f + (1-r^2) g) + 3 t r^2 (g - f).  A float, or an array over a
+    stack (..., 3).
     """
     x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    if r2 >= 1.0:
-        raise OutOfBallError(f"|x| = {np.sqrt(r2):.6f} >= 1")
+    r2 = np.vecdot(x, x)
+    outside = r2[r2 >= 1.0]
+    if outside.size:
+        raise OutOfBallError(f"|x| = {np.sqrt(outside[0]):.6f} >= 1")
     f, g = w.transverse, w.radial
-    c = 3.0 * (2.0 * f + (1.0 - r2) * g) + 3.0 * anisotropy(x) * r2 * (g - f)
-    if not math.isfinite(c):
+    t = anisotropy(x)
+    # an overflow is named below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 3.0 * (2.0 * f + (1.0 - r2) * g) + 3.0 * t * r2 * (g - f)
+    if not np.isfinite(c).all():
         raise ValueError("merit overflows for these weight values")
-    return c
+    return _scalar(c)
 
 
 def tomo_excess(w: RotWeight, x) -> float:

@@ -247,9 +247,13 @@ def cmd_mub(args) -> int:
         return 0
     # bound sweep along one affine coordinate direction
     q = family.q
-    a_idx, i_idx = (int(p) - 1 for p in args.dir.split(","))
+    try:
+        a_idx, i_idx = (int(p) - 1 for p in args.dir.split(","))
+    except ValueError:
+        raise ValueError(f"--dir expects two comma-separated integers basis,vector, "
+                         f"got {args.dir!r}") from None
     if not (0 <= a_idx <= q) or not (0 <= i_idx <= q - 2):
-        print(f"error: direction {args.dir} out of range for q={q}", file=sys.stderr)
+        print(f"error: --dir {args.dir} out of range for q={q}", file=sys.stderr)
         return 2
     rows = bd.mub_tomography_sweep(family, _sweep(args.rstep, args.rmax, args.rstep),
                                    (a_idx, i_idx))

@@ -36,7 +36,9 @@ class ModelDerivatives:
     """A state together with its parameter derivatives and SLDs.
 
     `partials[i]` is the Hermitian traceless matrix d rho / d theta^i and
-    `slds[i]` the corresponding symmetric logarithmic derivative.
+    `slds[i]` the corresponding symmetric logarithmic derivative.  `rho`
+    and `slds[i]` may be stacks (..., q, q) of states that share the
+    partials, as qubit_slds returns for a stack of Stokes vectors.
     """
 
     rho: np.ndarray
@@ -49,11 +51,16 @@ class ModelDerivatives:
 
 
 def _check_ball(x: np.ndarray) -> np.ndarray:
+    """x as floats, a 3-vector or a stack (..., 3) of them, each inside the
+    unit ball; the first one outside is named."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
+    if x.ndim == 0 or x.shape[-1] != 3:
         raise ValueError(f"expected a 3-vector of Stokes parameters, got shape {x.shape}")
-    if float(x @ x) >= 1.0:
-        raise OutOfBallError(f"|x| = {np.linalg.norm(x):.6f} >= 1")
+    # vecdot rounds as a single vector's x @ x does, row by row
+    r2 = np.vecdot(x, x)
+    outside = r2[r2 >= 1.0]
+    if outside.size:
+        raise OutOfBallError(f"|x| = {np.sqrt(outside[0]):.6f} >= 1")
     return x
 
 
@@ -67,7 +74,8 @@ def bloch_operator(t, b) -> np.ndarray:
 
 
 def qubit_state(x) -> np.ndarray:
-    """Density matrix (I + x . sigma) / 2 for a Stokes vector inside the ball."""
+    """Density matrix (I + x . sigma) / 2 for a Stokes vector inside the
+    ball, or a stack (..., 2, 2) of them for x of shape (..., 3)."""
     return bloch_operator(1.0, _check_ball(x))
 
 
@@ -75,24 +83,26 @@ def qubit_slds(x) -> ModelDerivatives:
     """Closed-form SLDs of the qubit model.
 
     L_mu = sigma_mu - x^mu (I - tau) / (2 det tau), with partials sigma_mu / 2.
+    For x of shape (..., 3), tau and each L_mu are stacks (..., 2, 2).
     """
     x = _check_ball(x)
     tau = qubit_state(x)
-    det = float((1.0 - x @ x) / 4.0)
-    correction = (ID2 - tau) / (2.0 * det)
-    slds = tuple(PAULIS[mu] - x[mu] * correction for mu in range(3))
+    det = (1.0 - np.vecdot(x, x)) / 4.0
+    correction = (ID2 - tau) / (2.0 * det)[..., None, None]
+    slds = tuple(PAULIS[mu] - x[..., mu, None, None] * correction for mu in range(3))
     partials = tuple(s / 2 for s in PAULIS)
     return ModelDerivatives(rho=tau, partials=partials, slds=slds)
 
 
 def qubit_qfi(x) -> np.ndarray:
-    """SLD Fisher information of the qubit model: I + |x><x| / (1 - r^2).
+    """SLD Fisher information of the qubit model: I + |x><x| / (1 - r^2),
+    or a stack (..., 3, 3) of them for x of shape (..., 3).
 
     Its inverse is I - |x><x| exactly.
     """
     x = _check_ball(x)
-    r2 = float(x @ x)
-    return np.eye(3) + np.outer(x, x) / (1.0 - r2)
+    r2 = np.vecdot(x, x)[..., None, None]
+    return np.eye(3) + x[..., :, None] * x[..., None, :] / (1.0 - r2)
 
 
 def mub_state(coords, bases) -> np.ndarray:
@@ -182,7 +192,8 @@ def qubit_bures(x, y):
     F the fidelity.  The second form (Lagrange's identity) adds nonnegative
     terms, so B keeps full relative precision as y approaches x, where the
     eigendecomposition route of bures_distance loses most of its digits.
-    y has shape (..., 3) and the result its shape without the last axis.
+    x and y have shape (..., 3) and broadcast; the result has their
+    broadcast shape without the last axis.
     """
     x = _check_ball(x)
     y = np.asarray(y, dtype=float)
@@ -192,7 +203,7 @@ def qubit_bures(x, y):
     if not np.all(ry2 < 1.0):
         raise OutOfBallError(f"|y| = {float(np.sqrt(np.max(ry2))):.6f} >= 1")
     d = y - x
-    purity_gap = 1.0 - x @ x
+    purity_gap = 1.0 - np.vecdot(x, x)
     num = purity_gap * np.sum(d * d, axis=-1) + np.sum(d * x, axis=-1) ** 2
     den = 2.0 * (1.0 - np.sum(y * x, axis=-1) + np.sqrt(purity_gap * (1.0 - ry2)))
     # 0 <= 1 - F <= 1 exactly; the clip only absorbs rounding

@@ -81,7 +81,10 @@ def check_rank_one_hat_fisher(rng, cases: int = 50) -> CheckResult:
 
 
 def check_info_trace_bound(rng, povms_per_dim: int = 100) -> CheckResult:
-    """Tr of the normalized Fisher matrix never exceeds dim - 1."""
+    """Tr of the normalized Fisher matrix never exceeds dim - 1.
+
+    POVM i is scored at point i % 10, so povms_per_dim is a multiple of 10.
+    """
     worst_excess = -np.inf
     for q in (2, 3, 4):
         family = ms.mub_bases(q) if q > 2 else None
@@ -92,13 +95,14 @@ def check_info_trace_bound(rng, povms_per_dim: int = 100) -> CheckResult:
             else:
                 coords = _random_mub_point(q, family, rng)
                 points.append(st.mub_derivatives(coords, family))
-        qfis = [st.model_qfi(derivs) for derivs in points]
-        for i in range(povms_per_dim):
-            derivs = points[i % len(points)]
-            j = qfis[i % len(points)]
-            povm = ms.random_povm(q, int(rng.integers(2, 2 * q + 2)), rng)
-            ghat = bd.hat_fisher(bd.classical_fisher(derivs, povm), j)
-            worst_excess = max(worst_excess, float(np.trace(ghat)) - (q - 1))
+        qfis = np.stack([st.model_qfi(derivs) for derivs in points])
+        gs = [bd.classical_fisher(points[i % len(points)],
+                                  ms.random_povm(q, int(rng.integers(2, 2 * q + 2)), rng))
+              for i in range(povms_per_dim)]
+        # row i // 10, column i % 10: each J is decomposed once for its POVMs
+        ghat = bd.hat_fisher(np.reshape(gs, (-1,) + qfis.shape), qfis)
+        worst_excess = max(worst_excess,
+                           float(np.max(np.trace(ghat, axis1=-2, axis2=-1))) - (q - 1))
     return CheckResult("info-trace-bound", worst_excess <= 1e-9,
                        f"max (Tr ghat - (q-1)) = {worst_excess:.3e} (tol 1e-09)")
 
@@ -284,23 +288,20 @@ def lemma_suite(seed: int = 1) -> list:
 def check_closed_vs_numeric_grid(rng) -> CheckResult:
     """Closed-form c and c_T match the generic bound and Fisher routes on a
     radius grid times random directions times three weights."""
-    tomo = ms.qubit_tomography_povm()
-    worst = 0.0
     radii = np.arange(0.0, 0.96, 0.05)
     dirs = rng.standard_normal((20, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    for r in radii:
-        for v in dirs:
-            x = r * v
-            j = st.qubit_qfi(x)
-            derivs = st.qubit_slds(x)
-            g_num_inv = np.linalg.inv(bd.classical_fisher(derivs, tomo))
-            weights = [bd.RotWeight(1.0, 1.0), bd.qfi_rot_weight(r), bd.RotWeight(2.0, 0.5)]
-            hs = [bd.rot_weight_along(w, v) for w in weights]
-            for w, h, sol in zip(weights, hs, bd.qcr_min_traces(j, hs)):
-                worst = max(worst, abs(bd.c_opt_closed(w, r) - sol.bound))
-                worst = max(worst, abs(bd.c_tomo_closed(w, x)
-                                       - float(np.trace(h @ g_num_inv))))
+    x = radii[:, None, None] * dirs
+    weights = [(bd.RotWeight(1.0, 1.0), bd.qfi_rot_weight(r), bd.RotWeight(2.0, 0.5))
+               for r in radii]
+    # stacks over (radius, weight, direction)
+    hs = np.array([[bd.rot_weight_along(w, dirs) for w in ws] for ws in weights])
+    c = np.array([[bd.c_opt_closed(w, r) for w in ws] for r, ws in zip(radii, weights)])
+    ct = np.array([[bd.c_tomo_closed(w, xr) for w in ws] for xr, ws in zip(x, weights)])
+    bound = bd.qcr_min_trace(st.qubit_qfi(x)[:, None], hs).bound
+    g_num = bd.classical_fisher(st.qubit_slds(x), ms.qubit_tomography_povm())
+    ct_num = np.trace(hs @ np.linalg.inv(g_num)[:, None], axis1=-2, axis2=-1)
+    worst = float(max(np.max(np.abs(c[..., None] - bound)), np.max(np.abs(ct - ct_num))))
     return CheckResult("closed-vs-numeric-grid", worst <= 1e-8,
                        f"max |closed - numeric| = {worst:.3e} over {len(radii) * 20 * 3} points")
 

@@ -6,8 +6,10 @@ from qest.bounds import (
     SingularInputError,
     SingularOutcomeError,
     UnsupportedDimError,
+    _check_sym_pd,
     _min_trace,
     _sqrt_and_inv_sqrt,
+    _symmetrized,
     anisotropy,
     c_opt_closed,
     c_tomo_closed,
@@ -19,7 +21,6 @@ from qest.bounds import (
     mub_tomography_sweep,
     optimal_measurement,
     qcr_min_trace,
-    qcr_min_traces,
     qfi_rot_weight,
     rot_weight_along,
     tomo_excess,
@@ -36,7 +37,8 @@ from qest.measurements import (
     qubit_tomography_povm,
     random_povm,
 )
-from qest.states import ModelDerivatives, SIGMA_3, qubit_qfi, qubit_slds
+from qest.states import (ModelDerivatives, OutOfBallError, SIGMA_3, qubit_bures, qubit_qfi,
+                         qubit_slds, qubit_state)
 
 X0 = np.array([0.55, 0.55, 0.55])
 TOMO = qubit_tomography_povm()
@@ -622,20 +624,6 @@ class TestKernelsMatchTheirLoopRoutes:
             assert np.max(np.abs(sol.r_matrix @ sol.basis - sol.basis * sol.scales)) \
                 <= 1e-12 * scale_r
 
-    def test_qcr_min_traces_equals_one_call_per_weight(self):
-        rng = np.random.default_rng(74)
-        for _ in range(20):
-            x = random_point(rng, rmax=0.97)
-            j = qubit_qfi(x)
-            weights = [np.eye(3), random_weight(rng), tomography_weight(x)]
-            for sol, h in zip(qcr_min_traces(j, weights), weights):
-                want = qcr_min_trace(j, h)
-                assert sol.bound == want.bound and sol.attainable == want.attainable
-                for field in ("r_matrix", "basis", "scales", "fisher_target"):
-                    assert np.array_equal(getattr(sol, field), getattr(want, field))
-        with pytest.raises(SingularInputError):
-            qcr_min_traces(np.eye(3), [np.eye(3), -np.eye(3)])
-
     def test_min_trace_unit_trace_iterates_are_unchanged(self):
         rng = np.random.default_rng(73)
         for _ in range(8):
@@ -647,3 +635,209 @@ class TestKernelsMatchTheirLoopRoutes:
             want_val, want_g = _double_inverse_min_trace_unit_trace(s)
             assert val == want_val
             assert np.array_equal(g, want_g)
+
+
+def _einsum_classical_fisher(derivs, povm):
+    """classical_fisher for one state as it was before it took stacks: the
+    outcome probabilities through np.einsum."""
+    probs = np.einsum("ij,nji->n", derivs.rho, povm.ops).real
+    dprobs = np.einsum("kij,nji->nk", np.stack(derivs.partials), povm.ops).real
+    null = probs < 1e-14
+    live = np.flatnonzero(null & (np.abs(dprobs).max(axis=1) ** 2 >= 1e-20))
+    if live.size:
+        n = live[0]
+        raise SingularOutcomeError(
+            f"outcome {povm.labels[n]} has probability {probs[n]:.3e} but nonzero derivative")
+    g = (dprobs.T / np.where(null, np.inf, probs)) @ dprobs
+    return (g + g.T) / 2
+
+
+def _stack_points(rng, n=60):
+    """Stokes vectors for stack tests: random interior points, the origin,
+    points within 1e-6 of the sphere, axis points and the two rows whose
+    anisotropy is taken after rescaling."""
+    x = np.array([random_point(rng, rmax=0.99) for _ in range(n)])
+    near = rng.standard_normal((8, 3))
+    near *= ((1.0 - rng.uniform(1e-9, 1e-6, size=8)) / np.linalg.norm(near, axis=1))[:, None]
+    special = np.array([[0.0, 0.0, 0.0], [0.0, -0.7, 0.0], [0.0, 0.0, 2.8e-127],
+                        [4e-200, -4e-200, 4e-200], [0.3, 0.3, -0.3]])
+    pts = np.concatenate([x, near, special])
+    return pts[rng.permutation(len(pts))]
+
+
+def _same_solution(got, want):
+    assert np.array_equal(got.bound, want.bound) and got.attainable == want.attainable
+    for field in ("r_matrix", "basis", "scales", "fisher_target"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def _raises_like_one_call(stacked_call, single_call):
+    """The stacked call raises the error class and message of the call on
+    the bad element alone."""
+    with pytest.raises(ValueError) as want:
+        single_call()
+    with pytest.raises(type(want.value)) as got:
+        stacked_call()
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+class TestStackedKernels:
+    """Each kernel gives every element of a stack the bits of its own call."""
+
+    def test_qubit_state_slds_and_qfi(self):
+        x = _stack_points(np.random.default_rng(81))
+        qfi, derivs, states = qubit_qfi(x), qubit_slds(x), qubit_state(x)
+        assert qfi.shape == (len(x), 3, 3) and derivs.rho.shape == (len(x), 2, 2)
+        for k, xk in enumerate(x):
+            one = qubit_slds(xk)
+            assert np.array_equal(qfi[k], qubit_qfi(xk))
+            assert np.array_equal(states[k], qubit_state(xk))
+            assert np.array_equal(derivs.rho[k], one.rho)
+            for got, want in zip(derivs.slds, one.slds):
+                assert np.array_equal(got[k], want)
+            for got, want in zip(derivs.partials, one.partials):
+                assert np.array_equal(got, want)
+
+    def test_classical_fisher(self):
+        rng = np.random.default_rng(82)
+        x = _stack_points(rng)[:, None] * np.array([1.0, 0.5])[:, None]
+        derivs = qubit_slds(x)
+        for povm in (TOMO, random_povm(2, 5, rng), random_povm(2, 1, rng)):
+            g = classical_fisher(derivs, povm)
+            assert g.shape == x.shape[:2] + (3, 3)
+            for k in np.ndindex(x.shape[:2]):
+                one = qubit_slds(x[k])
+                assert np.array_equal(g[k], classical_fisher(one, povm))
+                assert np.array_equal(g[k], _einsum_classical_fisher(one, povm))
+
+    def test_one_state_keeps_the_einsum_sums(self):
+        """The outcome probabilities are summed in np.einsum's order, so one
+        state's Fisher matrix has the bits of the einsum route."""
+        from qest.measurements import mub_bases, mub_tomography_povm
+        from qest.states import mub_derivatives
+        rng = np.random.default_rng(83)
+        cases = [(qubit_slds(random_point(rng, rmax=0.99)), random_povm(2, int(n), rng))
+                 for n in rng.integers(1, 9, size=40)]
+        for q in (3, 4):
+            family = mub_bases(q)
+            derivs = mub_derivatives(rng.uniform(-0.04, 0.04, size=(q + 1, q - 1)), family)
+            cases += [(derivs, mub_tomography_povm(family)), (derivs, random_povm(q, 2 * q, rng))]
+        for derivs, povm in cases:
+            assert np.array_equal(classical_fisher(derivs, povm),
+                                  _einsum_classical_fisher(derivs, povm))
+
+    def test_symmetrized_and_checked_matrices(self):
+        rng = np.random.default_rng(84)
+        stack = np.array([random_weight(rng) for _ in range(30)]).reshape(5, 6, 3, 3)
+        stack += 1e-12 * rng.standard_normal(stack.shape)
+        sym, pd = _symmetrized(stack, "m"), _check_sym_pd(stack, "m")
+        roots = _sqrt_and_inv_sqrt(stack)
+        for k in np.ndindex(stack.shape[:2]):
+            assert np.array_equal(sym[k], _symmetrized(stack[k], "m"))
+            assert np.array_equal(pd[k], _check_sym_pd(stack[k], "m"))
+            for got, want in zip(roots, _sqrt_and_inv_sqrt(stack[k])):
+                assert np.array_equal(got[k], want)
+
+    def test_qcr_min_trace_equals_one_call_per_matrix(self):
+        rng = np.random.default_rng(74)
+        x = _stack_points(rng)
+        j = qubit_qfi(x)
+        hs = np.array([[np.eye(3)] * len(x), [random_weight(rng) for _ in x],
+                       [tomography_weight(xk) for xk in x]])
+        sol = qcr_min_trace(j, hs)
+        assert sol.bound.shape == (3, len(x))
+        for w, k in np.ndindex(3, len(x)):
+            one = qcr_min_trace(j[k], hs[w, k])
+            assert isinstance(one.bound, float)
+            _same_solution(type(sol)(sol.bound[w, k], sol.r_matrix[w, k], sol.basis[w, k],
+                                     sol.scales[w, k], sol.fisher_target[w, k]), one)
+        # _min_trace takes the decomposition of a stack of J just the same
+        _same_solution(_min_trace(_sqrt_and_inv_sqrt(j), hs[1]), qcr_min_trace(j, hs[1]))
+        with pytest.raises(SingularInputError):
+            qcr_min_trace(np.eye(3), [np.eye(3), -np.eye(3)])
+
+    def test_hat_fisher_decomposes_each_j_for_its_g_stack(self):
+        rng = np.random.default_rng(85)
+        x = np.array([random_point(rng) for _ in range(4)])
+        j = qubit_qfi(x)
+        g = np.array([[classical_fisher(qubit_slds(xk), random_povm(2, 4, rng)) for xk in x]
+                      for _ in range(3)])
+        ghat = hat_fisher(g, j)
+        for r, k in np.ndindex(3, 4):
+            assert np.array_equal(ghat[r, k], hat_fisher(g[r, k], j[k]))
+
+    def test_rotational_closed_forms(self):
+        x = _stack_points(np.random.default_rng(86))
+        nonzero = x[np.any(x, axis=1) & (np.abs(x).max(axis=1) > 1e-100)]
+        t = anisotropy(x)
+        for k, xk in enumerate(x):
+            assert isinstance(anisotropy(xk), float) and np.array_equal(t[k], anisotropy(xk))
+        for w in (RotWeight(1.0, 1.0), RotWeight(2.0, 0.5), RotWeight(0.3, 1e5)):
+            ct, hs = c_tomo_closed(w, x), rot_weight_along(w, nonzero)
+            for k, xk in enumerate(x):
+                assert isinstance(c_tomo_closed(w, xk), float)
+                assert np.array_equal(ct[k], c_tomo_closed(w, xk))
+            for k, vk in enumerate(nonzero):
+                assert np.array_equal(hs[k], rot_weight_along(w, vk))
+
+    def test_qubit_bures_broadcasts_both_points(self):
+        rng = np.random.default_rng(87)
+        x = np.array([random_point(rng, rmax=0.99) for _ in range(6)])
+        y = np.array([random_point(rng, rmax=0.99) for _ in range(4)])
+        b = qubit_bures(x[:, None], y)
+        for k, xk in enumerate(x):
+            assert np.array_equal(b[k], qubit_bures(xk, y))
+
+
+def _bad_in_the_middle(stack, bad):
+    stack = np.array(stack)
+    stack[len(stack) // 2] = bad
+    return stack
+
+
+class TestStackedChecks:
+    """One bad element in the middle of a stack raises what its own call
+    raises."""
+
+    GOOD_J = np.array([qubit_qfi(x) for x in ([0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [-0.5, 0.4, 0.1])])
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[2.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # not symmetric
+        np.diag([1.0, np.nan, 1.0]),                                        # NaN
+        np.diag([1.0, 1.0, -1.0]),                                          # indefinite
+        np.diag([1.0, 1.0, 1e-13]),                                         # singular
+    ])
+    def test_bad_fisher_matrix_or_weight(self, bad):
+        j = _bad_in_the_middle(self.GOOD_J, bad)
+        _raises_like_one_call(lambda: qcr_min_trace(j, np.eye(3)),
+                              lambda: qcr_min_trace(bad, np.eye(3)))
+        _raises_like_one_call(lambda: qcr_min_trace(self.GOOD_J, j),
+                              lambda: qcr_min_trace(np.eye(3), bad))
+        _raises_like_one_call(lambda: hat_fisher(self.GOOD_J, j),
+                              lambda: hat_fisher(np.eye(3), bad))
+
+    @pytest.mark.parametrize("bad", [[0.6, 0.6, 0.6], [1.0, 0.0, 0.0], [0.0, -1.5, 0.0]])
+    def test_point_outside_the_ball(self, bad):
+        x = _bad_in_the_middle([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [0.5, -0.5, 0.1]], bad)
+        w = RotWeight(1.0, 2.0)
+        for kernel in (qubit_qfi, qubit_slds, qubit_state, lambda v: c_tomo_closed(w, v)):
+            _raises_like_one_call(lambda: kernel(x), lambda: kernel(np.array(bad)))
+            with pytest.raises(OutOfBallError):
+                kernel(x)
+
+    def test_null_outcome_with_nonzero_derivative(self):
+        derivs, povm = _null_outcome_model()
+        partials = (np.diag([0.5, 0.0, -0.5]).astype(complex),) + derivs.partials[1:]
+        bad = ModelDerivatives(rho=derivs.rho, partials=partials, slds=partials)
+        good = [np.diag([0.4, 0.3, 0.3]).astype(complex), np.diag([0.2, 0.2, 0.6]).astype(complex)]
+        stack = ModelDerivatives(rho=np.array([good[0], derivs.rho, good[1]]),
+                                 partials=partials, slds=partials)
+        _raises_like_one_call(lambda: classical_fisher(stack, povm),
+                              lambda: classical_fisher(bad, povm))
+        # the good states alone score, as one call each does
+        ok = ModelDerivatives(rho=np.array(good), partials=partials, slds=partials)
+        g = classical_fisher(ok, povm)
+        for k, rho in enumerate(good):
+            one = ModelDerivatives(rho=rho, partials=partials, slds=partials)
+            assert np.array_equal(g[k], classical_fisher(one, povm))

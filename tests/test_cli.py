@@ -243,6 +243,19 @@ class TestMub:
     def test_unsupported_dimension(self):
         assert run_cli(["mub", "--q", "7", "--dump"]) == 2
 
+    @pytest.mark.parametrize("value", ["1,2,3", "x,1", "1", "1.5,1"])
+    def test_malformed_dir_names_the_flag(self, value, tmp_path, capsys):
+        out = tmp_path / "mub3.csv"
+        assert run_cli(["mub", "--q", "3", "--bounds", "--dir", value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: --dir expects two comma-separated integers basis,vector, "
+                       f"got {value!r}\n")
+        assert not out.exists()
+
+    def test_dir_out_of_range_names_the_flag(self, capsys):
+        assert run_cli(["mub", "--q", "3", "--bounds", "--dir", "5,1"]) == 2
+        assert capsys.readouterr().err == "error: --dir 5,1 out of range for q=3\n"
+
     @pytest.mark.parametrize("flags", [[], ["--dump", "--bounds"]])
     def test_exactly_one_action_required(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
