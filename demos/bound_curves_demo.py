@@ -14,7 +14,7 @@ a modest gap (6 vs 4 at the boundary) and a divergent one.
 
 import numpy as np
 
-from qest.bounds import RotWeight, c_opt_closed, c_tomo_closed, qfi_rot_weight
+from qest.bounds import ROT_WEIGHTS, c_opt_closed, c_tomo_closed
 
 V = np.ones(3) / np.sqrt(3)
 
@@ -31,9 +31,9 @@ def sweep(title: str, weight_at):
 
 def main() -> None:
     print("merit curves along the (1,1,1) diagonal (worst anisotropy t = 2/3)")
-    sweep("identity weight: both converge, to 4 and 6", lambda r: RotWeight(1.0, 1.0))
+    sweep("identity weight: both converge, to 4 and 6", ROT_WEIGHTS["identity"])
     sweep("Fisher-matrix weight: optimum pinned at 9, tomography diverges",
-          qfi_rot_weight)
+          ROT_WEIGHTS["qfi"])
     print("\nTomography is never better, and the penalty explodes exactly for")
     print("the weight that measures error in Bures geometry.")
 

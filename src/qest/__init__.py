@@ -55,6 +55,7 @@ from .measurements import (
     randomize,
 )
 from .bounds import (
+    ROT_WEIGHTS,
     OptimalSolution,
     RotWeight,
     SingularInputError,
@@ -72,6 +73,7 @@ from .bounds import (
     optimal_measurement,
     qcr_min_trace,
     qfi_rot_weight,
+    rot_merit_sweep,
     rot_weight_along,
     tomo_excess,
     tomo_excess_forms,

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import MubFamily, Povm, bloch_pvm_mixture, mub_tomography_povm
-from .states import (PAULIS, ModelDerivatives, NotPositiveError, OutOfBallError, model_qfi,
-                     mub_derivatives)
+from .measurements import (MubFamily, Povm, bloch_pvm_mixture, mub_tomography_povm,
+                           qubit_tomography_povm)
+from .states import (PAULIS, ModelDerivatives, NotPositiveError, _check_ball, model_qfi,
+                     mub_derivatives, qubit_qfi, qubit_slds)
 
 PD_TOL = 1e-12
 SYM_TOL = 1e-10
@@ -62,6 +63,10 @@ def qfi_rot_weight(r: float) -> RotWeight:
     return RotWeight(1.0, 1.0 / (1.0 - r * r))
 
 
+# the rotational weight selectors, each a function of the radius r
+ROT_WEIGHTS = {"identity": lambda r: RotWeight(1.0, 1.0), "qfi": qfi_rot_weight}
+
+
 @dataclass
 class OptimalSolution:
     """Minimum of Tr H g(M)^-1 and the data of the attaining measurement.
@@ -82,7 +87,6 @@ class OptimalSolution:
     probs: np.ndarray | None = None
     axes: np.ndarray | None = None
     measurement: Povm | None = None
-    attainable: bool | None = None
 
 
 # The kernels below take one matrix or Stokes vector, or a stack (..., d, d)
@@ -177,22 +181,19 @@ def hat_fisher(g: np.ndarray, j: np.ndarray, u: np.ndarray | None = None) -> np.
     return (core + core.mT) / 2
 
 
-def qcr_min_trace(j: np.ndarray, h: np.ndarray,
-                  hilbert_dim: int | None = None) -> OptimalSolution:
+def qcr_min_trace(j: np.ndarray, h: np.ndarray) -> OptimalSolution:
     """Minimum of Tr H g(M)^-1 over all POVMs of a two-level system.
 
     The value (Tr R)^2, R = sqrt(sqrt(J^-1) H sqrt(J^-1)), is computed for
-    any parameter count; it is known to be attained by a measurement exactly
-    when the underlying Hilbert space is two-dimensional, so `attainable`
-    is only set when `hilbert_dim` is given.  Stacks of J and H broadcast:
-    J of shape (n, d, d) against H of shape (w, n, d, d) decomposes each J
-    once for its w weights.
+    any parameter count; a measurement attains it when the underlying
+    Hilbert space is two-dimensional.  Stacks of J and H broadcast: J of
+    shape (n, d, d) against H of shape (w, n, d, d) decomposes each J once
+    for its w weights.
     """
-    return _min_trace(_sqrt_and_inv_sqrt(j), h, hilbert_dim)
+    return _min_trace(_sqrt_and_inv_sqrt(j), h)
 
 
-def _min_trace(roots: tuple[np.ndarray, np.ndarray], h: np.ndarray,
-               hilbert_dim: int | None = None) -> OptimalSolution:
+def _min_trace(roots: tuple[np.ndarray, np.ndarray], h: np.ndarray) -> OptimalSolution:
     """qcr_min_trace's solution, given (sqrt(J), J^-1/2) from
     _sqrt_and_inv_sqrt; one eigendecomposition of the core
     sqrt(J^-1) H sqrt(J^-1) gives R, its basis and its eigenvalues."""
@@ -211,8 +212,7 @@ def _min_trace(roots: tuple[np.ndarray, np.ndarray], h: np.ndarray,
     bound = float(tr_r) ** 2 if tr_r.ndim == 0 else np.float_power(tr_r, 2)
     return OptimalSolution(
         bound=bound, r_matrix=r, basis=basis, scales=scales,
-        fisher_target=(target + target.mT) / 2,
-        attainable=(hilbert_dim == 2) if hilbert_dim is not None else None)
+        fisher_target=(target + target.mT) / 2)
 
 
 def qubit_design(sld_bloch: np.ndarray, j: np.ndarray, h: np.ndarray) -> OptimalSolution:
@@ -226,7 +226,7 @@ def qubit_design(sld_bloch: np.ndarray, j: np.ndarray, h: np.ndarray) -> Optimal
     degenerate eigenvalue clusters of R any orthogonal diagonalizer works.
     """
     roots = _sqrt_and_inv_sqrt(j)
-    sol = _min_trace(roots, h, hilbert_dim=2)
+    sol = _min_trace(roots, h)
     probs = sol.scales / float(np.sum(sol.scales))
     kept = probs > 1e-15
     axes = (sol.basis.T @ roots[1] @ sld_bloch)[kept]
@@ -260,9 +260,7 @@ def tomography_fisher(x) -> np.ndarray:
 
     Its trace against the inverse quantum Fisher matrix is identically 1.
     """
-    x = np.asarray(x, dtype=float)
-    if float(x @ x) >= 1.0:
-        raise OutOfBallError(f"|x| = {np.linalg.norm(x):.6f} >= 1")
+    x = _check_ball(x)
     return np.diag(1.0 / (1.0 - x * x)) / 3.0
 
 
@@ -272,9 +270,7 @@ def tomography_weight(x) -> np.ndarray:
     Diagonal entries 1/(1-(x^mu)^2); off-diagonal (mu, nu) entries
     -x^mu x^nu / ((1-(x^mu)^2)(1-(x^nu)^2)).  Not rotationally symmetric.
     """
-    x = np.asarray(x, dtype=float)
-    if float(x @ x) >= 1.0:
-        raise OutOfBallError(f"|x| = {np.linalg.norm(x):.6f} >= 1")
+    x = _check_ball(x)
     denom = 1.0 - x * x
     h = -np.outer(x, x) / np.outer(denom, denom)
     np.fill_diagonal(h, 1.0 / denom)
@@ -298,14 +294,30 @@ def weight_from_fisher(f: np.ndarray, j: np.ndarray,
     return (w + w.T) / 2, feasible
 
 
+def unit_direction(direction) -> np.ndarray:
+    """v / sqrt(v @ v) for v = direction, row by row for a stack (..., 3).
+    A row whose squared norm is not a normal float is first divided by its
+    largest |entry|; a zero row is a ValueError."""
+    v = np.asarray(direction, dtype=float)
+    with np.errstate(over="ignore"):
+        r2 = np.vecdot(v, v)
+    odd = (r2 < sys.float_info.min) | (r2 > sys.float_info.max)
+    if odd.any():
+        peak = np.max(np.abs(v), axis=-1)
+        if np.any(peak[odd] == 0.0):
+            raise ValueError("direction must be nonzero")
+        v = v / np.where(odd, peak, 1.0)[..., None]
+        r2 = np.vecdot(v, v)
+    return v / np.sqrt(r2)[..., None]
+
+
 def rot_weight_along(w: RotWeight, direction) -> np.ndarray:
     """Matrix transverse*I + (radial - transverse) v v^T of a rotational
-    weight at any point r v, v the unit `direction`; also at r = 0, where
-    the closed-form merits are directional limits.  A stack of directions
-    (..., 3) gives a stack (..., 3, 3).
+    weight at any point r v, v the unit vector along `direction`; also at
+    r = 0, where the closed-form merits are directional limits.  A stack of
+    directions (..., 3) gives a stack (..., 3, 3).
     """
-    v = np.asarray(direction, dtype=float)
-    v = v / np.sqrt(np.vecdot(v, v))[..., None]
+    v = unit_direction(direction)
     outer = v[..., :, None] * v[..., None, :]
     return w.transverse * np.eye(3) + (w.radial - w.transverse) * outer
 
@@ -349,11 +361,8 @@ def c_tomo_closed(w: RotWeight, x):
     3 (2f + (1-r^2) g) + 3 t r^2 (g - f).  A float, or an array over a
     stack (..., 3).
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_ball(x)
     r2 = np.vecdot(x, x)
-    outside = r2[r2 >= 1.0]
-    if outside.size:
-        raise OutOfBallError(f"|x| = {np.sqrt(outside[0]):.6f} >= 1")
     f, g = w.transverse, w.radial
     t = anisotropy(x)
     # an overflow is named below, not warned about
@@ -424,6 +433,33 @@ def mub_tomography_sweep(family: MubFamily, radii, coord: tuple[int, int] = (0, 
     return rows
 
 
+def rot_merit_sweep(weights, radii, dirs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form merits of rotational weights at the points r v, checked
+    against the generic routes.
+
+    `weights` are functions r -> RotWeight (such as ROT_WEIGHTS' values),
+    `radii` lie in [0, 1) and `dirs` (n, 3) are unit vectors.  Returns
+    c = c_opt_closed, cT = c_tomo_closed and the gap max(|c - (Tr R)^2|,
+    |cT - Tr H g_T^-1|), g_T the 6-outcome tomography Fisher matrix, each
+    of shape (radii, weights, dirs) and with the bits of one-point calls.
+    """
+    radii = np.asarray(radii, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
+    x = radii[:, None, None] * dirs
+    c, ct, hs = [], [], []
+    for r, xr in zip(radii.tolist(), x):
+        ws = [weight_at(r) for weight_at in weights]
+        c.append([c_opt_closed(w, r) for w in ws])
+        ct.append([c_tomo_closed(w, xr) for w in ws])
+        hs.append([rot_weight_along(w, dirs) for w in ws])
+    c, ct, hs = np.array(c)[..., None], np.array(ct), np.array(hs)
+    bound = qcr_min_trace(qubit_qfi(x)[:, None], hs).bound
+    g_tomo = classical_fisher(qubit_slds(x), qubit_tomography_povm())
+    ct_num = np.trace(hs @ np.linalg.inv(g_tomo)[:, None], axis1=-2, axis2=-1)
+    return (np.broadcast_to(c, ct.shape), ct,
+            np.maximum(np.abs(c - bound), np.abs(ct - ct_num)))
+
+
 def indicatrix_points(h: np.ndarray, plane: tuple[int, int] = (0, 1),
                       n: int = 180) -> np.ndarray:
     """Unit-merit locus of a weight restricted to a coordinate plane.
@@ -436,12 +472,11 @@ def indicatrix_points(h: np.ndarray, plane: tuple[int, int] = (0, 1),
     if i == k or not (0 <= i < h.shape[0]) or not (0 <= k < h.shape[0]):
         raise ValueError(f"invalid plane {plane} for a {h.shape[0]}x{h.shape[0]} weight")
     phis = 2.0 * np.pi * np.arange(n) / n
-    pts = np.empty((n, 2))
-    for idx, phi in enumerate(phis):
-        u = np.zeros(h.shape[0])
-        u[i], u[k] = np.cos(phi), np.sin(phi)
-        pts[idx] = (u / np.sqrt(u @ h @ u))[[i, k]]
-    return pts
+    u = np.zeros((n, h.shape[0]))
+    u[:, i], u[:, k] = np.cos(phis), np.sin(phis)
+    # each row of the (n, 1, d) stack's product rounds as one vector's u @ h
+    uhu = np.vecdot((u[:, None] @ h)[:, 0], u)
+    return (u / np.sqrt(uhu)[:, None])[:, [i, k]]
 
 
 def min_trace_unit_trace(s: np.ndarray) -> tuple[float, np.ndarray]:

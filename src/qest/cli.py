@@ -21,7 +21,6 @@ import numpy as np
 from . import bounds as bd
 from . import measurements as ms
 from . import simulate as sim
-from . import states as st
 from . import verify as vf
 
 
@@ -31,15 +30,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_table(header: list, rows: list, out: str | None, fmt: str) -> None:
-    """Write a table as CSV (repr-round-trippable floats) or JSON."""
-    if fmt == "json":
+def emit_table(args, header: list, rows: list, plot: tuple) -> None:
+    """Write a table to --out or stdout as CSV (repr-round-trippable floats)
+    or JSON; with --svg and --out, also write_svg(*plot) next to --out."""
+    if args.format == "json":
         doc = [dict(zip(header, row)) for row in rows]
         text = json.dumps(doc, indent=1) + "\n"
     else:
         lines = [",".join(header)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
+    _write(text, args.out)
+    if args.svg and args.out:
+        write_svg(str(Path(args.out).with_suffix(".svg")), *plot)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
@@ -85,13 +91,28 @@ def write_svg(path: str, series: list, xlabel: str, ylabel: str) -> None:
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def _parse_vec(text: str, n: int = 3) -> np.ndarray:
-    """n comma-separated finite numbers; a ValueError, which main reports
-    as a usage error, otherwise."""
-    vec = np.array([float(p) for p in text.split(",")])
-    if vec.size != n or not np.all(np.isfinite(vec)):
-        raise ValueError(f"expected {n} comma-separated finite numbers, got {text!r}")
+# The parsers and commands below report bad input by raising a ValueError,
+# which main prints as one "error: ..." line and turns into exit code 2.
+
+def _parse_vec(text: str) -> np.ndarray:
+    """Three comma-separated finite numbers."""
+    try:
+        vec = np.array([float(p) for p in text.split(",")])
+    except ValueError:
+        vec = np.empty(0)
+    if vec.size != 3 or not np.all(np.isfinite(vec)):
+        raise ValueError(f"expected 3 comma-separated finite numbers, got {text!r}")
     return vec
+
+
+def _parse_pair(flag: str, text: str, names: str) -> tuple[int, int]:
+    """Two comma-separated 1-based integers, returned 0-based."""
+    try:
+        a, b = (int(p) - 1 for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} expects two comma-separated integers {names}, "
+                         f"got {text!r}") from None
+    return a, b
 
 
 def _positive(kind):
@@ -105,14 +126,6 @@ def _positive(kind):
     return parse
 
 
-def _rot_weight_values(kind: str, r: float, f: float, g: float) -> bd.RotWeight:
-    if kind == "identity":
-        return bd.RotWeight(1.0, 1.0)
-    if kind == "qfi":
-        return bd.qfi_rot_weight(r)
-    return bd.RotWeight(f, g)
-
-
 def _sweep(first: float, rmax: float, rstep: float) -> np.ndarray:
     """Radii first, first + rstep, ... up to rmax; a usage error when rmax
     lies below the first point."""
@@ -123,38 +136,17 @@ def _sweep(first: float, rmax: float, rstep: float) -> np.ndarray:
 
 
 def cmd_bounds(args) -> int:
-    direction = _parse_vec(args.dir)
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        print("error: direction must be nonzero", file=sys.stderr)
-        return 2
-    direction = direction / norm
+    direction = bd.unit_direction(_parse_vec(args.dir))
     if args.weight == "custom" and (args.f is None or args.g is None):
-        print("error: --weight custom requires --f and --g", file=sys.stderr)
-        return 2
+        raise ValueError("--weight custom requires --f and --g")
+    weight_at = bd.ROT_WEIGHTS.get(args.weight, lambda r: bd.RotWeight(args.f, args.g))
     radii = _sweep(0.0, args.rmax, args.rstep)
-    tomo = ms.qubit_tomography_povm()
-    rows = []
-    worst = 0.0
-    for r in radii:
-        x = r * direction
-        w = _rot_weight_values(args.weight, float(r), args.f, args.g)
-        c = bd.c_opt_closed(w, float(r))
-        ct = bd.c_tomo_closed(w, x)
-        h = bd.rot_weight_along(w, direction)
-        j = st.qubit_qfi(x)
-        g_num = bd.classical_fisher(st.qubit_slds(x), tomo)
-        disc = max(abs(c - bd.qcr_min_trace(j, h).bound),
-                   abs(ct - float(np.trace(h @ np.linalg.inv(g_num)))))
-        # absolute for merits of order 1, relative for larger ones
-        worst = max(worst, disc / max(1.0, abs(c), abs(ct)))
-        rows.append([float(r), float(c), float(ct), float(disc)])
-    emit_table(["r", "c", "cT", "discrepancy"], rows, args.out, args.format)
-    if args.svg and args.out:
-        write_svg(str(Path(args.out).with_suffix(".svg")),
-                  [("c", [row[0] for row in rows], [row[1] for row in rows]),
-                   ("cT", [row[0] for row in rows], [row[2] for row in rows])],
-                  "r", "merit")
+    c, ct, gap = (a[:, 0, 0] for a in bd.rot_merit_sweep([weight_at], radii, direction[None]))
+    emit_table(args, ["r", "c", "cT", "discrepancy"],
+               [[float(v) for v in row] for row in zip(radii, c, ct, gap)],
+               ([("c", radii, c), ("cT", radii, ct)], "r", "merit"))
+    # absolute for merits of order 1, relative for larger ones
+    worst = float(np.max(gap / np.maximum(1.0, np.maximum(np.abs(c), np.abs(ct)))))
     if worst >= 1e-6:
         print(f"error: closed-form/numeric discrepancy {worst:.3e} >= 1e-6, "
               "relative to max(1, |c|, |cT|)", file=sys.stderr)
@@ -167,15 +159,14 @@ def cmd_simulate(args) -> int:
     weight = args.weight
     if weight == "custom":
         if not args.weight_matrix:
-            print("error: --weight custom requires --weight-matrix", file=sys.stderr)
-            return 2
-        weight = np.array(json.loads(args.weight_matrix), dtype=float)
-    try:
-        cfg = sim.RunConfig(x0=x0, weight=weight, m_max=args.m, reps=args.reps,
-                            seed=args.seed, eps_ball=args.eps_ball)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise ValueError("--weight custom requires --weight-matrix")
+        try:
+            weight = np.array(json.loads(args.weight_matrix), dtype=float)
+        except (ValueError, TypeError):
+            raise ValueError("--weight-matrix expects a JSON 3x3 matrix of numbers, "
+                             f"got {args.weight_matrix!r}") from None
+    cfg = sim.RunConfig(x0=x0, weight=weight, m_max=args.m, reps=args.reps,
+                        seed=args.seed, eps_ball=args.eps_ball)
     kinds = {"both": ("tomography", "adaptive"), "tomo": ("tomography",),
              "adaptive": ("adaptive",)}[args.estimator]
     results = sim.monte_carlo(cfg, estimators=kinds)
@@ -204,31 +195,20 @@ def cmd_simulate(args) -> int:
 def cmd_indicatrix(args) -> int:
     x = _parse_vec(args.x)
     if float(x @ x) >= 1.0:
-        print("error: point must lie strictly inside the unit ball", file=sys.stderr)
-        return 2
+        raise ValueError("point must lie strictly inside the unit ball")
     h = sim.resolve_weight(args.weight, x)
-    try:
-        plane_idx = tuple(int(p) - 1 for p in args.plane.split(","))
-        pts = bd.indicatrix_points(h, plane=plane_idx, n=args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    i, k = _parse_pair("--plane", args.plane, "axis,axis")
+    if i == k or not (0 <= i < 3 and 0 <= k < 3):
+        raise ValueError(f"--plane {args.plane} is not two different axes among 1,2,3")
+    pts = bd.indicatrix_points(h, plane=(i, k), n=args.n)
     rows = [[float(a), float(b)] for a, b in pts]
-    emit_table(["v1", "v2"], rows, args.out, args.format)
-    if args.svg and args.out:
-        closed = rows + rows[:1]
-        write_svg(str(Path(args.out).with_suffix(".svg")),
-                  [("indicatrix", [row[0] for row in closed], [row[1] for row in closed])],
-                  "v1", "v2")
+    closed = rows + rows[:1]
+    emit_table(args, ["v1", "v2"], rows, ([("indicatrix", *zip(*closed))], "v1", "v2"))
     return 0
 
 
 def cmd_mub(args) -> int:
-    try:
-        family = ms.mub_bases(args.q)
-    except ms.UnsupportedDimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    family = ms.mub_bases(args.q)
     if args.dump:
         povm = ms.mub_tomography_povm(family)
         doc = {
@@ -239,32 +219,19 @@ def cmd_mub(args) -> int:
                       for basis in family.bases],
             "tomographyPovm": povm.to_json_dict(),
         }
-        text = json.dumps(doc, indent=1) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(json.dumps(doc, indent=1) + "\n", args.out)
         return 0
     # bound sweep along one affine coordinate direction
     q = family.q
-    try:
-        a_idx, i_idx = (int(p) - 1 for p in args.dir.split(","))
-    except ValueError:
-        raise ValueError(f"--dir expects two comma-separated integers basis,vector, "
-                         f"got {args.dir!r}") from None
+    a_idx, i_idx = _parse_pair("--dir", args.dir, "basis,vector")
     if not (0 <= a_idx <= q) or not (0 <= i_idx <= q - 2):
-        print(f"error: --dir {args.dir} out of range for q={q}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--dir {args.dir} out of range for q={q}")
     rows = bd.mub_tomography_sweep(family, _sweep(args.rstep, args.rmax, args.rstep),
                                    (a_idx, i_idx))
     if not rows:
         raise ValueError(f"the first sweep point {args.rstep:g} lies outside the state space")
-    emit_table(["r", "cGM", "cT"], rows, args.out, args.format)
-    if args.svg and args.out:
-        write_svg(str(Path(args.out).with_suffix(".svg")),
-                  [("cGM", [row[0] for row in rows], [row[1] for row in rows]),
-                   ("cT", [row[0] for row in rows], [row[2] for row in rows])],
-                  "r", "merit")
+    r, cgm, ct = zip(*rows)
+    emit_table(args, ["r", "cGM", "cT"], rows, ([("cGM", r, cgm), ("cT", r, ct)], "r", "merit"))
     return 0
 
 
@@ -294,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write a minimal polyline SVG next to --out")
 
     p = sub.add_parser("bounds", help="merit curves c(r) and cT(r) for a rotational weight")
-    p.add_argument("--weight", choices=("identity", "qfi", "custom"), default="identity")
+    p.add_argument("--weight", choices=(*bd.ROT_WEIGHTS, "custom"), default="identity")
     p.add_argument("--f", type=float, help="transverse value for --weight custom")
     p.add_argument("--g", type=float, help="radial value for --weight custom")
     p.add_argument("--dir", default="1,1,1", help="direction, comma separated")
@@ -305,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo comparison of tomography vs adaptive")
     p.add_argument("--x0", default="0.55,0.55,0.55")
-    p.add_argument("--weight", choices=("identity", "qfi", "tomography", "custom"),
-                   default="qfi")
+    p.add_argument("--weight", choices=(*sim.WEIGHT_SELECTORS, "custom"), default="qfi")
     p.add_argument("--weight-matrix", help="JSON 3x3 matrix for --weight custom")
     p.add_argument("--m", type=int, default=3000)
     p.add_argument("--reps", type=int, default=300)
@@ -318,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("indicatrix", help="unit-merit locus of a weight in a plane")
     p.add_argument("--x", default="0.5,0.5,0")
-    p.add_argument("--weight", choices=("identity", "qfi", "tomography"),
-                   default="tomography")
+    p.add_argument("--weight", choices=sim.WEIGHT_SELECTORS, default="tomography")
     p.add_argument("--plane", default="1,2", help="pair of axis indices, 1-based")
     p.add_argument("--n", type=_positive(int), default=360)
     common(p)

@@ -25,19 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    RotWeight,
+    ROT_WEIGHTS,
     _check_sym_pd,
     c_opt_closed,
     c_tomo_closed,
     qcr_min_trace,
-    qfi_rot_weight,
     qubit_design,
     tomography_fisher,
     tomography_weight,
 )
 from .states import qubit_bures, qubit_qfi
 
-WEIGHT_SELECTORS = ("identity", "qfi", "tomography")
+WEIGHT_SELECTORS = (*ROT_WEIGHTS, "tomography")
 PROB_FLOOR = 1e-12
 # the certificate accepts a point whose ball-constrained Newton step predicts
 # a log-likelihood ascent of at most CERT_TOL * max(1, |L| / 1000), L the
@@ -626,11 +625,8 @@ def theoretical_merits(cfg: RunConfig) -> tuple[float, float]:
     """
     x0 = cfg.x0
     r = float(np.linalg.norm(x0))
-    if isinstance(cfg.weight, str) and cfg.weight == "identity":
-        w = RotWeight(1.0, 1.0)
-        return c_opt_closed(w, r), c_tomo_closed(w, x0)
-    if isinstance(cfg.weight, str) and cfg.weight == "qfi":
-        w = qfi_rot_weight(r)
+    if isinstance(cfg.weight, str) and cfg.weight in ROT_WEIGHTS:
+        w = ROT_WEIGHTS[cfg.weight](r)
         return c_opt_closed(w, r), c_tomo_closed(w, x0)
     h = resolve_weight(cfg.weight, x0)
     bound = qcr_min_trace(qubit_qfi(x0), h).bound

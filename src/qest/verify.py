@@ -291,17 +291,8 @@ def check_closed_vs_numeric_grid(rng) -> CheckResult:
     radii = np.arange(0.0, 0.96, 0.05)
     dirs = rng.standard_normal((20, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    x = radii[:, None, None] * dirs
-    weights = [(bd.RotWeight(1.0, 1.0), bd.qfi_rot_weight(r), bd.RotWeight(2.0, 0.5))
-               for r in radii]
-    # stacks over (radius, weight, direction)
-    hs = np.array([[bd.rot_weight_along(w, dirs) for w in ws] for ws in weights])
-    c = np.array([[bd.c_opt_closed(w, r) for w in ws] for r, ws in zip(radii, weights)])
-    ct = np.array([[bd.c_tomo_closed(w, xr) for w in ws] for xr, ws in zip(x, weights)])
-    bound = bd.qcr_min_trace(st.qubit_qfi(x)[:, None], hs).bound
-    g_num = bd.classical_fisher(st.qubit_slds(x), ms.qubit_tomography_povm())
-    ct_num = np.trace(hs @ np.linalg.inv(g_num)[:, None], axis1=-2, axis2=-1)
-    worst = float(max(np.max(np.abs(c[..., None] - bound)), np.max(np.abs(ct - ct_num))))
+    weights = (*bd.ROT_WEIGHTS.values(), lambda r: bd.RotWeight(2.0, 0.5))
+    worst = float(bd.rot_merit_sweep(weights, radii, dirs)[2].max())
     return CheckResult("closed-vs-numeric-grid", worst <= 1e-8,
                        f"max |closed - numeric| = {worst:.3e} over {len(radii) * 20 * 3} points")
 

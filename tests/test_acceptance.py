@@ -12,18 +12,15 @@ import numpy as np
 import pytest
 
 from qest.bounds import (
-    classical_fisher,
-    gm_lower_bound,
+    mub_tomography_sweep,
     qcr_min_trace,
     tomography_fisher,
     tomography_weight,
 )
-from qest.measurements import mub_bases, mub_tomography_povm
+from qest.measurements import mub_bases
 from qest.simulate import RunConfig, monte_carlo
 from qest.states import (
     bures_distance,
-    model_qfi,
-    mub_derivatives,
     qubit_qfi,
     qubit_state,
 )
@@ -198,19 +195,14 @@ def test_criterion_9_mub_suite():
     for q in (2, 3, 4, 5):
         assert mub_bases(q).max_overlap_defect() <= 1e-9
     notes = []
+    radii = np.arange(0.05, 0.91, 0.05)
     for q in (3, 4):
-        family = mub_bases(q)
-        tomo = mub_tomography_povm(family)
-        cts = []
-        for r in np.arange(0.05, 0.91, 0.05):
-            coords = np.zeros((q + 1, q - 1))
-            coords[0, 0] = r
-            derivs = mub_derivatives(coords, family)
-            j = model_qfi(derivs)
-            ct = float(np.trace(j @ np.linalg.inv(classical_fisher(derivs, tomo))))
-            cgm = gm_lower_bound(j, j, q)
+        rows = mub_tomography_sweep(mub_bases(q), radii)
+        # every radius lies inside the state space, so the sweep must not stop
+        assert len(rows) == len(radii)
+        for _, cgm, ct in rows:
             assert ct >= cgm - 1e-9
-            cts.append(ct)
+        cts = [ct for _, _, ct in rows]
         # unbounded growth toward the model boundary
         assert cts[-1] > 3.0 * cts[0]
         assert all(b > a for a, b in zip(cts[-5:], cts[-4:]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qest.bounds import (
+    ROT_WEIGHTS,
     RotWeight,
     SingularInputError,
     SingularOutcomeError,
@@ -22,11 +23,13 @@ from qest.bounds import (
     optimal_measurement,
     qcr_min_trace,
     qfi_rot_weight,
+    rot_merit_sweep,
     rot_weight_along,
     tomo_excess,
     tomo_excess_forms,
     tomography_fisher,
     tomography_weight,
+    unit_direction,
     weight_from_fisher,
 )
 from qest.linalg import psd_sqrt
@@ -107,10 +110,9 @@ class TestHatFisher:
 
 class TestQcrMinTrace:
     def test_origin_identity_weight(self):
-        sol = qcr_min_trace(np.eye(3), np.eye(3), hilbert_dim=2)
+        sol = qcr_min_trace(np.eye(3), np.eye(3))
         assert sol.bound == pytest.approx(9.0)
         assert np.allclose(sol.fisher_target, np.eye(3) / 3)
-        assert sol.attainable
 
     def test_fisher_weight_gives_nine(self):
         rng = np.random.default_rng(2)
@@ -185,7 +187,7 @@ def _spectral_route(derivs, j, h):
     """Optimal measurement built branch by branch from the eigenprojectors
     of each rotated SLD combination Lhat^i = sum_k (U^-1 sqrt(J^-1))^{ik} L_k."""
     roots = _sqrt_and_inv_sqrt(j)
-    sol = _min_trace(roots, h, hilbert_dim=2)
+    sol = _min_trace(roots, h)
     k_mat = sol.basis.T @ roots[1]
     probs = sol.scales / float(np.sum(sol.scales))
     kept = np.flatnonzero(probs > 1e-15)
@@ -299,6 +301,62 @@ class TestRotationalWeights:
     def test_qfi_values_need_a_radius_inside_the_ball(self, r):
         with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
             qfi_rot_weight(r)
+
+
+class TestUnitDirection:
+    def test_ordinary_rows_keep_their_bits(self):
+        rng = np.random.default_rng(88)
+        v = rng.standard_normal((50, 3)) * 10.0 ** rng.uniform(-100, 100, size=(50, 1))
+        units = unit_direction(v)
+        for k, vk in enumerate(v):
+            assert np.array_equal(units[k], vk / np.sqrt(vk @ vk))
+            assert np.array_equal(unit_direction(vk), units[k])
+
+    @pytest.mark.parametrize("scale", [4e-200, 1e-160, 1e200, 5e-324])
+    def test_squared_norm_under_or_overflow(self, scale, recwarn):
+        v = np.array([1.0, -3.0, 2.0])
+        assert np.array_equal(unit_direction(scale * v), unit_direction(v))
+        stack = unit_direction(np.array([v, scale * v, 0.5 * v]))
+        assert np.array_equal(stack, [unit_direction(v)] * 2 + [unit_direction(0.5 * v)])
+        w = RotWeight(1.0, 2.0)
+        assert np.array_equal(rot_weight_along(w, [scale] * 3), rot_weight_along(w, [1.0] * 3))
+        assert [str(w.message) for w in recwarn] == []
+
+    def test_zero_row_is_rejected(self):
+        for v in ([0.0, 0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]):
+            with pytest.raises(ValueError, match="direction must be nonzero"):
+                unit_direction(v)
+            with pytest.raises(ValueError, match="direction must be nonzero"):
+                rot_weight_along(RotWeight(1.0, 2.0), v)
+
+
+class TestRotMeritSweep:
+    def test_selector_map(self):
+        assert ROT_WEIGHTS["identity"](0.7) == RotWeight(1.0, 1.0)
+        assert ROT_WEIGHTS["qfi"](0.6) == qfi_rot_weight(0.6)
+
+    def test_each_point_matches_its_one_point_calls(self):
+        rng = np.random.default_rng(89)
+        radii = np.array([0.0, 0.3, 0.77, 0.999])
+        dirs = unit_direction(rng.standard_normal((5, 3)))
+        weights = (*ROT_WEIGHTS.values(), lambda r: RotWeight(2.0, 0.5))
+        c, ct, gap = rot_merit_sweep(weights, radii, dirs)
+        assert c.shape == ct.shape == gap.shape == (4, 3, 5)
+        for (a, b, k) in np.ndindex(c.shape):
+            r, v = float(radii[a]), dirs[k]
+            x = radii[a] * v
+            w = weights[b](r)
+            h = rot_weight_along(w, v)
+            g_tomo = classical_fisher(qubit_slds(x), TOMO)
+            assert c[a, b, k] == c_opt_closed(w, r)
+            assert ct[a, b, k] == c_tomo_closed(w, x)
+            assert gap[a, b, k] == max(abs(c[a, b, k] - qcr_min_trace(qubit_qfi(x), h).bound),
+                                       abs(ct[a, b, k] - np.trace(h @ np.linalg.inv(g_tomo))))
+        assert gap.max() <= 1e-6 * max(1.0, ct.max())
+
+    def test_radius_one_is_rejected(self):
+        with pytest.raises(ValueError, match=r"radius 1.0 outside \[0, 1\)"):
+            rot_merit_sweep([ROT_WEIGHTS["qfi"]], [0.5, 1.0], [[1.0, 0.0, 0.0]])
 
 
 class TestClosedForms:
@@ -449,6 +507,19 @@ class TestIndicatrix:
         for v in pts:
             full = np.array([v[0], v[1], 0.0])
             assert full @ h @ full == pytest.approx(1.0, abs=1e-10)
+
+    def test_points_match_the_per_angle_loop(self):
+        rng = np.random.default_rng(90)
+        a = rng.standard_normal((4, 4))
+        for h in (tomography_weight([0.3, -0.2, 0.5]), qubit_qfi([0.1, 0.6, -0.2]),
+                  a @ a.T + 0.1 * np.eye(4)):
+            for plane, n in (((0, 1), 360), ((2, 0), 37), ((1, 2), 1)):
+                pts = indicatrix_points(h, plane=plane, n=n)
+                for idx in range(n):
+                    phi = 2.0 * np.pi * np.arange(n)[idx] / n
+                    u = np.zeros(h.shape[0])
+                    u[plane[0]], u[plane[1]] = np.cos(phi), np.sin(phi)
+                    assert np.array_equal(pts[idx], (u / np.sqrt(u @ h @ u))[list(plane)])
 
     def test_tomography_weight_tilted(self):
         # off the axes the locus is an ellipse whose axes are rotated
@@ -666,7 +737,7 @@ def _stack_points(rng, n=60):
 
 
 def _same_solution(got, want):
-    assert np.array_equal(got.bound, want.bound) and got.attainable == want.attainable
+    assert np.array_equal(got.bound, want.bound)
     for field in ("r_matrix", "basis", "scales", "fisher_target"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
 

@@ -49,8 +49,23 @@ class TestBounds:
             r_txt, c_txt = line.split(",")[:2]
             assert float(c_txt) == c_opt_closed(w, float(r_txt))
 
-    def test_zero_direction_usage_error(self):
+    def test_zero_direction_usage_error(self, capsys):
         assert run_cli(["bounds", "--dir", "0,0,0"]) == 2
+        assert capsys.readouterr().err == "error: direction must be nonzero\n"
+
+    @pytest.mark.parametrize("value", ["4e-200,4e-200,4e-200", "1e200,1e200,1e200"])
+    def test_tiny_or_huge_direction_is_its_unit_vector(self, value, tmp_path, capsys, recwarn):
+        for weight in (["qfi"], ["custom", "--f", "2", "--g", "0.5"]):
+            for name, direction in (("got", value), ("want", "1,1,1")):
+                assert run_cli(["bounds", "--weight", *weight, "--dir", direction,
+                                "--out", str(tmp_path / f"{name}.csv")]) == 0
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert capsys.readouterr().err == ""
+        assert [str(w.message) for w in recwarn] == []
+
+    def test_custom_weight_needs_both_values(self, capsys):
+        assert run_cli(["bounds", "--weight", "custom", "--f", "1"]) == 2
+        assert capsys.readouterr().err == "error: --weight custom requires --f and --g\n"
 
     @pytest.mark.parametrize("values", [["--f", "0", "--g", "0.5"], ["--f", "2", "--g", "0"]])
     def test_zero_custom_value_is_a_usage_error(self, values, tmp_path, capsys):
@@ -145,8 +160,22 @@ class TestSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v1_tomography.csv",
                                                               "run.v1_tomography.svg"]
 
-    def test_bad_config_exit_code(self):
+    def test_bad_config_exit_code(self, capsys):
         assert run_cli(["simulate", "--x0", "1.5,0,0"]) == 2
+        assert capsys.readouterr().err == ("error: x0 must be a Stokes vector strictly "
+                                           "inside the ball\n")
+
+    @pytest.mark.parametrize("matrix", ["nope", "[[1,2],[3]]", '{"a": 1}', '[[1, "x"]]'])
+    def test_malformed_weight_matrix_names_the_flag(self, matrix, tmp_path, capsys):
+        assert run_cli(["simulate", "--weight", "custom", "--weight-matrix", matrix,
+                        "--out", str(tmp_path / "mc")]) == 2
+        assert capsys.readouterr() == ("", "error: --weight-matrix expects a JSON 3x3 matrix "
+                                           f"of numbers, got {matrix!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_custom_weight_needs_a_matrix(self, capsys):
+        assert run_cli(["simulate", "--weight", "custom"]) == 2
+        assert capsys.readouterr().err == "error: --weight custom requires --weight-matrix\n"
 
     @pytest.mark.parametrize("matrix", ["[[8e307, 0, 0], [0, 8e307, 0], [0, 0, 8e307]]",
                                         "[[8e307, 0, 0], [0, 1, 0], [0, 0, 1]]"])
@@ -216,8 +245,29 @@ class TestIndicatrix:
             v1, v2 = (float(v) for v in line.split(","))
             assert np.hypot(v1, v2) == pytest.approx(1.0, abs=1e-12)
 
-    def test_bad_plane_exit_code(self):
+    def test_bad_plane_exit_code(self, capsys):
         assert run_cli(["indicatrix", "--x", "0.1,0,0", "--plane", "1,7"]) == 2
+        assert capsys.readouterr().err == ("error: --plane 1,7 is not two different axes "
+                                           "among 1,2,3\n")
+
+    @pytest.mark.parametrize("plane, err", [
+        ("x,1", "--plane expects two comma-separated integers axis,axis, got 'x,1'"),
+        ("1,2,3", "--plane expects two comma-separated integers axis,axis, got '1,2,3'"),
+        ("2", "--plane expects two comma-separated integers axis,axis, got '2'"),
+        ("1.5,2", "--plane expects two comma-separated integers axis,axis, got '1.5,2'"),
+        ("1,1", "--plane 1,1 is not two different axes among 1,2,3"),
+        ("0,2", "--plane 0,2 is not two different axes among 1,2,3"),
+    ])
+    def test_bad_plane_names_the_flag(self, plane, err, tmp_path, capsys):
+        out = tmp_path / "ind.csv"
+        assert run_cli(["indicatrix", "--x", "0.1,0,0", "--plane", plane,
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
+    def test_point_outside_the_ball(self, capsys):
+        assert run_cli(["indicatrix", "--x", "0.9,0.9,0"]) == 2
+        assert capsys.readouterr().err == "error: point must lie strictly inside the unit ball\n"
 
 
 class TestMub:
@@ -240,8 +290,9 @@ class TestMub:
         for _, cgm, ct in rows:
             assert ct >= cgm - 1e-9
 
-    def test_unsupported_dimension(self):
+    def test_unsupported_dimension(self, capsys):
         assert run_cli(["mub", "--q", "7", "--dump"]) == 2
+        assert capsys.readouterr().err == "error: no mutually unbiased bases table for q=7\n"
 
     @pytest.mark.parametrize("value", ["1,2,3", "x,1", "1", "1.5,1"])
     def test_malformed_dir_names_the_flag(self, value, tmp_path, capsys):
@@ -266,7 +317,7 @@ class TestMub:
 class TestVectorArguments:
     @pytest.mark.parametrize("flag", [["simulate", "--x0"], ["bounds", "--dir"],
                                       ["indicatrix", "--weight", "identity", "--x"]])
-    @pytest.mark.parametrize("value", ["0.1,0.2", "nan,0,0", "0,inf,0"])
+    @pytest.mark.parametrize("value", ["0.1,0.2", "nan,0,0", "0,inf,0", "a,b,c", "1,,2"])
     def test_bad_vector_is_a_usage_error(self, flag, value, tmp_path, capsys):
         assert run_cli([*flag, value, "--out", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
