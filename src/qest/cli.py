@@ -139,6 +139,8 @@ def cmd_bounds(args) -> int:
     direction = bd.unit_direction(_parse_vec(args.dir))
     if args.weight == "custom" and (args.f is None or args.g is None):
         raise ValueError("--weight custom requires --f and --g")
+    if args.weight != "custom" and (args.f is not None or args.g is not None):
+        raise ValueError(f"--f and --g apply only to --weight custom, not --weight {args.weight}")
     weight_at = bd.ROT_WEIGHTS.get(args.weight, lambda r: bd.RotWeight(args.f, args.g))
     radii = _sweep(0.0, args.rmax, args.rstep)
     c, ct, gap = (a[:, 0, 0] for a in bd.rot_merit_sweep([weight_at], radii, direction[None]))
@@ -165,6 +167,8 @@ def cmd_simulate(args) -> int:
         except (ValueError, TypeError):
             raise ValueError("--weight-matrix expects a JSON 3x3 matrix of numbers, "
                              f"got {args.weight_matrix!r}") from None
+    elif args.weight_matrix is not None:
+        raise ValueError(f"--weight-matrix applies only to --weight custom, not --weight {weight}")
     cfg = sim.RunConfig(x0=x0, weight=weight, m_max=args.m, reps=args.reps,
                         seed=args.seed, eps_ball=args.eps_ball)
     kinds = {"both": ("tomography", "adaptive"), "tomo": ("tomography",),
@@ -316,7 +320,9 @@ def main(argv=None) -> int:
         idx = argv.index("--config")
         try:
             config = json.loads(Path(argv[idx + 1]).read_text())
-        except (IndexError, OSError, json.JSONDecodeError) as exc:
+            if not isinstance(config, dict):
+                raise ValueError("expected a JSON object of flag values")
+        except (IndexError, OSError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
         del argv[idx:idx + 2]

@@ -50,8 +50,8 @@ MAX_NEWTON = 60
 class RunConfig:
     """Configuration of one Monte Carlo comparison.
 
-    weight is "identity", "qfi", "tomography", or a fixed 3x3 matrix; the
-    first three are re-resolved at the running estimate during adaptation.
+    weight is "identity", "qfi", "tomography", or a fixed 3x3 matrix; a
+    selector's design follows the running estimate in closed form.
     """
 
     x0: np.ndarray
@@ -252,19 +252,20 @@ def _optimal_branches(x, weight):
     J^-1/2 H J^-1/2 has eigenvalues f, f on the plane orthogonal to n and
     (1 - r^2) g along n, and sqrt(J) leaves those eigenvectors' directions
     unchanged, so the axes are n and an orthonormal pair orthogonal to it,
-    chosen with weights sqrt((1 - r^2) g), sqrt(f), sqrt(f).  Any other
-    weight is resolved at x and handed to bounds.qubit_design; a branch it
-    drops has probability 0 and axis 0.
+    chosen with weights sqrt((1 - r^2) g), sqrt(f), sqrt(f).  "tomography"
+    gets the uniform Pauli mixture, optimal for its weight at every x.  A
+    fixed matrix is handed to bounds.qubit_design; a branch it drops has
+    probability 0 and axis 0.
     """
-    if not (isinstance(weight, str) and weight in ("identity", "qfi")):
+    if not isinstance(weight, str):
         # the SLD Bloch vectors of the Stokes model are the rows of J
         j = qubit_qfi(x)
-        sol = qubit_design(j, j, resolve_weight(weight, x))
+        sol = qubit_design(j, j, weight)
         pad = [0.0] * (3 - len(sol.probs))
         return (*sol.probs.tolist(), *pad, *sol.axes.ravel().tolist(), *pad, *pad, *pad)
     x0, x1, x2 = x
     r2 = x0 * x0 + x1 * x1 + x2 * x2
-    if r2 == 0.0:
+    if r2 == 0.0 or weight == "tomography":
         third = 1.0 / 3.0
         return third, third, third, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
     w = math.sqrt(1.0 - r2) if weight == "identity" else 1.0
@@ -620,15 +621,18 @@ _KIND_IDS = {"tomography": 0, "adaptive": 1}
 def theoretical_merits(cfg: RunConfig) -> tuple[float, float]:
     """(optimal, tomography) asymptotic merit values at the true state.
 
-    Rotationally symmetric selectors use the closed forms; any other weight
-    falls back to the generic bound and Tr H g_tomo^-1.
+    Selectors use their closed forms; a fixed matrix falls back to the
+    generic bound and Tr H g_tomo^-1.
     """
     x0 = cfg.x0
     r = float(np.linalg.norm(x0))
-    if isinstance(cfg.weight, str) and cfg.weight in ROT_WEIGHTS:
+    if isinstance(cfg.weight, str):
+        if cfg.weight == "tomography":
+            # H_T = 9 g_T J^-1 g_T and Tr J^-1 g_T = 1, so both merits are 9
+            return 9.0, 9.0
         w = ROT_WEIGHTS[cfg.weight](r)
         return c_opt_closed(w, r), c_tomo_closed(w, x0)
-    h = resolve_weight(cfg.weight, x0)
+    h = cfg.weight
     bound = qcr_min_trace(qubit_qfi(x0), h).bound
     g_tomo = tomography_fisher(x0)
     return bound, float(np.trace(h @ np.linalg.inv(g_tomo)))

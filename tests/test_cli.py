@@ -67,6 +67,17 @@ class TestBounds:
         assert run_cli(["bounds", "--weight", "custom", "--f", "1"]) == 2
         assert capsys.readouterr().err == "error: --weight custom requires --f and --g\n"
 
+    @pytest.mark.parametrize("args", [["--f", "2", "--g", "0.5"],
+                                      ["--weight", "qfi", "--g", "1"],
+                                      ["--weight", "identity", "--f", "1"]])
+    def test_custom_values_need_the_custom_weight(self, args, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        assert run_cli(["bounds", *args, "--out", str(out)]) == 2
+        weight = args[1] if args[0] == "--weight" else "identity"
+        assert capsys.readouterr() == ("", "error: --f and --g apply only to --weight custom, "
+                                           f"not --weight {weight}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("values", [["--f", "0", "--g", "0.5"], ["--f", "2", "--g", "0"]])
     def test_zero_custom_value_is_a_usage_error(self, values, tmp_path, capsys):
         out = tmp_path / "bounds.csv"
@@ -164,6 +175,22 @@ class TestSimulate:
         assert run_cli(["simulate", "--x0", "1.5,0,0"]) == 2
         assert capsys.readouterr().err == ("error: x0 must be a Stokes vector strictly "
                                            "inside the ball\n")
+
+    @pytest.mark.parametrize("text", ["[1,2]", '"x"', "3", "null"])
+    def test_config_that_is_not_an_object_is_a_usage_error(self, text, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        assert run_cli(["--config", str(config), "bounds"]) == 2
+        assert capsys.readouterr() == ("", "error: cannot read config: expected a JSON "
+                                           "object of flag values\n")
+
+    @pytest.mark.parametrize("weight", ["qfi", "identity", "tomography"])
+    def test_weight_matrix_needs_the_custom_weight(self, weight, tmp_path, capsys):
+        assert run_cli(["simulate", "--weight", weight, "--weight-matrix",
+                        "[[2,0,0],[0,1,0],[0,0,1]]", "--out", str(tmp_path / "mc")]) == 2
+        assert capsys.readouterr() == ("", "error: --weight-matrix applies only to --weight "
+                                           f"custom, not --weight {weight}\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("matrix", ["nope", "[[1,2],[3]]", '{"a": 1}', '[[1, "x"]]'])
     def test_malformed_weight_matrix_names_the_flag(self, matrix, tmp_path, capsys):

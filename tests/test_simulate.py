@@ -148,24 +148,47 @@ class TestOptimalBranches:
             assert np.max(np.abs(g_fast - sol.fisher_target)) <= 1e-8
 
 
-    @pytest.mark.parametrize("weight", ["tomography", "custom"])
+    @pytest.mark.parametrize("weight", ["custom"])
     def test_generic_weights_match_the_closed_form_sqrt_j_route(self, weight):
         rng = np.random.default_rng(43)
         a = rng.standard_normal((3, 3))
-        selector = a @ a.T + 0.3 * np.eye(3) if weight == "custom" else weight
-        # on a coordinate axis the tomography weight makes R a multiple of
-        # the identity, where any orthonormal axes are optimal
-        points = [np.zeros(3)] if weight == "custom" else []
+        h = a @ a.T + 0.3 * np.eye(3)
+        points = [np.zeros(3)]
         for _ in range(50):
             x = rng.standard_normal(3)
             points.append(x * rng.random() * 0.95 / np.linalg.norm(x))
         for x in points:
-            probs, axes = map(np.asarray, _probs_axes(_optimal_branches(x, selector)))
-            old_probs, old_axes = _sqrt_j_route(x, resolve_weight(selector, x))
+            probs, axes = map(np.asarray, _probs_axes(_optimal_branches(x, h)))
+            old_probs, old_axes = _sqrt_j_route(x, h)
             assert probs.shape == old_probs.shape
             assert np.max(np.abs(probs - old_probs)) <= 1e-12
             signs = np.sign(np.sum(axes * old_axes, axis=1))
             assert np.max(np.abs(axes - signs[:, None] * old_axes)) <= 1e-10
+
+    def test_tomography_selector_is_the_pauli_mixture_everywhere(self):
+        pauli = _optimal_branches(np.zeros(3), "qfi")
+        assert pauli == (1 / 3, 1 / 3, 1 / 3, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+        rng = np.random.default_rng(44)
+        dirs = rng.standard_normal((200, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        points = [np.zeros(3), *(s * r * e for e in np.eye(3) for s in (1.0, -1.0)
+                                 for r in (0.5, 1.0 - 1e-6)),
+                  *(d * (1.0 - 1e-6 * rng.random()) for d in dirs[:20]),
+                  *(d * rng.random() for d in dirs)]
+        for x in points:
+            for arg in (x, x.tolist(), tuple(x.tolist())):
+                assert _optimal_branches(arg, "tomography") == pauli
+
+    def test_pauli_mixture_attains_the_optimum_of_the_tomography_weight(self):
+        from qest.bounds import qubit_design, tomography_fisher
+        rng = np.random.default_rng(45)
+        for _ in range(250):
+            x = rng.standard_normal(3)
+            x *= rng.random() * 0.999 / np.linalg.norm(x)
+            j = qubit_qfi(x)
+            target = qubit_design(j, j, tomography_weight(x)).fisher_target
+            assert (np.max(np.abs(tomography_fisher(x) - target))
+                    <= 1e-10 * np.max(np.abs(target)))
 
 
 def _sqrt_j_route(x, h):
@@ -244,6 +267,18 @@ class TestMonteCarlo:
         # tomography attains the bound for exactly this weight
         assert ct == pytest.approx(c, abs=1e-9)
 
+    def test_tomography_selector_lines_are_nine(self):
+        from qest.bounds import tomography_fisher
+        assert theoretical_merits(RunConfig(x0=X0, weight="tomography")) == (9.0, 9.0)
+        rng = np.random.default_rng(46)
+        for _ in range(250):
+            x0 = rng.standard_normal(3)
+            x0 *= rng.random() * 0.99 / np.linalg.norm(x0)
+            h = tomography_weight(x0)
+            assert theoretical_merits(RunConfig(x0=x0, weight="tomography")) == (9.0, 9.0)
+            assert abs(qcr_min_trace(qubit_qfi(x0), h).bound - 9.0) <= 1e-12
+            assert abs(np.trace(h @ np.linalg.inv(tomography_fisher(x0))) - 9.0) <= 1e-12
+
 
 class TestMeritEquivalence:
     def test_bures_vs_quadratic_ratio(self):
@@ -299,6 +334,27 @@ class TestAdaptiveDominatesTomography:
         gap = tomo.mean_bures[-1] - adap.mean_bures[-1]
         se = float(np.hypot(tomo.se_bures[-1], adap.se_bures[-1]))
         assert gap > 5 * se
+
+
+@pytest.mark.slow
+class TestTomographyWeightMonteCarlo:
+    def test_both_schemes_reach_nine_under_the_tomography_weight(self):
+        # the paper's claim: under H_T = tomography_weight(x0) plain
+        # tomography is optimal, so the adaptive scheme (which then measures
+        # the Pauli mixture, with the certified MLE) and the frequency
+        # estimator both reach m E[dx^T H_T dx] -> 9
+        m, reps, seed = 3000, 200, 11
+        h = tomography_weight(X0)
+        cfg = RunConfig(x0=X0, weight="tomography", m_max=m, reps=1, seed=seed, eps_ball=0.01)
+        adaptive = np.array([adaptive_run(cfg, np.random.default_rng((seed, 1, i))).estimates[-1]
+                             for i in range(reps)])
+        tomo = _tomography_estimates(X0, [m], [np.random.default_rng((seed, 0, i))
+                                               for i in range(reps)])[:, -1]
+        for estimates in (adaptive, tomo):
+            dx = estimates - X0
+            merits = m * np.einsum("ri,ij,rj->r", dx, h, dx)
+            se = merits.std(ddof=1) / np.sqrt(reps)
+            assert abs(merits.mean() - 9.0) <= 4 * se
 
 
 class TestResolveWeight:
@@ -957,9 +1013,13 @@ class TestFloatAdaptiveStep:
                 assert probs == want_probs.tolist()
                 assert axes == want_axes.tolist()
 
-    @pytest.mark.parametrize("weight", ["identity", "qfi", "tomography"])
+    @pytest.mark.parametrize("weight", ["identity", "qfi", "custom"])
     def test_scalar_sampler_equals_the_accumulate_sampler(self, weight):
         from qest.simulate import _draw_outcome
+        if weight == "custom":
+            # the Pauli design of "tomography" never makes the sums non-monotone;
+            # a fixed matrix's design axes turn with x, and often do
+            weight = np.diag([1.0, 2.0, 3.0])
         windows = 0
         for design, x_true, uniforms in _sampler_cases(weight, np.random.default_rng(96)):
             # uniforms past the first 22 put u q_5 where the sums are not monotone
