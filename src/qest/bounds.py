@@ -15,13 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import NoConvergenceError
 from .measurements import (MubFamily, Povm, bloch_pvm_mixture, mub_tomography_povm,
                            qubit_tomography_povm)
 from .states import (PAULIS, ModelDerivatives, NotPositiveError, _check_ball, model_qfi,
                      mub_derivatives, qubit_qfi, qubit_slds)
 
+# a symmetric matrix counts as positive definite when its smallest eigenvalue
+# exceeds PD_TOL times the smaller of 1 and its largest (_require_pd)
 PD_TOL = 1e-12
 SYM_TOL = 1e-10
+# min_trace_unit_trace: the Newton steps it may take, and the share of the
+# value below which its Newton decrement (twice the predicted gain) is
+# rounding of the value
+UNIT_TRACE_MAX_STEPS = 50000
+UNIT_TRACE_RTOL = 1e-14
 # a float below this squares without overflow
 _SQRT_MAX = math.sqrt(sys.float_info.max)
 
@@ -109,10 +117,21 @@ def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
     return (m + m.mT) / 2
 
 
+def _require_pd(values: np.ndarray, name: str) -> None:
+    """Reject the ascending eigenvalues (..., d) of a matrix, or of any
+    matrix of a stack, whose smallest is at most PD_TOL times the smaller of
+    1 and its largest.  The test is scale-free for a condition number below
+    1 / PD_TOL; above it only a smallest eigenvalue above PD_TOL passes, as
+    for the weights of huge spread (f = 1, g = 1e300) accepted all along."""
+    low = values[..., 0]
+    # the absolute floor alone, the cheap test, passes nearly every matrix
+    if low.min() <= PD_TOL and ((low <= PD_TOL) & (low <= PD_TOL * values[..., -1])).any():
+        raise SingularInputError(f"{name} is not positive definite")
+
+
 def _check_sym_pd(m: np.ndarray, name: str) -> np.ndarray:
     m = _symmetrized(m, name)
-    if np.linalg.eigvalsh(m)[..., 0].min() <= PD_TOL:
-        raise SingularInputError(f"{name} is not positive definite")
+    _require_pd(np.linalg.eigvalsh(m), name)
     return m
 
 
@@ -120,8 +139,7 @@ def _sqrt_and_inv_sqrt(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(J) and J^-1/2 from one eigendecomposition, which also checks
     that J is symmetric positive definite."""
     values, vectors = np.linalg.eigh(_symmetrized(j, "quantum Fisher matrix"))
-    if values[..., 0].min() <= PD_TOL:
-        raise SingularInputError("quantum Fisher matrix is not positive definite")
+    _require_pd(values, "quantum Fisher matrix")
     root = np.sqrt(values)[..., None, :]
     return (vectors * root) @ vectors.mT, (vectors / root) @ vectors.mT
 
@@ -479,50 +497,77 @@ def indicatrix_points(h: np.ndarray, plane: tuple[int, int] = (0, 1),
     return (u / np.sqrt(uhu)[:, None])[:, [i, k]]
 
 
+def _traceless_basis(d: int) -> np.ndarray:
+    """A Frobenius-orthonormal basis of the traceless symmetric d x d
+    matrices, as a stack of d(d+1)/2 - 1: the off-diagonal pairs
+    (E_ik + E_ki) / sqrt(2), then diag(1, ..., 1, -k, 0, ...) / sqrt(k(k+1))."""
+    basis = []
+    for i in range(d):
+        for k in range(i + 1, d):
+            e = np.zeros((d, d))
+            e[i, k] = e[k, i] = math.sqrt(0.5)
+            basis.append(e)
+    for k in range(1, d):
+        diag = np.zeros(d)
+        diag[:k], diag[k] = 1.0, -k
+        basis.append(np.diag(diag / math.sqrt(k * (k + 1))))
+    return np.array(basis)
+
+
 def min_trace_unit_trace(s: np.ndarray) -> tuple[float, np.ndarray]:
     """Numerically minimize Tr S G^-1 over positive definite G with Tr G = 1.
 
-    Projected-gradient descent: steps follow the gradient component tangent
-    to the unit-trace slice, with eigenvalue flooring to stay positive
-    definite and an adaptive step size, for at most 50000 steps or until the
-    tangent gradient's norm falls below 1e-10.  Serves as an oracle
-    independent of the closed-form answer (Tr sqrt(S))^2.
+    Damped Newton on the unit-trace slice G = I/d + sum_k t_k E_k, the E_k
+    a Frobenius-orthonormal basis of the traceless symmetric matrices,
+    starting at I/d.  With B = G^-1 S G^-1 the gradient is -Tr(B E_k) and
+    the Hessian Tr(B E_k G^-1 E_l) plus its transpose.  A step halves until
+    Cholesky accepts the candidate and the value does not increase.  The
+    run stops when a step gains nothing, or once the Newton decrement is
+    within UNIT_TRACE_RTOL of the value; then rounding decides the value
+    test, so one last full step is taken without it.  Tr S G^-1 is convex
+    on the positive definite cone, so Newton converges from I/d.  It takes
+    no square root of S, so it serves as an oracle independent of the
+    closed-form answer (Tr sqrt(S))^2.  Raises NoConvergenceError when
+    UNIT_TRACE_MAX_STEPS steps do not reach a stop.
     """
     s = _check_sym_pd(s, "target matrix")
     d = s.shape[0]
-    eye = np.eye(d)
-    g = eye / d
-
-    def objective(mat: np.ndarray) -> tuple[float, np.ndarray]:
-        inv = np.linalg.inv(mat)
-        return float(np.trace(s @ inv)), inv
-
-    def project(mat: np.ndarray) -> np.ndarray:
-        mat = (mat + mat.T) / 2
-        values, vectors = np.linalg.eigh(mat)
-        values = np.maximum(values, 1e-12)
-        mat = (vectors * values) @ vectors.T
-        return mat / mat.trace()
-
-    val, ginv = objective(g)
-    step = 0.1
-    for _ in range(50000):
-        grad = -(ginv @ s @ ginv)
-        grad = (grad + grad.T) / 2
-        grad_t = grad - (np.trace(grad) / d) * eye
-        gnorm = float(np.linalg.norm(grad_t))
-        if gnorm < 1e-10:
-            break
-        improved = False
-        while step > 1e-18:
-            cand = project(g - step * grad_t)
-            cand_val, cand_inv = objective(cand)
-            if cand_val < val:
-                g, val, ginv = cand, cand_val, cand_inv
-                step *= 1.5
-                improved = True
+    g = np.eye(d) / d
+    if d == 1:
+        return float(s[0, 0]), g
+    basis = _traceless_basis(d)
+    n = len(basis)
+    flat = basis.reshape(n, d * d)
+    ginv = np.linalg.inv(g)
+    val = float(np.trace(s @ ginv))
+    for _ in range(UNIT_TRACE_MAX_STEPS):
+        b = ginv @ s @ ginv
+        grad = -(flat @ b.ravel())
+        # the flattened rows B E_k and E_l G^-1 contract to Tr(B E_k G^-1 E_l)
+        half = (b @ basis).reshape(n, -1) @ (basis @ ginv).reshape(n, -1).T
+        step = np.linalg.solve(half + half.T, -grad)
+        decrement = float(-grad @ step)
+        last = decrement <= UNIT_TRACE_RTOL * val
+        move = (step @ flat).reshape(d, d)
+        t = 1.0
+        # at most 60 halvings; past them the move vanishes against G
+        for _ in range(60):
+            cand = g + t * move
+            try:
+                np.linalg.cholesky(cand)
+            except np.linalg.LinAlgError:
+                t *= 0.5
+                continue
+            cand_inv = np.linalg.inv(cand)
+            cand_val = float(np.trace(s @ cand_inv))
+            if last or cand_val <= val:
                 break
-            step *= 0.5
-        if not improved:
-            break
-    return val, g
+            t *= 0.5
+        else:
+            return val, g
+        gained = cand_val < val
+        g, ginv, val = cand, cand_inv, cand_val
+        if last or not gained:
+            return val, g
+    raise NoConvergenceError(f"unit-trace minimum not reached in {UNIT_TRACE_MAX_STEPS} "
+                             f"Newton steps; last decrement {decrement:.3e}")

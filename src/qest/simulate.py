@@ -74,10 +74,8 @@ class RunConfig:
         if self.eps_ball < 1e-12:
             # below this, estimates on the clamp sphere round onto |x| = 1
             raise ValueError("eps_ball must be at least 1e-12")
-        if isinstance(self.weight, str):
-            if self.weight not in WEIGHT_SELECTORS:
-                raise ValueError(f"unknown weight selector {self.weight!r}")
-        else:
+        _check_selector(self.weight)
+        if not isinstance(self.weight, str):
             weight = np.asarray(self.weight, dtype=float)
             if weight.shape != (3, 3):
                 raise ValueError("custom weight must be a 3x3 matrix")
@@ -92,6 +90,12 @@ class RunConfig:
                     finite = False
             if not finite:
                 raise ValueError("merit overflows for these weight values")
+
+
+def _check_selector(weight) -> None:
+    """Reject a selector string that names no weight; a matrix passes."""
+    if isinstance(weight, str) and weight not in WEIGHT_SELECTORS:
+        raise ValueError(f"unknown weight selector {weight!r}")
 
 
 @dataclass
@@ -504,6 +508,7 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     """
     checkpoints = checkpoint_schedule(cfg.m_max)
     weight = cfg.weight
+    _check_selector(weight)
     rho = 1.0 - cfg.eps_ball
     x_true = cfg.x0.tolist()
     x0 = x1 = x2 = 0.0
@@ -624,6 +629,7 @@ def theoretical_merits(cfg: RunConfig) -> tuple[float, float]:
     Selectors use their closed forms; a fixed matrix falls back to the
     generic bound and Tr H g_tomo^-1.
     """
+    _check_selector(cfg.weight)
     x0 = cfg.x0
     r = float(np.linalg.norm(x0))
     if isinstance(cfg.weight, str):

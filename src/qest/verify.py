@@ -126,8 +126,8 @@ def check_fisher_convexity(rng, cases: int = 30) -> CheckResult:
 
 
 def check_unit_trace_minimum(rng, cases: int = 20) -> CheckResult:
-    """Projected-gradient minimum of Tr S G^-1 over unit-trace G matches
-    (Tr sqrt(S))^2."""
+    """The Newton minimum of Tr S G^-1 over unit-trace G, which takes no
+    square root of S, matches (Tr sqrt(S))^2."""
     worst = 0.0
     for _ in range(cases):
         d = int(rng.integers(2, 4))

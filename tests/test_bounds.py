@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qest import bounds
 from qest.bounds import (
     ROT_WEIGHTS,
     RotWeight,
@@ -23,6 +24,7 @@ from qest.bounds import (
     optimal_measurement,
     qcr_min_trace,
     qfi_rot_weight,
+    qubit_design,
     rot_merit_sweep,
     rot_weight_along,
     tomo_excess,
@@ -32,7 +34,7 @@ from qest.bounds import (
     unit_direction,
     weight_from_fisher,
 )
-from qest.linalg import psd_sqrt
+from qest.linalg import NoConvergenceError, psd_sqrt
 from qest.measurements import (
     Povm,
     outcome_distribution,
@@ -545,6 +547,92 @@ class TestUnitTraceMinimum:
             expected_g = psd_sqrt(s) / np.trace(psd_sqrt(s))
             assert np.max(np.abs(g - expected_g)) <= 1e-3
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_every_dimension_from_one_to_four(self, d):
+        rng = np.random.default_rng(20 + d)
+        for _ in range(5):
+            s = _spread_target(rng, d, 0.0)
+            val, g = min_trace_unit_trace(s)
+            root = psd_sqrt(s)
+            assert val == pytest.approx(float(np.trace(root)) ** 2, rel=1e-12)
+            assert np.max(np.abs(g - root / np.trace(root))) <= 1e-9
+            assert float(np.trace(g)) == pytest.approx(1.0, abs=1e-15)
+        assert min_trace_unit_trace([[2.5]]) == (2.5, np.eye(1))
+
+    def test_condition_numbers_up_to_1e8(self, monkeypatch):
+        # success with a cap of N steps means at most N Newton steps
+        monkeypatch.setattr(bounds, "UNIT_TRACE_MAX_STEPS", 39)
+        rng = np.random.default_rng(31)
+        for k in range(60):
+            s = _spread_target(rng, 2 + k % 3, 4.0)
+            val, _ = min_trace_unit_trace(s)
+            closed = float(np.sum(np.sqrt(np.linalg.eigvalsh(s)))) ** 2
+            assert val == pytest.approx(closed, rel=1e-10)
+
+    @pytest.mark.parametrize("s, message", [
+        ([[1.0, 0.5], [0.0, 1.0]], "target matrix is not symmetric"),
+        ([[1.0, 0.0], [0.0, np.nan]], "target matrix has non-finite entries"),
+        ([[1.0, 1.0], [1.0, 1.0]], "target matrix is not positive definite"),
+    ])
+    def test_bad_target_is_named(self, s, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            min_trace_unit_trace(np.array(s))
+
+    def test_step_cap_raises_with_the_last_decrement(self, monkeypatch):
+        monkeypatch.setattr(bounds, "UNIT_TRACE_MAX_STEPS", 1)
+        with pytest.raises(NoConvergenceError, match="in 1 Newton steps; last decrement"):
+            min_trace_unit_trace(np.diag([1.0, 2.0, 5.0]))
+
+    def test_scaled_target_scales_the_value(self):
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            s = _spread_target(rng, 3, 0.5)
+            val, g = min_trace_unit_trace(s)
+            for k in range(-60, 61, 2):
+                scaled_val, scaled_g = min_trace_unit_trace(2.0 ** k * s)
+                assert scaled_val == pytest.approx(2.0 ** k * val, rel=1e-14)
+                assert np.max(np.abs(scaled_g - g)) <= 1e-14
+
+
+def _spread_target(rng, d, decades):
+    """A random symmetric positive definite d x d matrix with eigenvalues
+    spread over 10^-decades to 10^decades (0.2 to 3 for decades = 0)."""
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    values = 10.0 ** rng.uniform(-decades, decades, size=d) if decades else \
+        rng.uniform(0.2, 3.0, size=d)
+    s = (q * values) @ q.T
+    return (s + s.T) / 2
+
+
+class TestScaleFreePositiveDefiniteCheck:
+    def test_design_of_a_power_of_two_multiple(self):
+        rng = np.random.default_rng(33)
+        for _ in range(40):
+            j = qubit_qfi(random_point(rng, rmax=0.97))
+            h = random_weight(rng)
+            sol = qubit_design(j, j, h)
+            for k in range(-60, 61, 2):
+                scaled = qubit_design(j, j, 2.0 ** k * h)
+                assert scaled.bound == pytest.approx(2.0 ** k * sol.bound, rel=1e-14)
+                assert np.max(np.abs(scaled.probs - sol.probs)) <= 1e-14
+                assert np.max(np.abs(scaled.axes - sol.axes)) <= 1e-14
+
+    def test_tiny_matrices_pass_and_near_singular_ones_fail(self):
+        for m in (1e-13 * np.eye(3), 2.0 ** -1000 * np.diag([1.0, 2.0, 3.0]),
+                  np.diag([1.0, 1.0, 1e300])):
+            assert np.array_equal(_check_sym_pd(m, "m"), m)
+        for m in (np.diag([1.0, 1.0, 1e-13]), 1e-20 * np.diag([1.0, 1.0, 1e-13]),
+                  np.diag([1e-13, 1e-13, 1.0])):
+            with pytest.raises(SingularInputError, match="^m is not positive definite$"):
+                _check_sym_pd(m, "m")
+        # each element of a stack passes or fails as it does alone
+        good = np.array([np.diag([1.0, 1.0, 1e13]), 1e-13 * np.eye(3)])
+        assert np.array_equal(_check_sym_pd(good, "m"), good)
+        for got, want in zip(_sqrt_and_inv_sqrt(good), _sqrt_and_inv_sqrt(good[1])):
+            assert np.array_equal(got[1], want)
+        with pytest.raises(SingularInputError, match="^m is not positive definite$"):
+            _check_sym_pd(np.array([good[0], good[1], np.diag([1e-13, 1.0, 1.0])]), "m")
+
 
 # Reference routes: the per-outcome, per-decomposition forms these kernels
 # had before they were vectorized, kept to pin the rewritten ones.
@@ -580,8 +668,9 @@ def _five_decomposition_min_trace(j, h):
     return tr_r ** 2, r, (target + target.T) / 2, np.real(scales)
 
 
-def _double_inverse_min_trace_unit_trace(s, max_iter=50000, grad_tol=1e-10):
-    """min_trace_unit_trace as it was: each accepted iterate inverted twice."""
+def _projected_gradient_min_trace_unit_trace(s, max_iter=50000, grad_tol=1e-10):
+    """min_trace_unit_trace as it was before Newton steps: projected-gradient
+    descent with eigenvalue flooring, kept as an independent oracle."""
     s = (s + s.T) / 2
     d = s.shape[0]
     eye = np.eye(d)
@@ -695,7 +784,7 @@ class TestKernelsMatchTheirLoopRoutes:
             assert np.max(np.abs(sol.r_matrix @ sol.basis - sol.basis * sol.scales)) \
                 <= 1e-12 * scale_r
 
-    def test_min_trace_unit_trace_iterates_are_unchanged(self):
+    def test_unit_trace_newton_beats_projected_gradient(self):
         rng = np.random.default_rng(73)
         for _ in range(8):
             d = int(rng.integers(2, 4))
@@ -703,9 +792,16 @@ class TestKernelsMatchTheirLoopRoutes:
             s = q @ np.diag(rng.uniform(0.2, 3.0, size=d)) @ q.T
             s = (s + s.T) / 2
             val, g = min_trace_unit_trace(s)
-            want_val, want_g = _double_inverse_min_trace_unit_trace(s)
-            assert val == want_val
-            assert np.array_equal(g, want_g)
+            want_val, _ = _projected_gradient_min_trace_unit_trace(s)
+            assert val <= want_val * (1.0 + 1e-14)
+            root = psd_sqrt(s)
+            assert val == pytest.approx(float(np.trace(root)) ** 2, rel=1e-12)
+            assert np.max(np.abs(g - root / np.trace(root))) <= 1e-9
+            # the gradient -G^-1 S G^-1 vanishes along the unit-trace slice
+            ginv = np.linalg.inv(g)
+            grad = -(ginv @ s @ ginv)
+            tangent = grad - (np.trace(grad) / d) * np.eye(d)
+            assert np.linalg.norm(tangent) <= 1e-10 * val
 
 
 def _einsum_classical_fisher(derivs, povm):

@@ -116,6 +116,17 @@ class TestBounds:
                 for line in out.read_text().strip().split("\n")[1:]]
         assert max(row[3] for row in rows) > 1e-6
 
+    def test_tiny_custom_weight_runs_with_scaled_merits(self, tmp_path, capsys):
+        tables = {}
+        for f, g in (("1", "2"), ("1e-13", "2e-13")):
+            out = tmp_path / f"{f}.csv"
+            assert run_cli(["bounds", "--weight", "custom", "--f", f, "--g", g,
+                            "--rmax", "0.9", "--out", str(out)]) == 0
+            tables[f] = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert capsys.readouterr().err == ""
+        assert np.allclose(tables["1e-13"][:, 1:3], 1e-13 * tables["1"][:, 1:3],
+                           rtol=1e-13, atol=0)
+
     def test_order_one_gap_still_fails(self, tmp_path, capsys, monkeypatch):
         from qest import bounds
         closed = bounds.c_opt_closed

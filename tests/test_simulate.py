@@ -431,6 +431,20 @@ class TestInputValidation:
         out = monte_carlo(cfg, threads=1)
         assert [len(s.checkpoints) for s in out.values()] == [5, 5]
 
+    def test_selector_set_after_construction_is_named(self):
+        cfg = RunConfig(x0=X0, m_max=5, reps=1)
+        cfg.weight = "bogus"
+        for call in (lambda: theoretical_merits(cfg),
+                     lambda: adaptive_run(cfg, np.random.default_rng(0)),
+                     lambda: monte_carlo(cfg, estimators=("adaptive",), threads=1)):
+            with pytest.raises(ValueError, match="^unknown weight selector 'bogus'$"):
+                call()
+
+    def test_tiny_custom_weight_accepted_with_scaled_merits(self):
+        base = theoretical_merits(RunConfig(x0=X0, weight=np.eye(3)))
+        tiny = theoretical_merits(RunConfig(x0=X0, weight=1e-13 * np.eye(3)))
+        assert tiny == pytest.approx((1e-13 * base[0], 1e-13 * base[1]), rel=1e-14)
+
     def test_symmetric_custom_weight_kept_bit_for_bit(self):
         a = np.random.default_rng(7).standard_normal((3, 3))
         h = (a + a.T) / 2 + 4.0 * np.eye(3)
