@@ -108,8 +108,10 @@ def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    defect = float(np.abs(m - m.mT).max())
-    # a NaN or infinite entry makes its own or its mirror's difference NaN
+    # a NaN or infinite entry makes its own or its mirror's difference NaN,
+    # which the test below names without numpy's warning about inf - inf
+    with np.errstate(invalid="ignore"):
+        defect = float(np.abs(m - m.mT).max())
     if math.isnan(defect):
         raise ValueError(f"{name} has non-finite entries")
     if defect > SYM_TOL:

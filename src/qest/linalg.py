@@ -40,6 +40,13 @@ class HermitianEig(NamedTuple):
     vectors: np.ndarray  # unitary, columns are eigenvectors
 
 
+def read_only(a, dtype) -> np.ndarray:
+    """A copy of a as a dtype array that cannot be written to."""
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (a + a^dagger) / 2."""
     a = np.asarray(a)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_eig, hermitize
+from .linalg import hermitian_eig, hermitize, read_only
 from .states import bloch_operator
 
 COMPLETENESS_TOL = 1e-9
@@ -36,13 +36,13 @@ class InvalidPovmError(ValueError):
     """Elements fail positivity or completeness."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Povm:
     """A labeled finite POVM.
 
-    ops is a (n, dim, dim) complex array of PSD elements summing to the
-    identity.  provenance optionally records, per element, which PVM branch
-    of a randomized combination it came from and that branch's probability.
+    ops is a read-only (n, dim, dim) complex copy of PSD elements summing to
+    the identity.  provenance optionally records, per element, which PVM
+    branch of a randomized combination it came from and its probability.
     """
 
     dim: int
@@ -51,23 +51,18 @@ class Povm:
     provenance: tuple | None = None
 
     def __post_init__(self):
-        self.ops = np.asarray(self.ops, dtype=complex)
-        self.labels = tuple(str(l) for l in self.labels)
+        object.__setattr__(self, "ops", read_only(self.ops, complex))
+        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         if self.ops.ndim != 3 or self.ops.shape[1:] != (self.dim, self.dim):
             raise InvalidPovmError(f"ops shape {self.ops.shape} unusable for dim {self.dim}")
         if len(self.labels) != self.ops.shape[0]:
             raise InvalidPovmError("one label per element required")
         if self.provenance is not None:
-            self.provenance = tuple((int(b), float(p)) for b, p in self.provenance)
+            object.__setattr__(self, "provenance",
+                               tuple((int(b), float(p)) for b, p in self.provenance))
             if len(self.provenance) != len(self.labels):
                 raise InvalidPovmError("one provenance entry per element required")
-        self.validate()
-
-    def __len__(self) -> int:
-        return self.ops.shape[0]
-
-    def validate(self) -> None:
-        """Check positivity and completeness of the elements."""
+        # positivity and completeness of the elements
         total = self.ops.sum(axis=0)
         defect = float(np.max(np.abs(total - np.eye(self.dim))))
         if defect > COMPLETENESS_TOL:
@@ -81,6 +76,9 @@ class Povm:
             if defects[idx] > COMPLETENESS_TOL:
                 raise InvalidPovmError(f"element {idx} not Hermitian")
             raise InvalidPovmError(f"element {idx} has eigenvalue {min_eigs[idx]:.3e}")
+
+    def __len__(self) -> int:
+        return self.ops.shape[0]
 
     def to_json_dict(self) -> dict:
         """Row-major complex entries as [re, im] pairs, per element."""
@@ -99,15 +97,15 @@ class Povm:
         ops = [[[complex(re, im) for re, im in row] for row in e["op"]] for e in elements]
         # __post_init__ turns the provenance pairs back into (int, float)
         return cls(dim=int(doc["dim"]), labels=tuple(e["label"] for e in elements),
-                   ops=np.array(ops, dtype=complex), provenance=doc.get("provenance"))
+                   ops=ops, provenance=doc.get("provenance"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MubFamily:
     """A full set of q+1 mutually unbiased orthonormal bases in dimension q.
 
-    bases[a, i] is the i-th unit vector of basis a; any two vectors from
-    different bases have squared overlap 1/q.
+    bases[a, i] is the i-th unit vector of basis a, in a read-only copy;
+    any two vectors from different bases have squared overlap 1/q.
     """
 
     q: int
@@ -115,12 +113,9 @@ class MubFamily:
     name: str = field(default="")
 
     def __post_init__(self):
-        self.bases = np.asarray(self.bases, dtype=complex)
+        object.__setattr__(self, "bases", read_only(self.bases, complex))
         if self.bases.shape != (self.q + 1, self.q, self.q):
             raise ValueError(f"expected bases of shape {(self.q + 1, self.q, self.q)}")
-        self.validate()
-
-    def validate(self) -> None:
         gram = self.bases @ self.bases.conj().transpose(0, 2, 1)
         bad = np.flatnonzero(np.max(np.abs(gram - np.eye(self.q)), axis=(1, 2)) > 1e-10)
         if bad.size:

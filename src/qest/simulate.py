@@ -18,6 +18,7 @@ runs in trial order regardless of worker count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .bounds import (
     tomography_fisher,
     tomography_weight,
 )
+from .linalg import read_only
 from .states import qubit_bures, qubit_qfi
 
 WEIGHT_SELECTORS = (*ROT_WEIGHTS, "tomography")
@@ -46,12 +48,14 @@ CERT_TOL = 1e-10
 MAX_NEWTON = 60
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Configuration of one Monte Carlo comparison.
 
     weight is "identity", "qfi", "tomography", or a fixed 3x3 matrix; a
-    selector's design follows the running estimate in closed form.
+    selector's design follows the running estimate in closed form.  x0 and
+    a matrix weight are read-only copies, checked once: dataclasses.replace
+    builds a changed record and checks it again.
     """
 
     x0: np.ndarray
@@ -62,27 +66,33 @@ class RunConfig:
     eps_ball: float = 1e-6
 
     def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float)
+        for name in ("x0", "weight"):
+            # a float cast would drop the imaginary part with only a warning
+            if np.iscomplexobj(getattr(self, name)):
+                raise ValueError(f"{name} must be real, not complex")
+        object.__setattr__(self, "x0", read_only(self.x0, float))
         if self.x0.shape != (3,) or not float(self.x0 @ self.x0) < 1.0:
             raise ValueError("x0 must be a Stokes vector strictly inside the ball")
         for name, low in (("m_max", 1), ("reps", 1), ("seed", 0)):
             value = getattr(self, name)
             if type(value) is bool or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
-        if not 0.0 < self.eps_ball < 1.0:
-            raise ValueError("eps_ball must lie strictly between 0 and 1")
+        if not isinstance(self.eps_ball, numbers.Real) or not 0.0 < self.eps_ball < 1.0:
+            raise ValueError(f"eps_ball must lie strictly between 0 and 1, got {self.eps_ball!r}")
         if self.eps_ball < 1e-12:
             # below this, estimates on the clamp sphere round onto |x| = 1
             raise ValueError("eps_ball must be at least 1e-12")
-        _check_selector(self.weight)
-        if not isinstance(self.weight, str):
+        if isinstance(self.weight, str):
+            if self.weight not in WEIGHT_SELECTORS:
+                raise ValueError(f"unknown weight selector {self.weight!r}")
+        else:
             weight = np.asarray(self.weight, dtype=float)
             if weight.shape != (3, 3):
                 raise ValueError("custom weight must be a 3x3 matrix")
             # the symmetry check forms weight + weight.T, which must not overflow
             if not np.all(np.abs(weight) <= np.finfo(float).max / 2):
                 raise ValueError("custom weight entries must be finite and at most 8.99e307")
-            self.weight = _check_sym_pd(weight, "weight")
+            object.__setattr__(self, "weight", read_only(_check_sym_pd(weight, "weight"), float))
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
                     finite = all(map(math.isfinite, theoretical_merits(self)))
@@ -90,12 +100,6 @@ class RunConfig:
                     finite = False
             if not finite:
                 raise ValueError("merit overflows for these weight values")
-
-
-def _check_selector(weight) -> None:
-    """Reject a selector string that names no weight; a matrix passes."""
-    if isinstance(weight, str) and weight not in WEIGHT_SELECTORS:
-        raise ValueError(f"unknown weight selector {weight!r}")
 
 
 @dataclass
@@ -508,7 +512,6 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     """
     checkpoints = checkpoint_schedule(cfg.m_max)
     weight = cfg.weight
-    _check_selector(weight)
     rho = 1.0 - cfg.eps_ball
     x_true = cfg.x0.tolist()
     x0 = x1 = x2 = 0.0
@@ -629,7 +632,6 @@ def theoretical_merits(cfg: RunConfig) -> tuple[float, float]:
     Selectors use their closed forms; a fixed matrix falls back to the
     generic bound and Tr H g_tomo^-1.
     """
-    _check_selector(cfg.weight)
     x0 = cfg.x0
     r = float(np.linalg.norm(x0))
     if isinstance(cfg.weight, str):

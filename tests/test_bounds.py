@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -632,6 +634,20 @@ class TestScaleFreePositiveDefiniteCheck:
             assert np.array_equal(got[1], want)
         with pytest.raises(SingularInputError, match="^m is not positive definite$"):
             _check_sym_pd(np.array([good[0], good[1], np.diag([1e-13, 1.0, 1.0])]), "m")
+
+
+class TestInfiniteEntryNamed:
+    @pytest.mark.parametrize("call, name", [
+        (lambda: min_trace_unit_trace([[1.0, 0.0], [0.0, np.inf]]), "target matrix"),
+        (lambda: qcr_min_trace(np.eye(3), np.diag([1.0, np.inf, 1.0])), "weight"),
+        (lambda: hat_fisher(np.eye(3), np.diag([1.0, np.inf, 1.0])), "quantum Fisher matrix"),
+    ], ids=["min_trace_unit_trace", "qcr_min_trace", "hat_fisher"])
+    def test_named_without_a_numpy_warning(self, call, name):
+        # inf - inf in the symmetry defect must not warn before the check names it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+                call()
 
 
 # Reference routes: the per-outcome, per-decomposition forms these kernels

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,42 @@ class TestMubBases:
         bad = np.stack([np.eye(2, dtype=complex)] * 3)
         with pytest.raises(ValueError):
             MubFamily(q=2, bases=bad)
+
+
+class TestFrozenRecords:
+    """Povm and MubFamily are checked once and hold read-only copies."""
+
+    def test_fields_cannot_be_assigned(self):
+        povm, family = qubit_tomography_povm(), mub_bases(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            povm.ops = 2.0 * povm.ops
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            family.bases = family.bases[::-1]
+
+    def test_arrays_cannot_be_written(self):
+        povm, family = qubit_tomography_povm(), mub_bases(3)
+        with pytest.raises(ValueError, match="read-only"):
+            povm.ops[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            family.bases[0] = 0
+
+    def test_callers_array_is_copied(self):
+        ref_povm, ref_family = qubit_tomography_povm(), mub_bases(3)
+        ops, bases = ref_povm.ops.copy(), ref_family.bases.copy()
+        povm = Povm(dim=2, labels=ref_povm.labels, ops=ops)
+        family = MubFamily(q=3, bases=bases)
+        ops[0] *= 3.0
+        bases[0] = 0
+        assert np.array_equal(povm.ops, ref_povm.ops)
+        assert np.array_equal(family.bases, ref_family.bases)
+
+    def test_replace_checks_again(self):
+        povm, family = qubit_tomography_povm(), mub_bases(3)
+        with pytest.raises(InvalidPovmError, match="sum to identity"):
+            dataclasses.replace(povm, ops=2.0 * povm.ops)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            dataclasses.replace(family, bases=2.0 * family.bases)
+        assert dataclasses.replace(family, name="copy").bases is not family.bases
 
 
 class TestOutcomeDistribution:

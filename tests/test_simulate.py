@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -431,14 +433,46 @@ class TestInputValidation:
         out = monte_carlo(cfg, threads=1)
         assert [len(s.checkpoints) for s in out.values()] == [5, 5]
 
-    def test_selector_set_after_construction_is_named(self):
+    @pytest.mark.parametrize("field, value", [
+        ("x0", [0.1 + 0.9j, 0.2, 0.3]),
+        ("weight", [[1.0, 0.1j, 0.0], [-0.1j, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ("eps_ball", "0.01"),
+        ("eps_ball", None),
+    ])
+    def test_complex_or_non_number_input_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            RunConfig(**{"x0": X0, field: value})
+
+    def test_numpy_float_eps_ball_accepted(self):
+        for eps in (np.float64(0.01), np.float32(0.01)):
+            assert RunConfig(x0=X0, eps_ball=eps).eps_ball == eps
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = RunConfig(x0=X0, weight=np.eye(3), m_max=5, reps=1)
+        for name, value in (("weight", "bogus"), ("x0", np.zeros(3))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
+
+    def test_arrays_are_read_only_copies(self):
+        x0, h = X0.copy(), np.diag([2.0, 1.0, 0.5])
+        cfg = RunConfig(x0=x0, weight=h)
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.x0[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.weight[0, 0] = -1.0
+        x0[0] = 1.5
+        h[0, 0] = -1.0
+        assert np.array_equal(cfg.x0, X0)
+        assert np.array_equal(cfg.weight, np.diag([2.0, 1.0, 0.5]))
+
+    def test_replace_checks_again(self):
         cfg = RunConfig(x0=X0, m_max=5, reps=1)
-        cfg.weight = "bogus"
-        for call in (lambda: theoretical_merits(cfg),
-                     lambda: adaptive_run(cfg, np.random.default_rng(0)),
-                     lambda: monte_carlo(cfg, estimators=("adaptive",), threads=1)):
-            with pytest.raises(ValueError, match="^unknown weight selector 'bogus'$"):
-                call()
+        with pytest.raises(ValueError, match="^unknown weight selector 'bogus'$"):
+            dataclasses.replace(cfg, weight="bogus")
+        with pytest.raises(ValueError, match="^x0 must be a Stokes vector"):
+            dataclasses.replace(cfg, x0=[1.5, 0.0, 0.0])
+        custom = RunConfig(x0=X0, weight=np.diag([2.0, 1.0, 0.5]))
+        assert np.array_equal(dataclasses.replace(custom, seed=3).weight, custom.weight)
 
     def test_tiny_custom_weight_accepted_with_scaled_merits(self):
         base = theoretical_merits(RunConfig(x0=X0, weight=np.eye(3)))
