@@ -109,8 +109,9 @@ def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     # a NaN or infinite entry makes its own or its mirror's difference NaN,
-    # which the test below names without numpy's warning about inf - inf
-    with np.errstate(invalid="ignore"):
+    # which the test below names without numpy's warning about inf - inf;
+    # a finite difference may overflow to inf, which the test after it names
+    with np.errstate(invalid="ignore", over="ignore"):
         defect = float(np.abs(m - m.mT).max())
     if math.isnan(defect):
         raise ValueError(f"{name} has non-finite entries")
@@ -151,36 +152,42 @@ def _scalar(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
-def classical_fisher(derivs: ModelDerivatives, povm: Povm) -> np.ndarray:
+def classical_fisher(derivs: ModelDerivatives, povm: Povm | np.ndarray) -> np.ndarray:
     """Fisher information of the outcome distribution of a POVM.
 
     g_ij = sum_n (Tr d_i rho M_n)(Tr d_j rho M_n) / Tr(rho M_n).  Outcomes
     with probability below 1e-14 contribute nothing when their derivatives
     also vanish; otherwise the information is undefined and
     SingularOutcomeError is raised for the first of them.  A stack of
-    states (..., q, q) sharing the partials gives a stack (..., d, d).
+    states (..., q, q) sharing the partials gives a stack (..., d, d).  So
+    does a stack of checked POVM elements (..., n, q, q) in place of the
+    Povm, whose outcomes are named by index; POVMs and states broadcast, and
+    each (POVM, state) pair gets the bits it gets alone, except that einsum
+    sums the derivatives of one-outcome POVMs with q > 2 in another order.
     """
     rho = derivs.rho
-    q = povm.dim
+    ops, labels = (povm.ops, povm.labels) if isinstance(povm, Povm) else (povm, None)
+    q = ops.shape[-1]
     if rho.shape[-2:] != (q, q):
         raise ValueError(f"state dim {rho.shape[-1]} vs measurement dim {q}")
     # Re Tr(rho M_n) = sum_i (sum_j Re(rho_ij M_nji)), each sum in index
     # order, as np.einsum("ij,nji->n") sums it for one state; adding 0.0 turns
     # a -0.0 into its +0.0.  Accumulating is sequential for a stack too.
-    terms = (rho.real[..., None, :, :] * povm.ops.real.mT
-             - rho.imag[..., None, :, :] * povm.ops.imag.mT)
+    terms = (rho.real[..., None, :, :] * ops.real.mT
+             - rho.imag[..., None, :, :] * ops.imag.mT)
     inner = np.add.accumulate(terms, axis=-1)[..., -1]
     probs = 0.0 + np.add.accumulate(inner, axis=-1)[..., -1]
-    dprobs = np.einsum("kij,nji->nk", np.stack(derivs.partials), povm.ops).real
+    dprobs = np.einsum("kij,...nji->...nk", np.stack(derivs.partials), ops).real
     null = probs < 1e-14
     # max_ij |dp_i dp_j| is (max_i |dp_i|)^2
-    live = null & (np.abs(dprobs).max(axis=1) ** 2 >= 1e-20)
+    live = null & (np.abs(dprobs).max(axis=-1) ** 2 >= 1e-20)
     hits = np.flatnonzero(live)
     if hits.size:
         first = np.unravel_index(hits[0], live.shape)
-        raise SingularOutcomeError(f"outcome {povm.labels[first[-1]]} has probability "
+        label = first[-1] if labels is None else labels[first[-1]]
+        raise SingularOutcomeError(f"outcome {label} has probability "
                                    f"{probs[first]:.3e} but nonzero derivative")
-    g = (dprobs.T / np.where(null, np.inf, probs)[..., None, :]) @ dprobs
+    g = (dprobs.mT / np.where(null, np.inf, probs)[..., None, :]) @ dprobs
     return (g + g.mT) / 2
 
 

@@ -7,6 +7,7 @@ determinism matter far more than asymptotics.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import NamedTuple
 
@@ -47,10 +48,40 @@ def read_only(a, dtype) -> np.ndarray:
     return a
 
 
+def _hashable(value):
+    if isinstance(value, np.ndarray):
+        # adding 0.0 turns -0.0 into +0.0, which np.array_equal calls equal
+        return value.shape, (value + 0.0).tobytes()
+    return value
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return a == b
+
+
+class ValueRecord:
+    """Equality and hash by value for a frozen dataclass whose fields may be
+    read-only arrays; declare the dataclass with eq=False to use them."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_same(a, b) for a, b in zip(self._values(), other._values()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_hashable(v) for v in self._values()))
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (a + a^dagger) / 2."""
+    """Return the Hermitian part (a + a^dagger) / 2 of a matrix or of each
+    matrix of a stack (..., d, d)."""
     a = np.asarray(a)
-    return (a + a.conj().T) / 2
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def hermitian_eig(a: np.ndarray) -> HermitianEig:
@@ -58,12 +89,14 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
 
     The input is symmetrized before decomposition to strip accumulation
     noise from repeated products; inputs whose anti-Hermitian part exceeds
-    HERMITIAN_TOL are rejected.
+    HERMITIAN_TOL are rejected.  A stack (..., d, d) gives values (..., d)
+    and vectors (..., d, d), each matrix decomposed as it is alone; the
+    tests then apply to the stack as a whole.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    adjoint = a.conj().T
+    adjoint = a.conj().swapaxes(-1, -2)
     # a non-finite entry makes its own or its mirror's difference non-finite
     defect = float(np.abs(a - adjoint).max()) if a.size else 0.0
     if not math.isfinite(defect):

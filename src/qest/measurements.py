@@ -8,11 +8,12 @@ tomography measurement, full sets of mutually unbiased bases for dimensions
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_eig, hermitize, read_only
+from .linalg import ValueRecord, hermitian_eig, hermitize, read_only
 from .states import bloch_operator
 
 COMPLETENESS_TOL = 1e-9
@@ -36,13 +37,41 @@ class InvalidPovmError(ValueError):
     """Elements fail positivity or completeness."""
 
 
-@dataclass(frozen=True)
-class Povm:
+def check_povm_ops(ops: np.ndarray) -> None:
+    """Check that POVM elements (n, d, d), or each POVM of a stack
+    (..., n, d, d), sum to the identity and are Hermitian and PSD.
+
+    The first POVM, in row-major order, that fails raises InvalidPovmError
+    for its completeness defect or else for its first bad element; in a
+    stack the message is prefixed with that POVM's index.
+    """
+    ops = np.asarray(ops)
+    defects = np.max(np.abs(ops.sum(axis=-3) - np.eye(ops.shape[-1])), axis=(-2, -1))
+    adjoints = ops.conj().swapaxes(-1, -2)
+    skews = np.abs(ops - adjoints).max(axis=(-2, -1))
+    min_eigs = np.linalg.eigvalsh((ops + adjoints) / 2)[..., 0]
+    bad_elements = (skews > COMPLETENESS_TOL) | (min_eigs < -POSITIVITY_TOL)
+    bad = np.flatnonzero((defects > COMPLETENESS_TOL) | bad_elements.any(axis=-1))
+    if not bad.size:
+        return
+    first = np.unravel_index(bad[0], defects.shape)
+    where = f"POVM {', '.join(str(int(i)) for i in first)}: " if first else ""
+    if defects[first] > COMPLETENESS_TOL:
+        raise InvalidPovmError(f"{where}elements sum to identity with defect {defects[first]:.3e}")
+    idx = int(np.flatnonzero(bad_elements[first])[0])
+    if skews[first][idx] > COMPLETENESS_TOL:
+        raise InvalidPovmError(f"{where}element {idx} not Hermitian")
+    raise InvalidPovmError(f"{where}element {idx} has eigenvalue {min_eigs[first][idx]:.3e}")
+
+
+@dataclass(frozen=True, eq=False)
+class Povm(ValueRecord):
     """A labeled finite POVM.
 
     ops is a read-only (n, dim, dim) complex copy of PSD elements summing to
     the identity.  provenance optionally records, per element, which PVM
     branch of a randomized combination it came from and its probability.
+    Records compare and hash by value.
     """
 
     dim: int
@@ -62,20 +91,7 @@ class Povm:
                                tuple((int(b), float(p)) for b, p in self.provenance))
             if len(self.provenance) != len(self.labels):
                 raise InvalidPovmError("one provenance entry per element required")
-        # positivity and completeness of the elements
-        total = self.ops.sum(axis=0)
-        defect = float(np.max(np.abs(total - np.eye(self.dim))))
-        if defect > COMPLETENESS_TOL:
-            raise InvalidPovmError(f"elements sum to identity with defect {defect:.3e}")
-        adjoints = self.ops.conj().transpose(0, 2, 1)
-        defects = np.abs(self.ops - adjoints).max(axis=(1, 2))
-        min_eigs = np.linalg.eigvalsh((self.ops + adjoints) / 2)[:, 0]
-        bad = np.flatnonzero((defects > COMPLETENESS_TOL) | (min_eigs < -POSITIVITY_TOL))
-        if bad.size:
-            idx = int(bad[0])
-            if defects[idx] > COMPLETENESS_TOL:
-                raise InvalidPovmError(f"element {idx} not Hermitian")
-            raise InvalidPovmError(f"element {idx} has eigenvalue {min_eigs[idx]:.3e}")
+        check_povm_ops(self.ops)
 
     def __len__(self) -> int:
         return self.ops.shape[0]
@@ -100,12 +116,13 @@ class Povm:
                    ops=ops, provenance=doc.get("provenance"))
 
 
-@dataclass(frozen=True)
-class MubFamily:
+@dataclass(frozen=True, eq=False)
+class MubFamily(ValueRecord):
     """A full set of q+1 mutually unbiased orthonormal bases in dimension q.
 
     bases[a, i] is the i-th unit vector of basis a, in a read-only copy;
     any two vectors from different bases have squared overlap 1/q.
+    Records compare and hash by value.
     """
 
     q: int
@@ -274,26 +291,39 @@ def mub_tomography_povm(family: MubFamily) -> Povm:
                 provenance=tuple((a, weight) for a in range(q + 1) for _ in range(q)))
 
 
-def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
-    """Haar-ish random POVM: Wishart elements renormalized to completeness.
-
-    Draws A_i = G_i G_i^dagger from complex Gaussians and maps
-    M_i = S^(-1/2) A_i S^(-1/2) with S the sum, which is complete by
-    construction.
-    """
+def random_povm_parts(dim: int, n_outcomes: int, rng: np.random.Generator) -> np.ndarray:
+    """The Gaussian draw (n_outcomes, 2, dim, dim) behind random_povm: per
+    outcome, the real then the imaginary part of G_i."""
+    for name, value in (("dim", dim), ("n_outcomes", n_outcomes)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if dim < 1:
+        raise ValueError(f"need dimension at least 1, got {dim}")
     if n_outcomes < 1:
         raise ValueError("need at least one outcome")
-    # per outcome, the real then the imaginary part of G_i
-    parts = rng.standard_normal((n_outcomes, 2, dim, dim))
-    g = parts[:, 0] + 1j * parts[:, 1]
-    raw = g @ g.conj().transpose(0, 2, 1)
-    total = hermitize(np.sum(raw, axis=0))
-    values, vectors = hermitian_eig(total)
-    inv_root = (vectors / np.sqrt(values)) @ vectors.conj().T
-    ops = inv_root @ raw @ inv_root
-    ops = (ops + ops.conj().transpose(0, 2, 1)) / 2
-    labels = tuple(str(i) for i in range(n_outcomes))
-    return Povm(dim=dim, labels=labels, ops=ops)
+    return rng.standard_normal((n_outcomes, 2, dim, dim))
+
+
+def wishart_ops(parts: np.ndarray) -> np.ndarray:
+    """Complete PSD elements (..., n, d, d) from Gaussian parts (..., n, 2, d, d).
+
+    Forms A_i = G_i G_i^dagger, G_i = parts[i, 0] + 1j parts[i, 1], and maps
+    M_i = S^(-1/2) A_i S^(-1/2) with S the sum, which is complete by
+    construction.  Each POVM of a stack gets the bits it gets alone.
+    """
+    g = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+    raw = g @ g.conj().swapaxes(-1, -2)
+    values, vectors = hermitian_eig(hermitize(np.sum(raw, axis=-3)))
+    inv_root = ((vectors / np.sqrt(values)[..., None, :]) @ vectors.conj().swapaxes(-1, -2))
+    inv_root = inv_root[..., None, :, :]
+    return hermitize(inv_root @ raw @ inv_root)
+
+
+def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
+    """Haar-ish random POVM: Wishart elements renormalized to completeness,
+    wishart_ops of one draw of random_povm_parts."""
+    ops = wishart_ops(random_povm_parts(dim, n_outcomes, rng))
+    return Povm(dim=dim, labels=tuple(str(i) for i in range(n_outcomes)), ops=ops)
 
 
 def outcome_distribution(rho: np.ndarray, povm: Povm) -> np.ndarray:

@@ -35,7 +35,7 @@ from .bounds import (
     tomography_fisher,
     tomography_weight,
 )
-from .linalg import read_only
+from .linalg import ValueRecord, read_only
 from .states import qubit_bures, qubit_qfi
 
 WEIGHT_SELECTORS = (*ROT_WEIGHTS, "tomography")
@@ -48,14 +48,15 @@ CERT_TOL = 1e-10
 MAX_NEWTON = 60
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(frozen=True, eq=False)
+class RunConfig(ValueRecord):
     """Configuration of one Monte Carlo comparison.
 
     weight is "identity", "qfi", "tomography", or a fixed 3x3 matrix; a
     selector's design follows the running estimate in closed form.  x0 and
     a matrix weight are read-only copies, checked once: dataclasses.replace
-    builds a changed record and checks it again.
+    builds a changed record and checks it again.  Records compare and hash
+    by value.
     """
 
     x0: np.ndarray

@@ -48,6 +48,30 @@ def _random_mub_point(q: int, family, rng, scale: float = 0.04) -> np.ndarray:
     raise RuntimeError("could not sample a positive affine state")
 
 
+def _random_povm_fishers(points, at, parts) -> np.ndarray:
+    """Fisher matrix of each random POVM drawn as Gaussian parts, POVM i at
+    state at[i] of the stack `points` (ModelDerivatives of states sharing
+    their partials).
+
+    Each outcome count gets one Wishart map, one POVM check and one
+    classical_fisher call; matrix i has the bits of classical_fisher at that
+    one state of random_povm on the same draw.
+    """
+    k = len(points.partials)
+    gs = np.empty((len(parts), k, k))
+    counts = np.array([len(p) for p in parts])
+    # sorted(set()) rather than np.unique, which imports numpy.ma (1.4 MB)
+    for n in sorted(set(counts.tolist())):
+        idx = np.flatnonzero(counts == n)
+        ops = ms.wishart_ops(np.stack([parts[i] for i in idx]))
+        ms.check_povm_ops(ops)
+        states = at[idx]
+        derivs = st.ModelDerivatives(rho=points.rho[states], partials=points.partials,
+                                     slds=tuple(s[states] for s in points.slds))
+        gs[idx] = bd.classical_fisher(derivs, ops)
+    return gs
+
+
 def _qubit_hat_fisher(x, povm, u=None):
     derivs = st.qubit_slds(x)
     g = bd.classical_fisher(derivs, povm)
@@ -96,11 +120,14 @@ def check_info_trace_bound(rng, povms_per_dim: int = 100) -> CheckResult:
                 coords = _random_mub_point(q, family, rng)
                 points.append(st.mub_derivatives(coords, family))
         qfis = np.stack([st.model_qfi(derivs) for derivs in points])
-        gs = [bd.classical_fisher(points[i % len(points)],
-                                  ms.random_povm(q, int(rng.integers(2, 2 * q + 2)), rng))
-              for i in range(povms_per_dim)]
+        parts = [ms.random_povm_parts(q, int(rng.integers(2, 2 * q + 2)), rng)
+                 for _ in range(povms_per_dim)]
+        stacked = st.ModelDerivatives(
+            rho=np.stack([p.rho for p in points]), partials=points[0].partials,
+            slds=tuple(np.stack(s) for s in zip(*(p.slds for p in points))))
+        gs = _random_povm_fishers(stacked, np.arange(povms_per_dim) % len(points), parts)
         # row i // 10, column i % 10: each J is decomposed once for its POVMs
-        ghat = bd.hat_fisher(np.reshape(gs, (-1,) + qfis.shape), qfis)
+        ghat = bd.hat_fisher(gs.reshape((-1,) + qfis.shape), qfis)
         worst_excess = max(worst_excess,
                            float(np.max(np.trace(ghat, axis1=-2, axis2=-1))) - (q - 1))
     return CheckResult("info-trace-bound", worst_excess <= 1e-9,
@@ -198,21 +225,21 @@ def check_optimal_measurement_fisher(rng, cases: int = 40) -> CheckResult:
 
 def check_bound_ordering(rng, cases: int = 40) -> CheckResult:
     """Tr H g(M)^-1 >= (Tr R)^2 >= Tr H J^-1 for random POVMs."""
-    min_gap1 = np.inf
-    min_gap2 = np.inf
+    xs, hs, parts = [], [], []
     for _ in range(cases):
-        x = _random_interior_point(rng)
-        derivs = st.qubit_slds(x)
-        j = st.qubit_qfi(x)
+        xs.append(_random_interior_point(rng))
         a = rng.standard_normal((3, 3))
-        h = a @ a.T + 0.2 * np.eye(3)
-        povm = ms.random_povm(2, int(rng.integers(4, 8)), rng)
-        g = bd.classical_fisher(derivs, povm)
-        if float(np.linalg.eigvalsh(g)[0]) < 1e-10:
-            continue
-        bound = bd.qcr_min_trace(j, h).bound
-        min_gap1 = min(min_gap1, float(np.trace(h @ np.linalg.inv(g))) - bound)
-        min_gap2 = min(min_gap2, bound - float(np.trace(h @ np.linalg.inv(j))))
+        hs.append(a @ a.T + 0.2 * np.eye(3))
+        parts.append(ms.random_povm_parts(2, int(rng.integers(4, 8)), rng))
+    gs = _random_povm_fishers(st.qubit_slds(np.array(xs)), np.arange(cases), parts)
+    # a POVM whose Fisher matrix is numerically singular is skipped
+    keep = ~(np.linalg.eigvalsh(gs)[:, 0] < 1e-10)
+    h, j = np.array(hs)[keep], st.qubit_qfi(np.array(xs)[keep])
+    bound = bd.qcr_min_trace(j, h).bound
+    gaps1 = np.trace(h @ np.linalg.inv(gs[keep]), axis1=-2, axis2=-1) - bound
+    gaps2 = bound - np.trace(h @ np.linalg.inv(j), axis1=-2, axis2=-1)
+    min_gap1 = float(np.min(gaps1, initial=np.inf))
+    min_gap2 = float(np.min(gaps2, initial=np.inf))
     passed = min_gap1 >= -1e-8 and min_gap2 >= -1e-8
     return CheckResult("bound-ordering", passed,
                        f"min gaps = {min_gap1:.3e}, {min_gap2:.3e}")

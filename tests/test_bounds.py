@@ -649,6 +649,14 @@ class TestInfiniteEntryNamed:
             with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
                 call()
 
+    def test_overflowing_symmetry_defect_named_without_a_numpy_warning(self):
+        # 1e308 - (-1e308) overflows to inf in the defect, which is named
+        weight = [[1.0, 1e308, 0.0], [-1e308, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInputError, match="^weight is not symmetric$"):
+                qcr_min_trace(np.eye(3), weight)
+
 
 # Reference routes: the per-outcome, per-decomposition forms these kernels
 # had before they were vectorized, kept to pin the rewritten ones.
@@ -893,6 +901,58 @@ class TestStackedKernels:
                 one = qubit_slds(x[k])
                 assert np.array_equal(g[k], classical_fisher(one, povm))
                 assert np.array_equal(g[k], _einsum_classical_fisher(one, povm))
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_classical_fisher_over_stacked_povms(self, q):
+        """Ragged groups: POVMs of one outcome count stacked against their
+        own states have, each, the bits of their one call.  (For one outcome
+        and q > 2, einsum orders the derivative sums by the stack's shape.)"""
+        from qest.measurements import mub_bases
+        from qest.states import mub_derivatives
+        rng = np.random.default_rng((85, q))
+        family = mub_bases(q) if q > 2 else None
+        for n in range(1 if q == 2 else 2, 2 * q + 2):
+            size = int(rng.integers(1, 7))
+            if q == 2:
+                points = [qubit_slds(random_point(rng, rmax=0.99)) for _ in range(size)]
+            else:
+                points = [mub_derivatives(rng.uniform(-0.04, 0.04, size=(q + 1, q - 1)), family)
+                          for _ in range(size)]
+            povms = [random_povm(q, n, rng) for _ in range(size)]
+            stacked = ModelDerivatives(rho=np.stack([p.rho for p in points]),
+                                       partials=points[0].partials, slds=())
+            g = classical_fisher(stacked, np.stack([p.ops for p in povms]))
+            k = len(points[0].partials)
+            assert g.shape == (size, k, k)
+            for k, (one, povm) in enumerate(zip(points, povms)):
+                want = classical_fisher(one, povm)
+                assert np.array_equal(g[k], want)
+                assert np.array_equal(g[k], _einsum_classical_fisher(one, povm))
+                loop = _loop_classical_fisher(one, povm)
+                assert np.max(np.abs(g[k] - loop)) <= 1e-12 * max(1.0, np.max(np.abs(loop)))
+            # POVMs (2, 3) broadcast against one state and against states (2, 1)
+            ops = np.stack([random_povm(q, n, rng).ops for _ in range(6)]).reshape(2, 3, n, q, q)
+            rho = np.stack([points[0].rho, points[-1].rho])[:, None]
+            both = classical_fisher(ModelDerivatives(rho, points[0].partials, ()), ops)
+            alone = classical_fisher(points[0], ops)
+            for a, b in np.ndindex(2, 3):
+                povm = Povm(dim=q, labels=[str(i) for i in range(n)], ops=ops[a, b])
+                assert np.array_equal(alone[a, b], classical_fisher(points[0], povm))
+                assert np.array_equal(both[a, b], classical_fisher((points[0], points[-1])[a], povm))
+
+    def test_classical_fisher_stack_names_the_first_singular_outcome(self):
+        derivs, povm = _null_outcome_model()
+        moved = ModelDerivatives(
+            rho=derivs.rho,
+            partials=(np.diag([0.0, 0.0, -0.5]).astype(complex),) + derivs.partials[1:],
+            slds=derivs.slds)
+        fine = np.array([povm.ops[[2, 3, 0, 1]], povm.ops])
+        with pytest.raises(SingularOutcomeError) as got:
+            classical_fisher(moved, fine)
+        with pytest.raises(SingularOutcomeError) as want:
+            classical_fisher(moved, Povm(dim=3, labels="0123", ops=fine[0]))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("outcome 0 has probability 0.000e+00")
 
     def test_one_state_keeps_the_einsum_sums(self):
         """The outcome probabilities are summed in np.einsum's order, so one

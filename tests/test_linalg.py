@@ -64,6 +64,29 @@ class TestHermitianEig:
         with pytest.raises(ValueError):
             hermitian_eig(np.zeros((2, 3)))
 
+    def test_stack_gives_each_matrix_its_own_bits(self):
+        rng = np.random.default_rng(12)
+        for dim in (1, 2, 3, 4):
+            stack = np.array([random_hermitian(rng, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
+            values, vectors = hermitian_eig(stack)
+            assert values.shape == (2, 3, dim) and vectors.shape == stack.shape
+            for k in np.ndindex(2, 3):
+                one = hermitian_eig(stack[k])
+                assert np.array_equal(values[k], one.values)
+                assert np.array_equal(vectors[k], one.vectors)
+
+    def test_stack_keeps_its_tests(self):
+        stack = np.array([np.eye(2), SIGMA_1, SIGMA_3], dtype=complex)
+        skew = stack.copy()
+        skew[1, 0, 1] += 1e-6
+        with pytest.raises(NotHermitianError, match="anti-Hermitian part 1.000e-06"):
+            hermitian_eig(skew)
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            hermitian_eig(stack)
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            hermitian_eig(np.zeros((3, 2, 3)))
+
 
 class TestPsdSqrt:
     def test_identity(self):

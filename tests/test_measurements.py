@@ -11,13 +11,16 @@ from qest.measurements import (
     MubFamily,
     Povm,
     UnsupportedDimensionError,
+    check_povm_ops,
     mub_bases,
     mub_tomography_povm,
     outcome_distribution,
     pvm_from_observable,
     qubit_tomography_povm,
     random_povm,
+    random_povm_parts,
     randomize,
+    wishart_ops,
 )
 from qest.states import PAULIS, SIGMA_1, SIGMA_3, qubit_state
 
@@ -195,6 +198,26 @@ class TestFrozenRecords:
             dataclasses.replace(family, bases=2.0 * family.bases)
         assert dataclasses.replace(family, name="copy").bases is not family.bases
 
+    def test_equal_records_compare_and_hash_equal(self):
+        povm, family = qubit_tomography_povm(), mub_bases(3)
+        same_povm = Povm(dim=2, labels=povm.labels, ops=povm.ops.copy(),
+                         provenance=povm.provenance)
+        assert povm == same_povm and hash(povm) == hash(same_povm)
+        assert family == mub_bases(3) and hash(family) == hash(mub_bases(3))
+        # -0.0 and +0.0 compare equal, so they hash equal
+        flipped = np.where(family.bases == 0, -0.0, family.bases)
+        assert hash(MubFamily(q=3, bases=flipped, name=family.name)) == hash(family)
+        assert len({povm, same_povm, family, mub_bases(3)}) == 2
+
+    def test_replace_with_a_changed_array_compares_unequal(self):
+        povm, family = qubit_tomography_povm(), mub_bases(2)
+        swapped = dataclasses.replace(povm, ops=povm.ops[[1, 0, 2, 3, 4, 5]])
+        assert swapped != povm and povm != swapped
+        assert dataclasses.replace(povm, labels=tuple("abcdef")) != povm
+        assert dataclasses.replace(family, bases=family.bases[:, ::-1]) != family
+        assert dataclasses.replace(family, name="other") != family
+        assert povm != family
+
 
 class TestOutcomeDistribution:
     def test_maximally_mixed_uniform(self):
@@ -227,6 +250,21 @@ class TestRandomPovm:
             povm = random_povm(dim, 5, rng)  # validation happens in __post_init__
             assert len(povm) == 5
             assert povm.dim == dim
+
+    @pytest.mark.parametrize("dim, n, message", [
+        (0, 2, "need dimension at least 1, got 0"),
+        (-1, 2, "need dimension at least 1, got -1"),
+        (2.0, 2, "dim must be an integer, got 2.0"),
+        (True, 2, "dim must be an integer, got True"),
+        (2, 0, "need at least one outcome"),
+        (2, 2.5, "n_outcomes must be an integer, got 2.5"),
+    ])
+    def test_bad_sizes_are_named(self, dim, n, message):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_povm(dim, n, rng)
+        # nothing was drawn
+        assert rng.random() == np.random.default_rng(4).random()
 
 
 def _loop_random_povm_ops(dim, n_outcomes, rng):
@@ -272,3 +310,46 @@ class TestStackedKernels:
             with pytest.raises(InvalidPovmError) as got:
                 Povm(dim=2, labels=("0", "1", "2", "3"), ops=ops)
             assert str(got.value) == want
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_wishart_stack_gives_each_povm_its_own_bits(self, dim):
+        """Ragged groups: draws of one outcome count, stacked, map to the
+        elements random_povm makes of each alone."""
+        rng = np.random.default_rng((91, dim))
+        for n in range(1, 2 * dim + 2):
+            seeds = rng.integers(0, 2**32, size=int(rng.integers(1, 7)))
+            parts = np.stack([random_povm_parts(dim, n, np.random.default_rng(s)) for s in seeds])
+            ops = wishart_ops(parts)
+            assert ops.shape == (len(seeds), n, dim, dim)
+            check_povm_ops(ops)
+            for got, s in zip(ops, seeds):
+                assert np.array_equal(got, random_povm(dim, n, np.random.default_rng(s)).ops)
+            square = wishart_ops(parts[:1].reshape((1, 1) + parts.shape[1:]))
+            assert np.array_equal(square[0, 0], ops[0])
+
+    def test_stacked_check_names_the_first_bad_povm(self):
+        ok = 0.3 * np.eye(2)
+        negative, skew = np.diag([-0.1, 0.1]), np.array([[0.1, 0.05], [0.0, 0.1]])
+        povms = {
+            "good": np.array([ok, 0.5 * ok, np.eye(2) - 1.5 * ok]),
+            "incomplete": np.array([ok, ok, ok]),
+            "negative": np.array([ok, negative, np.eye(2) - ok - negative]),
+            "skew": np.array([ok, skew, np.eye(2) - ok - skew]),
+        }
+        for order in (("good", "negative", "skew", "incomplete"),
+                      ("good", "good", "incomplete", "negative"),
+                      ("good", "skew", "negative", "good")):
+            stack = np.array([povms[name] for name in order], dtype=complex)
+            first = next(i for i, name in enumerate(order) if name != "good")
+            want = _loop_validation_error(stack[first])
+            if want is None:  # incomplete: the completeness test names it
+                with pytest.raises(InvalidPovmError) as alone:
+                    Povm(dim=2, labels="abc", ops=stack[first])
+                want = str(alone.value)
+            with pytest.raises(InvalidPovmError) as got:
+                check_povm_ops(stack)
+            assert str(got.value) == f"POVM {first}: {want}"
+            with pytest.raises(InvalidPovmError) as grid:
+                check_povm_ops(stack.reshape(2, 2, 3, 2, 2))
+            assert str(grid.value) == f"POVM {first // 2}, {first % 2}: {want}"
+        check_povm_ops(np.array([povms["good"]] * 3))

@@ -474,6 +474,23 @@ class TestInputValidation:
         custom = RunConfig(x0=X0, weight=np.diag([2.0, 1.0, 0.5]))
         assert np.array_equal(dataclasses.replace(custom, seed=3).weight, custom.weight)
 
+    def test_equal_records_compare_and_hash_equal(self):
+        for weight in ("qfi", np.diag([2.0, 1.0, 0.5])):
+            cfg = RunConfig(x0=X0, weight=weight, m_max=5, reps=1)
+            same = RunConfig(x0=list(X0), weight=weight, m_max=5, reps=1)
+            assert cfg == same and hash(cfg) == hash(same)
+        origin = RunConfig(x0=[0.0, 0.0, 0.0])
+        assert origin == RunConfig(x0=[-0.0, 0.0, 0.0])
+        assert hash(origin) == hash(RunConfig(x0=[-0.0, 0.0, 0.0]))
+
+    def test_replace_with_a_changed_array_compares_unequal(self):
+        cfg = RunConfig(x0=X0, weight=np.diag([2.0, 1.0, 0.5]), m_max=5, reps=1)
+        assert dataclasses.replace(cfg, x0=[0.55, 0.55, 0.5]) != cfg
+        assert dataclasses.replace(cfg, weight=np.diag([2.0, 1.0, 0.25])) != cfg
+        assert dataclasses.replace(cfg, weight="qfi") != cfg
+        assert cfg != dataclasses.replace(cfg, weight="qfi")
+        assert dataclasses.replace(cfg, seed=1) != cfg
+
     def test_tiny_custom_weight_accepted_with_scaled_merits(self):
         base = theoretical_merits(RunConfig(x0=X0, weight=np.eye(3)))
         tiny = theoretical_merits(RunConfig(x0=X0, weight=1e-13 * np.eye(3)))
