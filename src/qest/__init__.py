@@ -76,7 +76,6 @@ from .bounds import (
     rot_merit_sweep,
     rot_weight_along,
     tomo_excess,
-    tomo_excess_forms,
     tomography_fisher,
     tomography_weight,
     weight_from_fisher,

@@ -202,7 +202,7 @@ def hat_fisher(g: np.ndarray, j: np.ndarray, u: np.ndarray | None = None) -> np.
     core = inv_sq @ np.asarray(g, dtype=float) @ inv_sq
     if u is not None:
         u = np.asarray(u, dtype=float)
-        if float(np.max(np.abs(u.T @ u - np.eye(u.shape[0])))) > 1e-8:
+        if not float(np.max(np.abs(u.T @ u - np.eye(u.shape[0])))) <= 1e-8:
             raise ValueError("u must be orthogonal")
         core = u.T @ core @ u
     return (core + core.mT) / 2
@@ -283,12 +283,12 @@ def optimal_measurement(derivs: ModelDerivatives, j: np.ndarray,
 
 def tomography_fisher(x) -> np.ndarray:
     """Classical Fisher matrix of the 6-outcome tomography measurement:
-    diag(1 / (1 - (x^mu)^2)) / 3.
+    diag(1 / (1 - (x^mu)^2)) / 3, or a stack (..., 3, 3) of them.
 
     Its trace against the inverse quantum Fisher matrix is identically 1.
     """
     x = _check_ball(x)
-    return np.diag(1.0 / (1.0 - x * x)) / 3.0
+    return (1.0 / (1.0 - x * x))[..., None] * np.eye(3) / 3.0
 
 
 def tomography_weight(x) -> np.ndarray:
@@ -324,13 +324,15 @@ def weight_from_fisher(f: np.ndarray, j: np.ndarray,
 def unit_direction(direction) -> np.ndarray:
     """v / sqrt(v @ v) for v = direction, row by row for a stack (..., 3).
     A row whose squared norm is not a normal float is first divided by its
-    largest |entry|; a zero row is a ValueError."""
+    largest |entry|; a zero or non-finite row is a ValueError."""
     v = np.asarray(direction, dtype=float)
     with np.errstate(over="ignore"):
         r2 = np.vecdot(v, v)
-    odd = (r2 < sys.float_info.min) | (r2 > sys.float_info.max)
+    odd = ~((r2 >= sys.float_info.min) & (r2 <= sys.float_info.max))
     if odd.any():
         peak = np.max(np.abs(v), axis=-1)
+        if not np.isfinite(peak[odd]).all():
+            raise ValueError("direction has non-finite entries")
         if np.any(peak[odd] == 0.0):
             raise ValueError("direction must be nonzero")
         v = v / np.where(odd, peak, 1.0)[..., None]
@@ -400,26 +402,17 @@ def c_tomo_closed(w: RotWeight, x):
     return _scalar(c)
 
 
-def tomo_excess(w: RotWeight, x) -> float:
-    """Excess of the tomography merit over the optimal one; never negative."""
-    r = float(np.linalg.norm(np.asarray(x, dtype=float)))
-    return c_tomo_closed(w, x) - c_opt_closed(w, r)
-
-
-def tomo_excess_forms(w: RotWeight, x) -> tuple[float, float]:
-    """Two equivalent closed forms of the excess, useful as cross-checks.
-
-    Both are manifestly nonnegative in their respective regimes
-    (g >= f for the first, f >= g for the second).
-    """
-    x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    f, g = w.transverse, w.radial
-    t = anisotropy(x)
-    form1 = 2.0 * (np.sqrt((1.0 - r2) * g) - np.sqrt(f)) ** 2 + 3.0 * r2 * (g - f) * t
-    form2 = (2.0 * (np.sqrt((1.0 - r2) * f) - np.sqrt(g)) ** 2
-             + 3.0 * r2 * (f - g) * (2.0 / 3.0 - t))
-    return float(form1), float(form2)
+def tomo_excess(x, h):
+    """Excess Tr H g_T^-1 - (Tr R)^2 of the 6-outcome tomography merit over
+    the optimum, for any weight H at x, as the sum of squares
+    || R Ghat^-1/2 - (Tr R) Ghat^1/2 ||_F^2 with Ghat = J^-1/2 g_T J^-1/2
+    (Tr Ghat = 1): never negative, zero exactly at the multiples of
+    tomography_weight(x), and free of cancellation.  Stacks give an array."""
+    roots = _sqrt_and_inv_sqrt(qubit_qfi(x))
+    sol = _min_trace(roots, h)
+    g_half, g_inv_half = _sqrt_and_inv_sqrt(roots[1] @ tomography_fisher(x) @ roots[1])
+    d = sol.r_matrix @ g_inv_half - sol.scales.sum(axis=-1)[..., None, None] * g_half
+    return _scalar(np.sum(d * d, axis=(-2, -1)))
 
 
 def gm_lower_bound(j: np.ndarray, h: np.ndarray, hilbert_dim: int) -> float:
@@ -431,8 +424,7 @@ def gm_lower_bound(j: np.ndarray, h: np.ndarray, hilbert_dim: int) -> float:
     """
     if hilbert_dim < 2:
         raise ValueError("hilbert_dim must be at least 2")
-    sol = qcr_min_trace(j, h)
-    return sol.bound / (hilbert_dim - 1)
+    return qcr_min_trace(j, h).bound / (hilbert_dim - 1)
 
 
 def mub_tomography_sweep(family: MubFamily, radii, coord: tuple[int, int] = (0, 0)) -> list:

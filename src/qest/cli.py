@@ -24,21 +24,15 @@ from . import simulate as sim
 from . import verify as vf
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_table(args, header: list, rows: list, plot: tuple) -> None:
-    """Write a table to --out or stdout as CSV (repr-round-trippable floats)
+    """Write a table to --out or stdout as CSV (str of a float round-trips)
     or JSON; with --svg and --out, also write_svg(*plot) next to --out."""
     if args.format == "json":
         doc = [dict(zip(header, row)) for row in rows]
         text = json.dumps(doc, indent=1) + "\n"
     else:
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(",".join(map(str, row)) for row in rows)
         text = "\n".join(lines) + "\n"
     _write(text, args.out)
     if args.svg and args.out:

@@ -97,8 +97,10 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     adjoint = a.conj().swapaxes(-1, -2)
-    # a non-finite entry makes its own or its mirror's difference non-finite
-    defect = float(np.abs(a - adjoint).max()) if a.size else 0.0
+    # a non-finite entry makes its own or its mirror's difference non-finite,
+    # which the test below names without numpy's warning about inf - inf
+    with np.errstate(invalid="ignore"):
+        defect = float(np.abs(a - adjoint).max()) if a.size else 0.0
     if not math.isfinite(defect):
         raise ValueError("matrix has non-finite entries")
     if defect > HERMITIAN_TOL:
@@ -139,6 +141,8 @@ def solve_sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     if values[0] <= SINGULAR_STATE_TOL:
         raise SingularStateError(f"state eigenvalue {values[0]:.3e} <= {SINGULAR_STATE_TOL:.1e}")
     drho = np.asarray(drho, dtype=complex)
+    if not np.isfinite(drho).all():
+        raise ValueError("drho has non-finite entries")
     if drho.size and float(np.abs(drho - drho.conj().swapaxes(-1, -2)).max()) > HERMITIAN_TOL:
         raise NotHermitianError("drho is not Hermitian")
     trace = float(np.abs(np.trace(drho, axis1=-2, axis2=-1)).max())

@@ -42,20 +42,25 @@ def check_povm_ops(ops: np.ndarray) -> None:
     (..., n, d, d), sum to the identity and are Hermitian and PSD.
 
     The first POVM, in row-major order, that fails raises InvalidPovmError
-    for its completeness defect or else for its first bad element; in a
-    stack the message is prefixed with that POVM's index.
+    for a non-finite entry, for its completeness defect or else for its
+    first bad element; in a stack the message is prefixed with that POVM's
+    index.
     """
     ops = np.asarray(ops)
-    defects = np.max(np.abs(ops.sum(axis=-3) - np.eye(ops.shape[-1])), axis=(-2, -1))
-    adjoints = ops.conj().swapaxes(-1, -2)
-    skews = np.abs(ops - adjoints).max(axis=(-2, -1))
-    min_eigs = np.linalg.eigvalsh((ops + adjoints) / 2)[..., 0]
-    bad_elements = (skews > COMPLETENESS_TOL) | (min_eigs < -POSITIVITY_TOL)
-    bad = np.flatnonzero((defects > COMPLETENESS_TOL) | bad_elements.any(axis=-1))
+    # a NaN fails each test below; inf - inf is named without numpy's warning
+    with np.errstate(invalid="ignore"):
+        defects = np.max(np.abs(ops.sum(axis=-3) - np.eye(ops.shape[-1])), axis=(-2, -1))
+        adjoints = ops.conj().swapaxes(-1, -2)
+        skews = np.abs(ops - adjoints).max(axis=(-2, -1))
+        min_eigs = np.linalg.eigvalsh((ops + adjoints) / 2)[..., 0]
+    bad_elements = ~((skews <= COMPLETENESS_TOL) & (min_eigs >= -POSITIVITY_TOL))
+    bad = np.flatnonzero(~(defects <= COMPLETENESS_TOL) | bad_elements.any(axis=-1))
     if not bad.size:
         return
     first = np.unravel_index(bad[0], defects.shape)
     where = f"POVM {', '.join(str(int(i)) for i in first)}: " if first else ""
+    if not np.isfinite(ops[first]).all():
+        raise InvalidPovmError(f"{where}elements have non-finite entries")
     if defects[first] > COMPLETENESS_TOL:
         raise InvalidPovmError(f"{where}elements sum to identity with defect {defects[first]:.3e}")
     idx = int(np.flatnonzero(bad_elements[first])[0])
@@ -133,12 +138,15 @@ class MubFamily(ValueRecord):
         object.__setattr__(self, "bases", read_only(self.bases, complex))
         if self.bases.shape != (self.q + 1, self.q, self.q):
             raise ValueError(f"expected bases of shape {(self.q + 1, self.q, self.q)}")
-        gram = self.bases @ self.bases.conj().transpose(0, 2, 1)
-        bad = np.flatnonzero(np.max(np.abs(gram - np.eye(self.q)), axis=(1, 2)) > 1e-10)
+        with np.errstate(invalid="ignore"):  # inf - inf is named below
+            gram = self.bases @ self.bases.conj().transpose(0, 2, 1)
+        bad = np.flatnonzero(~(np.max(np.abs(gram - np.eye(self.q)), axis=(1, 2)) <= 1e-10))
         if bad.size:
+            if not np.isfinite(self.bases[bad[0]]).all():
+                raise ValueError(f"basis {bad[0]} has non-finite entries")
             raise ValueError(f"basis {bad[0]} is not orthonormal")
         first, second, defects = self._overlap_defects()
-        bad = np.flatnonzero(defects > 1e-9)
+        bad = np.flatnonzero(~(defects <= 1e-9))
         if bad.size:
             raise ValueError(f"bases {first[bad[0]]},{second[bad[0]]} are not mutually unbiased")
 
@@ -188,7 +196,8 @@ def randomize(parts) -> Povm:
     probs = np.array([float(p) for p, _ in parts])
     if np.any(probs < 0.0):
         raise BadDistributionError("negative branch probability")
-    if abs(float(probs.sum()) - 1.0) > 1e-12:
+    # a NaN or infinite probability fails this test and is named in the sum
+    if not abs(float(probs.sum()) - 1.0) <= 1e-12:
         raise BadDistributionError(f"branch probabilities sum to {probs.sum():.15f}")
     dim = parts[0][1].dim
     if any(povm.dim != dim for _, povm in parts):
@@ -334,6 +343,8 @@ def outcome_distribution(rho: np.ndarray, povm: Povm) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (povm.dim, povm.dim):
         raise DimMismatchError(f"state shape {rho.shape} vs measurement dim {povm.dim}")
+    if not np.isfinite(rho).all():
+        raise ValueError("state has non-finite entries")
     probs = np.einsum("ij,nji->n", rho, povm.ops).real
     if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):
         raise InvalidPovmError("outcome probabilities outside [0,1] beyond rounding noise")

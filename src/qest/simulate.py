@@ -153,8 +153,7 @@ class McSummary:
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
         for row in self.to_rows():
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                                  for v in row))
+            lines.append(",".join(map(str, row)))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -193,6 +192,9 @@ def _clamp_point(x: list, rho: float) -> list:
         return x
     s = rho / r
     y0, y1, y2 = x0 * s, x1 * s, x2 * s
+    # |y| <= rho < 1 for finite x; a NaN or infinite entry makes y NaN
+    if not math.isfinite(y0 + y1 + y2):
+        raise ValueError(f"point {list(x)} has non-finite entries")
     while math.sqrt(y0 * y0 + y1 * y1 + y2 * y2) > rho:
         # rounding left y an ulp outside; shrink each coordinate by >= 1 ulp
         y0, y1, y2 = (v * (1.0 - 2.0 ** -52) for v in (y0, y1, y2))
@@ -664,10 +666,12 @@ def _env_threads() -> int:
 # Rough one-core trial cost per adaptive step and per tomography checkpoint
 # (2-vCPU Xeon; an adaptive step took 5-5.5 us at m_max = 3000 for both
 # rotational weights, BENCH_12.json; a tomography trial scored in a block took
-# 60-125 us over its 33 checkpoints, as the machine's load varied).  A process
-# pool costs about 0.1 s to start and feed, so a job with less estimated serial
-# work than POOL_MIN_WORK_S runs serially.
-_TRIAL_COST_S = {"adaptive": 5e-6, "tomography": 3e-6}
+# 60-125 us over its 33 checkpoints, as the machine's load varied).  An
+# adaptive step under a fixed matrix weight runs qubit_design, 12-20 times a
+# selector's step (110-220 vs 9-10 us at m_max = 3000 on the same machine).  A
+# process pool costs about 0.1 s to start and feed, so a job with less
+# estimated serial work than POOL_MIN_WORK_S runs serially.
+_TRIAL_COST_S = {"adaptive": 5e-6, "custom": 1e-4, "tomography": 3e-6}
 POOL_MIN_WORK_S = 0.25
 # trials per block; a block holds its trials' draws and estimates at once
 BLOCK_TRIALS = 256
@@ -694,14 +698,16 @@ def monte_carlo(cfg: RunConfig, estimators=("tomography", "adaptive"),
         if kind not in _KIND_IDS:
             raise ValueError(f"unknown estimator kind {kind!r}")
         per_trial = cfg.m_max if kind == "adaptive" else len(checkpoints)
-        work_s = cfg.reps * per_trial * _TRIAL_COST_S[kind]
+        priced = "custom" if kind == "adaptive" and not isinstance(cfg.weight, str) else kind
+        work_s = cfg.reps * per_trial * _TRIAL_COST_S[priced]
         pooled = threads > 1 and cfg.reps > 1 and work_s >= POOL_MIN_WORK_S
         n_chunks = max(min(4 * threads, cfg.reps) if pooled else 1,
                        -(-cfg.reps // BLOCK_TRIALS))
         indices = list(range(cfg.reps))
         chunks = [indices[i::n_chunks] for i in range(n_chunks)]
         if pooled:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            # under fork every worker starts at the first submit
+            with ProcessPoolExecutor(max_workers=min(threads, n_chunks)) as pool:
                 futures = [pool.submit(_trial_block, cfg, kind, checkpoints, chunk)
                            for chunk in chunks]
                 results = [f.result() for f in futures]

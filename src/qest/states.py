@@ -52,14 +52,18 @@ class ModelDerivatives:
 
 def _check_ball(x: np.ndarray) -> np.ndarray:
     """x as floats, a 3-vector or a stack (..., 3) of them, each inside the
-    unit ball; the first one outside is named."""
+    unit ball; the first one outside, or with a non-finite entry, is named."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != 3:
         raise ValueError(f"expected a 3-vector of Stokes parameters, got shape {x.shape}")
-    # vecdot rounds as a single vector's x @ x does, row by row
+    # vecdot rounds as a single vector's x @ x does, row by row; a NaN fails
+    # every comparison, so the test is that the point lies inside
     r2 = np.vecdot(x, x)
-    outside = r2[r2 >= 1.0]
+    outside = r2[~(r2 < 1.0)]
     if outside.size:
+        first = x[~(r2 < 1.0)][0]
+        if not np.isfinite(first).all():
+            raise ValueError(f"Stokes vector {first} has non-finite entries")
         raise OutOfBallError(f"|x| = {np.sqrt(outside[0]):.6f} >= 1")
     return x
 

@@ -72,12 +72,6 @@ def _random_povm_fishers(points, at, parts) -> np.ndarray:
     return gs
 
 
-def _qubit_hat_fisher(x, povm, u=None):
-    derivs = st.qubit_slds(x)
-    g = bd.classical_fisher(derivs, povm)
-    return bd.hat_fisher(g, st.qubit_qfi(x), u)
-
-
 # ---------------------------------------------------------------------------
 # lemma suite
 # ---------------------------------------------------------------------------
@@ -90,15 +84,13 @@ def check_rank_one_hat_fisher(rng, cases: int = 50) -> CheckResult:
         derivs = st.qubit_slds(x)
         j = st.qubit_qfi(x)
         u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        values, vectors = np.linalg.eigh(j)
-        inv_sq = (vectors / np.sqrt(values)) @ vectors.T
-        k_mat = u.T @ inv_sq
+        k_mat = u.T @ bd._sqrt_and_inv_sqrt(j)[1]
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
         l_v = sum(float(v[i]) * sum(k_mat[i, k] * derivs.slds[k] for k in range(3))
                   for i in range(3))
         pvm = ms.pvm_from_observable(l_v)
-        ghat = _qubit_hat_fisher(x, pvm, u)
+        ghat = bd.hat_fisher(bd.classical_fisher(derivs, pvm), j, u)
         worst = max(worst, float(np.max(np.abs(ghat - np.outer(v, v)))))
     return CheckResult("rank-one-hat-fisher", worst <= 1e-8,
                        f"max |ghat - vv^T| = {worst:.3e} (tol 1e-08, {cases} cases)")
@@ -175,17 +167,12 @@ def check_tomography_weight_optimality(rng, cases: int = 20) -> CheckResult:
     min_gap = np.inf
     for _ in range(cases):
         x = _random_interior_point(rng)
-        j = st.qubit_qfi(x)
-        g_tomo = bd.tomography_fisher(x)
         h = bd.tomography_weight(x)
-        attained = float(np.trace(h @ np.linalg.inv(g_tomo)))
-        worst_eq = max(worst_eq, abs(attained - bd.qcr_min_trace(j, h).bound))
+        attained = float(np.trace(h @ np.linalg.inv(bd.tomography_fisher(x))))
+        worst_eq = max(worst_eq, abs(attained - bd.qcr_min_trace(st.qubit_qfi(x), h).bound))
         x_off = rng.uniform(0.08, 0.5, size=3) * rng.choice([-1.0, 1.0], size=3)
         x_off = x_off * min(0.9 / np.linalg.norm(x_off), 1.0)
-        j_off = st.qubit_qfi(x_off)
-        excess = (float(np.trace(np.linalg.inv(bd.tomography_fisher(x_off))))
-                  - bd.qcr_min_trace(j_off, np.eye(3)).bound)
-        min_gap = min(min_gap, excess)
+        min_gap = min(min_gap, bd.tomo_excess(x_off, np.eye(3)))
     passed = worst_eq <= 1e-8 and min_gap >= 10 * 1e-8
     return CheckResult("tomography-weight-optimality", passed,
                        f"max equality defect = {worst_eq:.3e}, min off-axis gap = {min_gap:.3e}")
@@ -345,20 +332,21 @@ def check_limit_values() -> CheckResult:
 
 
 def check_excess_nonnegative(rng, cases: int = 200) -> CheckResult:
-    """c_T - c >= 0 for random rotational weights, with both closed forms
-    agreeing."""
-    min_excess = np.inf
-    worst_split = 0.0
+    """c_T - c >= 0 for random rotational weights, the closed forms'
+    difference agreeing with the sum of squares of tomo_excess."""
+    xs, hs, closed = [], [], []
     for _ in range(cases):
         x = _random_interior_point(rng, rmax=0.95)
         w = bd.RotWeight(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0)))
-        excess = bd.tomo_excess(w, x)
-        f1, f2 = bd.tomo_excess_forms(w, x)
-        min_excess = min(min_excess, excess)
-        worst_split = max(worst_split, abs(f1 - f2), abs(f1 - excess))
-    passed = min_excess >= -1e-10 and worst_split <= 1e-8
+        closed.append(bd.c_tomo_closed(w, x) - bd.c_opt_closed(w, float(np.linalg.norm(x))))
+        xs.append(x)
+        hs.append(bd.rot_weight_along(w, x))
+    closed = np.array(closed)
+    min_excess = float(closed.min())
+    worst = float(np.max(np.abs(closed - bd.tomo_excess(np.array(xs), np.array(hs)))))
+    passed = min_excess >= -1e-10 and worst <= 1e-8
     return CheckResult("excess-nonnegative", passed,
-                       f"min excess = {min_excess:.3e}, max form disagreement = {worst_split:.3e}")
+                       f"min excess = {min_excess:.3e}, max |closed - sum of squares| = {worst:.3e}")
 
 
 def check_mub_bound_sweep() -> CheckResult:

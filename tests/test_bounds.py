@@ -30,7 +30,6 @@ from qest.bounds import (
     rot_merit_sweep,
     rot_weight_along,
     tomo_excess,
-    tomo_excess_forms,
     tomography_fisher,
     tomography_weight,
     unit_direction,
@@ -110,6 +109,13 @@ class TestHatFisher:
         ghat = hat_fisher(g, np.eye(3), np.eye(3))
         assert np.allclose(ghat, np.eye(3) / 3, atol=1e-12)
         assert np.trace(ghat) <= 2 - 1 + 1e-12
+
+    @pytest.mark.parametrize("u", [2.0 * np.eye(3), np.full((3, 3), np.nan)])
+    def test_non_orthogonal_u_rejected(self, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^u must be orthogonal$"):
+                hat_fisher(np.eye(3), np.eye(3), u)
 
 
 class TestQcrMinTrace:
@@ -405,17 +411,15 @@ class TestClosedForms:
         for _ in range(50):
             x = random_point(rng, rmax=0.95)
             w = RotWeight(float(rng.uniform(0.1, 3)), float(rng.uniform(0.1, 3)))
-            excess = tomo_excess(w, x)
-            f1, f2 = tomo_excess_forms(w, x)
-            assert excess >= -1e-10
-            assert f1 == pytest.approx(f2, abs=1e-8)
-            assert f1 == pytest.approx(excess, abs=1e-8)
+            closed = c_tomo_closed(w, x) - c_opt_closed(w, float(np.linalg.norm(x)))
+            assert closed >= -1e-10
+            assert closed == pytest.approx(tomo_excess(x, rot_weight_along(w, x)), abs=1e-8)
 
     def test_excess_fisher_weight_diagonal_direction(self):
         r = 0.8
         x = r * np.ones(3) / np.sqrt(3)
-        w = qfi_rot_weight(r)
-        assert tomo_excess(w, x) == pytest.approx(2 * r ** 4 / (1 - r ** 2), abs=1e-8)
+        h = rot_weight_along(qfi_rot_weight(r), x)
+        assert tomo_excess(x, h) == pytest.approx(2 * r ** 4 / (1 - r ** 2), abs=1e-8)
 
     def test_matches_bound_any_direction(self):
         rng = np.random.default_rng(10)
@@ -428,6 +432,43 @@ class TestClosedForms:
                 qcr_min_trace(qubit_qfi(x), h).bound, abs=1e-8)
             assert c_tomo_closed(w, x) == pytest.approx(
                 float(np.trace(h @ np.linalg.inv(tomography_fisher(x)))), abs=1e-8)
+
+
+class TestTomoExcessSumOfSquares:
+    """tomo_excess(x, h) = || R Ghat^-1/2 - (Tr R) Ghat^1/2 ||_F^2, with
+    Ghat = J^-1/2 g_T J^-1/2, equals Tr H g_T^-1 - (Tr R)^2 for any weight."""
+
+    def test_equals_the_subtraction_for_random_weights(self):
+        rng = np.random.default_rng(120)
+        x = np.array([random_point(rng, rmax=0.99) for _ in range(2000)])
+        h = np.array([random_weight(rng) for _ in x])
+        ct = np.trace(h @ np.linalg.inv(tomography_fisher(x)), axis1=-2, axis2=-1)
+        subtraction = ct - qcr_min_trace(qubit_qfi(x), h).bound
+        excess = tomo_excess(x, h)
+        assert np.max(np.abs(excess - subtraction) / excess) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1e-6, 1.0, 7.0, 1e6])
+    def test_zero_at_multiples_of_the_tomography_weight(self, k):
+        rng = np.random.default_rng(121)
+        for x in [np.array([0.3, -0.5, 0.6])] + [random_point(rng, rmax=0.99) for _ in range(20)]:
+            # both merits are 9 k there; the differences are rounding-sized
+            # entries of sqrt(k)-sized matrices, whose squares lie far below
+            # (1e-13 sqrt(k))^2, while a subtraction of the merits leaves
+            # about 1e-15 k
+            assert 0.0 <= tomo_excess(x, k * tomography_weight(x)) <= 1e-26 * k
+
+    def test_grows_as_the_square_of_a_perturbation(self):
+        x = np.array([0.3, -0.5, 0.6])
+        h_t = tomography_weight(x)
+        eps = 10.0 ** -np.arange(2, 9)
+        rng = np.random.default_rng(122)
+        for _ in range(5):
+            a = rng.standard_normal((3, 3))
+            d = (a + a.T) / np.linalg.norm(a + a.T)
+            excess = np.array([tomo_excess(x, h_t + e * d) for e in eps])
+            assert np.all(excess >= 0.0)
+            ratio = excess / eps ** 2
+            assert ratio.max() <= 1.01 * ratio.min()
 
 
 class TestGmLowerBound:
@@ -648,6 +689,25 @@ class TestInfiniteEntryNamed:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
                 call()
+
+    @pytest.mark.parametrize("call", [
+        tomography_fisher, tomography_weight, lambda x: c_tomo_closed(RotWeight(1.0, 1.0), x),
+        lambda x: tomo_excess(x, np.eye(3)),
+    ], ids=["tomography_fisher", "tomography_weight", "c_tomo_closed", "tomo_excess"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_stokes_vector_named(self, call, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Stokes vector .* has non-finite entries$"):
+                call([bad, 0.0, 0.0])
+
+    @pytest.mark.parametrize("direction", [[np.nan, 0.0, 0.0], [1.0, np.inf, 0.0],
+                                           [[1.0, 0.0, 0.0], [0.0, np.nan, 1.0]]])
+    def test_direction_named(self, direction):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^direction has non-finite entries$"):
+                unit_direction(direction)
 
     def test_overflowing_symmetry_defect_named_without_a_numpy_warning(self):
         # 1e308 - (-1e308) overflows to inf in the defect, which is named
@@ -1023,6 +1083,18 @@ class TestStackedKernels:
                 assert np.array_equal(ct[k], c_tomo_closed(w, xk))
             for k, vk in enumerate(nonzero):
                 assert np.array_equal(hs[k], rot_weight_along(w, vk))
+
+    def test_tomography_fisher_and_excess(self):
+        rng = np.random.default_rng(88)
+        x = _stack_points(rng)
+        g = tomography_fisher(x)
+        h = np.array([random_weight(rng) for _ in x])
+        excess = tomo_excess(x, h)
+        for k, xk in enumerate(x):
+            assert np.array_equal(g[k], tomography_fisher(xk))
+            assert np.array_equal(g[k], np.diag(1.0 / (1.0 - xk * xk)) / 3.0)
+            assert isinstance(tomo_excess(xk, h[k]), float)
+            assert np.array_equal(excess[k], tomo_excess(xk, h[k]))
 
     def test_qubit_bures_broadcasts_both_points(self):
         rng = np.random.default_rng(87)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,20 @@ class TestSolveSld:
     def test_rejects_traceful_drho(self):
         with pytest.raises(ValueError):
             solve_sld(np.eye(2) / 2, np.eye(2))
+
+
+class TestNonFiniteInputNamed:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_hermitian_eig(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in ([[bad, 0], [0, 1]], [[1, bad], [0, 1]], [[[1, 0], [0, 1]], [[1, 0], [0, bad]]]):
+                with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                    hermitian_eig(a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_solve_sld_derivative(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^drho has non-finite entries$"):
+                solve_sld(np.eye(2) / 2, [[bad, 0], [0, 0]])

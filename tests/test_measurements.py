@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -353,3 +354,47 @@ class TestStackedKernels:
                 check_povm_ops(stack.reshape(2, 2, 3, 2, 2))
             assert str(grid.value) == f"POVM {first // 2}, {first % 2}: {want}"
         check_povm_ops(np.array([povms["good"]] * 3))
+
+
+class TestNonFiniteInputNamed:
+    """A NaN fails every comparison, so each check is written to pass only
+    finite values; the non-finite input is named, without numpy warnings."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+    def test_povm_element(self, bad):
+        ops = np.array([[[0.5, 0], [0, 0.5]], [[0.5, 0], [0, 0.5]]], dtype=complex)
+        ops[0, 0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPovmError, match="^elements have non-finite entries$"):
+                Povm(dim=2, labels="ab", ops=ops)
+            stack = np.array([qubit_tomography_povm().ops, qubit_tomography_povm().ops])
+            stack[1, 3, 0, 1] = bad
+            with pytest.raises(InvalidPovmError, match="^POVM 1: elements have non-finite"):
+                check_povm_ops(stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mub_basis(self, bad):
+        bases = mub_bases(2).bases.copy()
+        bases[1, 0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^basis 1 has non-finite entries$"):
+                MubFamily(q=2, bases=bases)
+            with pytest.raises(ValueError, match="^basis 0 has non-finite entries$"):
+                MubFamily(q=2, bases=np.full((3, 2, 2), bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_branch_probability(self, bad):
+        tomo = qubit_tomography_povm()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadDistributionError,
+                               match=f"^branch probabilities sum to {bad}$"):
+                randomize([(bad, tomo), (1.0, tomo)])
+
+    def test_state_of_an_outcome_distribution(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^state has non-finite entries$"):
+                outcome_distribution(np.full((2, 2), np.nan), qubit_tomography_povm())

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,13 @@ class TestClampToBall:
     def test_radial_projection(self):
         out = clamp_to_ball(np.array([2.0, 0.0, 0.0]), eps=1e-6)
         assert np.allclose(out, [1 - 1e-6, 0.0, 0.0])
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0], [np.inf, 0.0, 0.5]])
+    def test_non_finite_point_named(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^point \[.*\] has non-finite entries$"):
+                clamp_to_ball(x, 0.01)
 
     def test_boundary_estimate_becomes_valid_state(self):
         est = tomography_estimate(np.array([[0, 10], [3, 7], [5, 5]]))
@@ -866,6 +874,55 @@ class TestSmallJobsRunSerially:
         assert started == [2, 2]
         for kind in ("tomography", "adaptive"):
             assert pooled[kind].to_csv() == serial[kind].to_csv()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    submission inline, starting no process."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestPoolSizing:
+    def _record_pools(self, monkeypatch):
+        import qest.simulate as simulate
+        started = []
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor",
+                            lambda max_workers: _InlinePool(started, max_workers))
+        return started
+
+    def test_no_more_workers_than_chunks(self, monkeypatch):
+        import qest.simulate as simulate
+        cfg = RunConfig(x0=X0, weight="qfi", m_max=60, reps=3, seed=5)
+        serial = monte_carlo(cfg, threads=1)
+        started = self._record_pools(monkeypatch)
+        monkeypatch.setattr(simulate, "POOL_MIN_WORK_S", 0.0)
+        pooled = monte_carlo(cfg, threads=64)
+        assert started == [3, 3]
+        for kind in ("tomography", "adaptive"):
+            assert pooled[kind].to_csv() == serial[kind].to_csv()
+
+    def test_custom_weight_steps_are_priced_by_their_design(self, monkeypatch):
+        started = self._record_pools(monkeypatch)
+        # 10 trials of 250 steps: 0.0125 s estimated for a selector, 0.25 s
+        # (POOL_MIN_WORK_S) for a fixed matrix
+        for weight in ("qfi", "tomography", np.diag([2.0, 1.0, 0.5])):
+            cfg = RunConfig(x0=X0, weight=weight, m_max=250, reps=10, seed=5)
+            monte_carlo(cfg, estimators=("adaptive",), threads=2)
+        assert started == [2]
 
 
 class TestRunningDesignEstimate:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -289,3 +291,19 @@ class TestBlochOperator:
         for i in range(4):
             for k in range(5):
                 assert np.array_equal(ops[i, k], bloch_operator(t[i, 0], b[k]))
+
+
+class TestNonFiniteStokesVectorNamed:
+    @pytest.mark.parametrize("call", [qubit_qfi, qubit_state, qubit_slds,
+                                      lambda x: qubit_bures(x, np.zeros(3))])
+    @pytest.mark.parametrize("x", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                                   [[0.1, 0.2, 0.3], [0.0, 0.0, np.nan]]])
+    def test_named_without_a_numpy_warning(self, call, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^Stokes vector \[.*\] has non-finite entries$"):
+                call(x)
+
+    def test_points_on_or_outside_the_sphere_keep_their_message(self):
+        with pytest.raises(OutOfBallError, match=r"^\|x\| = 1.000000 >= 1$"):
+            qubit_qfi([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
