@@ -12,6 +12,7 @@ environment variable QEST_THREADS caps trial parallelism.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -245,7 +246,12 @@ def cmd_verify(args) -> int:
     return 1 if n_fail else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `qest` parser, built at the first call and shared by every later
+    one in the process.  Sharing is safe: parse_args only reads the parser,
+    and main applies --config by rewriting argv, never through set_defaults,
+    so no call leaves state behind for the next."""
     parser = argparse.ArgumentParser(
         prog="qest",
         description="Estimation bounds and Monte Carlo comparison for qubit tomography")

@@ -190,6 +190,12 @@ def _clamp_point(x: list, rho: float) -> list:
     r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     if r <= rho:
         return x
+    if r == math.inf:
+        # x0*x0 overflowed: divide by the largest |entry| first, as
+        # bounds.unit_direction does; an infinite entry turns into NaN here
+        peak = max(abs(x0), abs(x1), abs(x2))
+        x0, x1, x2 = x0 / peak, x1 / peak, x2 / peak
+        r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     s = rho / r
     y0, y1, y2 = x0 * s, x1 * s, x2 * s
     # |y| <= rho < 1 for finite x; a NaN or infinite entry makes y NaN
@@ -202,7 +208,8 @@ def _clamp_point(x: list, rho: float) -> list:
 
 
 def _clamp_rows(x: np.ndarray, eps: float) -> np.ndarray:
-    """clamp_to_ball applied to every point x[..., :] of x, bit for bit."""
+    """clamp_to_ball applied to every point x[..., :] of x, bit for bit for
+    every row whose squared norm is finite (estimates of the Monte Carlo are)."""
     rho = 1.0 - eps
     x0, x1, x2 = np.moveaxis(x, -1, 0)
     out = x * (rho / np.maximum(np.sqrt(x0 * x0 + x1 * x1 + x2 * x2), rho))[..., None]

@@ -205,6 +205,10 @@ def qubit_bures(x, y):
         raise ValueError(f"expected Stokes vectors along the last axis, got shape {y.shape}")
     ry2 = np.sum(y * y, axis=-1)
     if not np.all(ry2 < 1.0):
+        rows = y.reshape(-1, 3)
+        odd = ~np.isfinite(rows).all(axis=1)
+        if odd.any():
+            raise OutOfBallError(f"Stokes vector {rows[odd][0]} has non-finite entries")
         raise OutOfBallError(f"|y| = {float(np.sqrt(np.max(ry2))):.6f} >= 1")
     d = y - x
     purity_gap = 1.0 - np.vecdot(x, x)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qest.cli import main
+from qest.cli import build_parser, main
 
 
 def run_cli(args, tmp_path=None):
@@ -434,6 +434,42 @@ class TestSvg:
         svg = (tmp_path / "bounds.svg").read_text()
         assert svg.startswith("<svg")
         assert "polyline" in svg
+
+
+class TestParserBuiltOnce:
+    """main shares one parser per process, so no call may change the next."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_leave_no_state_for_the_next(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QEST_THREADS", "1")
+        plain = ["simulate", "--estimator", "tomo", "--m", "300", "--reps", "5",
+                 "--out", str(tmp_path / "run")]
+        csv = tmp_path / "run_tomography.csv"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 9}))
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = call(plain)
+        first_csv = csv.read_bytes()
+        others = [["simulate", "--bogus"], ["nope"], ["--help"], ["simulate", "--help"]]
+        seen = [call(argv) for argv in others]
+        assert [code for code, _, _ in seen] == [2, 2, 0, 0]
+        assert "unrecognized arguments: --bogus" in seen[0][2]
+        assert "invalid choice: 'nope'" in seen[1][2]
+        assert call(plain[:1] + ["--config", str(config)] + plain[1:])[0] == 0
+        assert csv.read_bytes() != first_csv
+        assert [call(argv) for argv in others] == seen
+        assert call(plain) == first
+        assert csv.read_bytes() == first_csv
 
 
 class TestEntryPoint:

@@ -43,6 +43,19 @@ class TestClampToBall:
             with pytest.raises(ValueError, match=r"^point \[.*\] has non-finite entries$"):
                 clamp_to_ball(x, 0.01)
 
+    def test_huge_finite_point_lands_on_the_sphere(self):
+        # x0*x0 overflows here; the clamp keeps the point's direction
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = clamp_to_ball([1e200, 0.0, 0.0], 0.01)
+            assert abs(out[0] - 0.99) <= np.spacing(0.99)
+            assert out[1] == out[2] == 0.0
+            assert _design_norm(out) <= 0.99
+            diag = clamp_to_ball([1e200, -1e200, 0.0], 0.01)
+            assert diag[0] == -diag[1] > 0.0 and diag[2] == 0.0
+            assert diag[0] == pytest.approx(0.99 / np.sqrt(2.0), rel=1e-15)
+            assert _design_norm(diag) <= 0.99
+
     def test_boundary_estimate_becomes_valid_state(self):
         est = tomography_estimate(np.array([[0, 10], [3, 7], [5, 5]]))
         assert est[0] == 1.0

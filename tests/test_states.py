@@ -304,6 +304,28 @@ class TestNonFiniteStokesVectorNamed:
             with pytest.raises(ValueError, match=r"^Stokes vector \[.*\] has non-finite entries$"):
                 call(x)
 
+    @pytest.mark.parametrize("y", [[np.nan, 0.0, 0.0], [[0.0, 0.0, 0.5], [0.0, -np.nan, 2.0]]])
+    def test_nan_in_y_is_named_not_measured(self, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfBallError,
+                               match=r"^Stokes vector \[.*nan.*\] has non-finite entries$"):
+                qubit_bures([0.1, 0.0, 0.0], y)
+
+    @pytest.mark.parametrize("y", [[0.0, np.inf, 0.0], [[0.0, 0.0, 2.0], [-np.inf, 0.0, 0.0]]])
+    def test_infinite_y_is_named_not_measured(self, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfBallError,
+                               match=r"^Stokes vector \[.*inf.*\] has non-finite entries$"):
+                qubit_bures([0.1, 0.0, 0.0], y)
+
+    def test_finite_y_outside_keeps_its_message(self):
+        with pytest.raises(OutOfBallError, match=r"^\|y\| = 1.500000 >= 1$"):
+            qubit_bures([0.1, 0.0, 0.0], [[0.0, 0.0, 0.5], [0.0, 0.0, 1.5], [0.0, 1.2, 0.0]])
+        with pytest.raises(OutOfBallError, match=r"^\|y\| = 1.000000 >= 1$"):
+            qubit_bures([0.1, 0.0, 0.0], [0.0, 0.6, 0.8])
+
     def test_points_on_or_outside_the_sphere_keep_their_message(self):
         with pytest.raises(OutOfBallError, match=r"^\|x\| = 1.000000 >= 1$"):
             qubit_qfi([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
