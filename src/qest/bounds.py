@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NoConvergenceError
-from .measurements import (MubFamily, Povm, bloch_pvm_mixture, mub_tomography_povm,
-                           qubit_tomography_povm)
-from .states import (PAULIS, ModelDerivatives, NotPositiveError, _check_ball, model_qfi,
-                     mub_derivatives, qubit_qfi, qubit_slds)
+from .linalg import NoConvergenceError, ValueRecord, read_only
+from .measurements import (MubFamily, Povm, bloch_pvm_mixture, bloch_pvm_ops, check_povm_ops,
+                           mub_tomography_povm, qubit_tomography_povm)
+from .states import (PAULIS, ModelDerivatives, _check_ball, _mub_model, _mub_states, model_qfi,
+                     qubit_qfi, qubit_slds)
 
 # a symmetric matrix counts as positive definite when its smallest eigenvalue
 # exceeds PD_TOL times the smaller of 1 and its largest (_require_pd)
@@ -47,20 +47,27 @@ class UnsupportedDimError(ValueError):
     """Optimal-measurement construction only exists for a two-level system."""
 
 
-@dataclass(frozen=True)
-class RotWeight:
+@dataclass(frozen=True, eq=False)
+class RotWeight(ValueRecord):
     """Values of a rotationally symmetric weight at one radius.
 
     `transverse` weights directions orthogonal to the state vector,
     `radial` the direction along it: H = transverse*I +
     (radial - transverse) |x><x| / r^2.  Both must be positive and finite.
+    Either may be an array, held as a read-only copy: a stack of weights,
+    which the closed forms and rot_weight_along broadcast against their
+    stack of points.  Records compare and hash by value.
     """
 
     transverse: float
     radial: float
 
     def __post_init__(self):
-        if not (0.0 < self.transverse < math.inf and 0.0 < self.radial < math.inf):
+        for name in ("transverse", "radial"):
+            if isinstance(getattr(self, name), np.ndarray):
+                object.__setattr__(self, name, read_only(getattr(self, name), float))
+        t, g = self.transverse, self.radial
+        if not np.asarray((0.0 < t) & (t < math.inf) & (0.0 < g) & (g < math.inf)).all():
             raise ValueError("weight values must be positive and finite")
 
 
@@ -195,16 +202,16 @@ def hat_fisher(g: np.ndarray, j: np.ndarray, u: np.ndarray | None = None) -> np.
     """Normalized Fisher matrix U^-1 sqrt(J^-1) g sqrt(J^-1) U.
 
     With u omitted the identity is used.  For any POVM the trace of this
-    matrix is at most dim(H) - 1.  Stacks of g and J broadcast, so J's
+    matrix is at most dim(H) - 1.  Stacks of g, J and u broadcast, so J's
     shared by many g's are decomposed once each.
     """
     _, inv_sq = _sqrt_and_inv_sqrt(j)
     core = inv_sq @ np.asarray(g, dtype=float) @ inv_sq
     if u is not None:
         u = np.asarray(u, dtype=float)
-        if not float(np.max(np.abs(u.T @ u - np.eye(u.shape[0])))) <= 1e-8:
+        if not float(np.max(np.abs(u.mT @ u - np.eye(u.shape[-1])))) <= 1e-8:
             raise ValueError("u must be orthogonal")
-        core = u.T @ core @ u
+        core = u.mT @ core @ u
     return (core + core.mT) / 2
 
 
@@ -251,14 +258,27 @@ def qubit_design(sld_bloch: np.ndarray, j: np.ndarray, h: np.ndarray) -> Optimal
     projectors (I -/+ axes[i] . sigma) / 2; sld_bloch[k] is the Bloch vector
     (Tr sigma L_k) / 2.  Zero-probability branches are dropped; within
     degenerate eigenvalue clusters of R any orthogonal diagonalizer works.
+
+    Stacks sld_bloch (..., d, 3), J and H (..., d, d) broadcast.  A stack
+    keeps every branch, a dropped one as probability 0 and axis 0, so probs
+    is (..., d) and axes (..., d, 3); each element has the bits of its own
+    call.
     """
     roots = _sqrt_and_inv_sqrt(j)
     sol = _min_trace(roots, h)
-    probs = sol.scales / float(np.sum(sol.scales))
+    probs = sol.scales / sol.scales.sum(axis=-1, keepdims=True)
     kept = probs > 1e-15
-    axes = (sol.basis.T @ roots[1] @ sld_bloch)[kept]
-    sol.probs = probs[kept] / probs[kept].sum()
-    sol.axes = axes / np.linalg.norm(axes, axis=1)[:, None]
+    axes = sol.basis.mT @ roots[1] @ sld_bloch
+    norms = np.linalg.norm(axes, axis=-1, keepdims=True)
+    if kept.ndim == 1:
+        probs, axes, norms = probs[kept], axes[kept], norms[kept]
+    else:
+        probs = np.where(kept, probs, 0.0)
+        axes = np.where(kept[..., None], axes, 0.0)
+        norms = np.where(kept[..., None], norms, 1.0)
+    # adding a dropped branch's 0.0 to the sum leaves its bits unchanged
+    sol.probs = probs / probs.sum(axis=-1, keepdims=True)
+    sol.axes = axes / norms
     return sol
 
 
@@ -268,16 +288,24 @@ def optimal_measurement(derivs: ModelDerivatives, j: np.ndarray,
     branches of qubit_design as a POVM, labeled "<branch><sign>".  Its
     classical Fisher matrix equals sqrt(J) R sqrt(J) / Tr R.
 
-    Only defined on a two-level system (1 to 3 parameters).
+    Only defined on a two-level system (1 to 3 parameters).  A stack of
+    states (..., 2, 2) with stacks of J and H gives qubit_design's stacked
+    solution, whose `measurement` is the checked elements (..., 2d, 2, 2)
+    of bloch_pvm_ops, each with the bits of its own call's Povm.
     """
-    if derivs.rho.shape != (2, 2):
+    if derivs.rho.shape[-2:] != (2, 2):
         raise UnsupportedDimError("construction requires a two-level system")
     d = derivs.n_params
     if d not in (1, 2, 3):
         raise ValueError(f"parameter count {d} out of range 1..3")
-    sld_bloch = np.einsum("kij,mji->km", np.stack(derivs.slds), np.stack(PAULIS)).real / 2
+    sld_bloch = np.einsum("...kij,mji->...km", np.stack(derivs.slds, axis=-3),
+                          np.stack(PAULIS)).real / 2
     sol = qubit_design(sld_bloch, j, h)
-    sol.measurement = bloch_pvm_mixture(sol.probs, sol.axes)
+    if sol.probs.ndim == 1:
+        sol.measurement = bloch_pvm_mixture(sol.probs, sol.axes)
+    else:
+        sol.measurement = bloch_pvm_ops(sol.probs, sol.axes)
+        check_povm_ops(sol.measurement)
     return sol
 
 
@@ -344,23 +372,28 @@ def rot_weight_along(w: RotWeight, direction) -> np.ndarray:
     """Matrix transverse*I + (radial - transverse) v v^T of a rotational
     weight at any point r v, v the unit vector along `direction`; also at
     r = 0, where the closed-form merits are directional limits.  A stack of
-    directions (..., 3) gives a stack (..., 3, 3).
+    directions (..., 3) or of weight values gives a stack (..., 3, 3).
     """
     v = unit_direction(direction)
     outer = v[..., :, None] * v[..., None, :]
-    return w.transverse * np.eye(3) + (w.radial - w.transverse) * outer
+    f = np.asarray(w.transverse)[..., None, None]
+    g = np.asarray(w.radial)[..., None, None]
+    return f * np.eye(3) + (g - f) * outer
 
 
-def c_opt_closed(w: RotWeight, r: float) -> float:
+def c_opt_closed(w: RotWeight, r):
     """Closed form of the measurement-optimized merit for a rotational weight:
-    (2 sqrt(f) + sqrt((1-r^2) g))^2.
+    (2 sqrt(f) + sqrt((1-r^2) g))^2.  A float, or an array over arrays of
+    radii and of weight values, which broadcast.
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius {r} outside [0, 1)")
+    inside = np.asarray((0.0 <= r) & (r < 1.0))
+    if not inside.all():
+        raise ValueError(f"radius {np.ravel(r)[~inside.ravel()][0]} outside [0, 1)")
     root = 2.0 * np.sqrt(w.transverse) + np.sqrt((1.0 - r * r) * w.radial)
-    if not root < _SQRT_MAX:
+    if not np.asarray(root < _SQRT_MAX).all():
         raise ValueError("merit overflows for these weight values")
-    return root ** 2
+    # libm's pow, as a float's root ** 2
+    return np.float_power(root, 2)
 
 
 def anisotropy(x):
@@ -388,7 +421,7 @@ def anisotropy(x):
 def c_tomo_closed(w: RotWeight, x):
     """Closed form of the tomography merit Tr H g^-1 for a rotational weight:
     3 (2f + (1-r^2) g) + 3 t r^2 (g - f).  A float, or an array over a
-    stack (..., 3).
+    stack (..., 3) of points and of weight values, which broadcast.
     """
     x = _check_ball(x)
     r2 = np.vecdot(x, x)
@@ -434,22 +467,23 @@ def mub_tomography_sweep(family: MubFamily, radii, coord: tuple[int, int] = (0, 
     cT = Tr J g(M_T)^-1 is the merit of uniform MUB tomography and cGM =
     gm_lower_bound(J, J, q) the bound valid for every POVM, both with the
     Fisher-matrix weight.  The sweep stops at the first radius whose state
-    is not positive.
+    is not positive.  All radii are scored as one stack, each row with the
+    bits of its own point's calls.
     """
     q = family.q
-    tomo = mub_tomography_povm(family)
-    rows = []
-    for r in radii:
-        coords = np.zeros((q + 1, q - 1))
-        coords[coord] = r
-        try:
-            derivs = mub_derivatives(coords, family)
-        except NotPositiveError:
-            break
-        j = model_qfi(derivs)
-        ct = float(np.trace(j @ np.linalg.inv(classical_fisher(derivs, tomo))))
-        rows.append((float(r), gm_lower_bound(j, j, q), ct))
-    return rows
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    coords = np.zeros((len(radii), q + 1, q - 1))
+    coords[(slice(None), *coord)] = radii
+    rho, low = _mub_states(coords, family)
+    stop = np.flatnonzero(low <= 0.0)
+    n = int(stop[0]) if stop.size else len(radii)
+    if n == 0:
+        return []
+    derivs = _mub_model(rho[:n], family)
+    j = model_qfi(derivs)
+    g = classical_fisher(derivs, mub_tomography_povm(family))
+    ct = np.trace(j @ np.linalg.inv(g), axis1=-2, axis2=-1)
+    return list(zip(radii[:n].tolist(), gm_lower_bound(j, j, q).tolist(), ct.tolist()))
 
 
 def rot_merit_sweep(weights, radii, dirs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -466,12 +500,14 @@ def rot_merit_sweep(weights, radii, dirs) -> tuple[np.ndarray, np.ndarray, np.nd
     dirs = np.asarray(dirs, dtype=float)
     x = radii[:, None, None] * dirs
     c, ct, hs = [], [], []
-    for r, xr in zip(radii.tolist(), x):
-        ws = [weight_at(r) for weight_at in weights]
-        c.append([c_opt_closed(w, r) for w in ws])
-        ct.append([c_tomo_closed(w, xr) for w in ws])
-        hs.append([rot_weight_along(w, dirs) for w in ws])
-    c, ct, hs = np.array(c)[..., None], np.array(ct), np.array(hs)
+    for weight_at in weights:
+        ws = [weight_at(r) for r in radii.tolist()]
+        # the weight's values at every radius, one row per radius
+        w = RotWeight(np.array([[v.transverse] for v in ws]), np.array([[v.radial] for v in ws]))
+        c.append(c_opt_closed(w, radii[:, None]))
+        ct.append(c_tomo_closed(w, x))
+        hs.append(rot_weight_along(w, dirs))
+    c, ct, hs = (np.stack(a, axis=1) for a in (c, ct, hs))
     bound = qcr_min_trace(qubit_qfi(x)[:, None], hs).bound
     g_tomo = classical_fisher(qubit_slds(x), qubit_tomography_povm())
     ct_num = np.trace(hs @ np.linalg.inv(g_tomo)[:, None], axis1=-2, axis2=-1)

@@ -133,13 +133,17 @@ def solve_sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
 
     Works in the eigenbasis of rho, where L_jk = 2 drho_jk / (lam_j + lam_k).
     Requires rho strictly positive (min eigenvalue > SINGULAR_STATE_TOL) and
-    drho Hermitian traceless.  drho may also be a stack of shape (k, q, q):
-    the k equations share one eigendecomposition of rho, and L has the
-    stack's shape.
+    drho Hermitian traceless.  Stacks rho (..., q, q) and drho (..., q, q)
+    broadcast, and each state is decomposed once: one state against drho
+    (k, q, q), or states (m, 1, q, q) against it, solve k equations per
+    state.  Each L has the bits of its own call, and the first state, in
+    row-major order, that is too close to singular is named.
     """
     values, vectors = hermitian_eig(rho)
-    if values[0] <= SINGULAR_STATE_TOL:
-        raise SingularStateError(f"state eigenvalue {values[0]:.3e} <= {SINGULAR_STATE_TOL:.1e}")
+    low = np.ravel(values[..., 0])
+    bad = np.flatnonzero(low <= SINGULAR_STATE_TOL)
+    if bad.size:
+        raise SingularStateError(f"state eigenvalue {low[bad[0]]:.3e} <= {SINGULAR_STATE_TOL:.1e}")
     drho = np.asarray(drho, dtype=complex)
     if not np.isfinite(drho).all():
         raise ValueError("drho has non-finite entries")
@@ -148,9 +152,10 @@ def solve_sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     trace = float(np.abs(np.trace(drho, axis1=-2, axis2=-1)).max())
     if trace > HERMITIAN_TOL:
         raise ValueError(f"drho has trace of modulus {trace:.3e}, expected traceless")
-    d_in_basis = vectors.conj().T @ drho @ vectors
-    denom = values[:, None] + values[None, :]
-    sld = vectors @ (2 * d_in_basis / denom) @ vectors.conj().T
+    adjoint = vectors.conj().swapaxes(-1, -2)
+    d_in_basis = adjoint @ drho @ vectors
+    denom = values[..., :, None] + values[..., None, :]
+    sld = vectors @ (2 * d_in_basis / denom) @ adjoint
     return (sld + sld.conj().swapaxes(-1, -2)) / 2
 
 

@@ -162,25 +162,43 @@ class MubFamily(ValueRecord):
         return float(self._overlap_defects()[2].max())
 
 
-def pvm_from_observable(a: np.ndarray) -> Povm:
+def pvm_from_observable(a: np.ndarray) -> Povm | np.ndarray:
     """PVM from the spectral decomposition of a Hermitian observable.
 
     Eigenvalues closer than CLUSTER_GAP are merged into one cluster; each cluster
     contributes the projector onto its eigenspace, labeled by the (mean)
     eigenvalue, in ascending eigenvalue order.  Downstream code must not
     depend on the basis chosen inside a degenerate cluster.
+
+    A stack (..., q, q) of observables gives the checked elements
+    (..., n, q, q) of their PVMs, unlabeled, each with the bits of its own
+    call's Povm; every observable of the stack must then have the same
+    number n of clusters.
     """
     values, vectors = hermitian_eig(a)
-    ascending = values.tolist()
-    starts = [0] + [i for i in range(1, len(ascending))
-                    if ascending[i] - ascending[i - 1] > CLUSTER_GAP]
-    ops = []
-    labels = []
-    for start, stop in zip(starts, starts[1:] + [len(ascending)]):
-        cols = vectors[:, start:stop]
-        ops.append(hermitize(cols @ cols.conj().T))
-        labels.append(f"{float(values[start:stop].sum()) / (stop - start):+.10g}")
-    return Povm(dim=len(ascending), labels=labels, ops=np.array(ops))
+    q = values.shape[-1]
+    flat_values, flat_vectors = values.reshape(-1, q), vectors.reshape(-1, q, q)
+    # observables grouped by the eigenvalue indices that start their clusters
+    groups = {}
+    for k, row in enumerate((np.diff(flat_values, axis=-1) > CLUSTER_GAP).tolist()):
+        starts = (0, *(i + 1 for i, split in enumerate(row) if split))
+        groups.setdefault(starts, []).append(k)
+    sizes = {len(starts) for starts in groups} or {q}
+    if len(sizes) > 1:
+        raise ValueError(f"observables of the stack have {sorted(sizes)} eigenvalue clusters")
+    ops = np.empty((len(flat_values), sizes.pop(), q, q), dtype=complex)
+    for starts, members in groups.items():
+        for n, (start, stop) in enumerate(zip(starts, starts[1:] + (q,))):
+            cols = flat_vectors[members, :, start:stop]
+            ops[members, n] = hermitize(cols @ cols.conj().swapaxes(-1, -2))
+    if values.ndim > 1:
+        ops = ops.reshape(values.shape[:-1] + ops.shape[1:])
+        check_povm_ops(ops)
+        return ops
+    (starts,) = groups
+    labels = [f"{float(values[start:stop].sum()) / (stop - start):+.10g}"
+              for start, stop in zip(starts, starts[1:] + (q,))]
+    return Povm(dim=q, labels=labels, ops=ops[0])
 
 
 def randomize(parts) -> Povm:
@@ -217,11 +235,18 @@ def bloch_pvm_mixture(probs, axes) -> Povm:
     counted from 1.  Provenance records (branch index, probability).
     """
     probs = np.asarray(probs, dtype=float)
-    signed = np.asarray(axes, dtype=float)[:, None, :] * np.array([[-1.0], [1.0]])
-    ops = probs[:, None, None, None] * bloch_operator(1.0, signed)
     return Povm(dim=2, labels=tuple(f"{i + 1}{sign}" for i in range(len(probs)) for sign in "-+"),
-                ops=ops.reshape(-1, 2, 2),
+                ops=bloch_pvm_ops(probs, axes),
                 provenance=tuple((i, float(p)) for i, p in enumerate(probs) for _ in "-+"))
+
+
+def bloch_pvm_ops(probs, axes) -> np.ndarray:
+    """The elements (..., 2n, 2, 2) of bloch_pvm_mixture, unchecked, for
+    probs (..., n) and axes (..., n, 3), or stacks of them."""
+    probs = np.asarray(probs, dtype=float)
+    signed = np.asarray(axes, dtype=float)[..., None, :] * np.array([[-1.0], [1.0]])
+    ops = probs[..., None, None, None] * bloch_operator(1.0, signed)
+    return ops.reshape(ops.shape[:-4] + (-1, 2, 2))
 
 
 def qubit_tomography_povm() -> Povm:

@@ -114,21 +114,41 @@ def mub_state(coords, bases) -> np.ndarray:
 
     `coords` has shape (q+1, q-1): one coordinate per basis `a` and per
     basis vector i = 0..q-2 (the last vector of each basis carries no
-    coordinate).  Positivity of the result is checked numerically.
+    coordinate).  Positivity of the result is checked numerically.  Coords
+    of shape (..., q+1, q-1) give a stack (..., q, q) of states, each with
+    the bits of its own call; the first one, in row-major order, that is
+    not positive is named.
     """
+    rho, low = _mub_states(coords, bases)
+    low = np.ravel(low)
+    bad = np.flatnonzero(low <= 0.0)
+    if bad.size:
+        raise NotPositiveError(f"minimum eigenvalue {low[bad[0]]:.3e} <= 0")
+    return rho
+
+
+def _mub_states(coords, bases) -> tuple[np.ndarray, np.ndarray]:
+    """mub_state's states, not checked for positivity, and the smallest
+    eigenvalue of each."""
     q = bases.q
     coords = np.asarray(coords, dtype=float)
-    if coords.shape != (q + 1, q - 1):
+    if coords.shape[-2:] != (q + 1, q - 1):
         raise ValueError(f"expected coords of shape {(q + 1, q - 1)}, got {coords.shape}")
-    rho = np.eye(q, dtype=complex) / q
-    for c, dp in zip(coords.ravel(), mub_partials(bases)):
-        if c != 0.0:
-            rho += c * dp
-    rho = hermitize(rho)
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig <= 0.0:
-        raise NotPositiveError(f"minimum eigenvalue {min_eig:.3e} <= 0")
-    return rho
+    flat = coords.reshape(coords.shape[:-2] + ((q + 1) * (q - 1),))
+    start = np.broadcast_to(np.eye(q, dtype=complex) / q, flat.shape[:-1] + (1, q, q))
+    terms = np.concatenate([start, flat[..., None, None] * _mub_partial_stack(bases)], axis=-3)
+    # I/q plus each term in coordinate order, one rounding per term as a
+    # sequential sum; no entry of rho is ever -0.0, so a zero coordinate's
+    # term, all signed zeros, leaves its bits unchanged
+    rho = hermitize(np.add.accumulate(terms, axis=-3)[..., -1, :, :])
+    return rho, np.linalg.eigvalsh(rho)[..., 0]
+
+
+def _mub_partial_stack(bases) -> np.ndarray:
+    """mub_partials as one array ((q+1)(q-1), q, q)."""
+    q = bases.q
+    vecs = bases.bases[:, :-1].reshape(-1, q)
+    return vecs[:, :, None] * vecs[:, None, :].conj() - np.eye(q, dtype=complex) / q
 
 
 def mub_partials(bases) -> tuple:
@@ -136,23 +156,29 @@ def mub_partials(bases) -> tuple:
 
     Ordered row-major over (basis a, vector i), matching the coords layout.
     """
-    q = bases.q
-    vecs = bases.bases[:, :-1].reshape(-1, q)
-    return tuple(vecs[:, :, None] * vecs[:, None, :].conj() - np.eye(q, dtype=complex) / q)
+    return tuple(_mub_partial_stack(bases))
 
 
 def mub_derivatives(coords, bases) -> ModelDerivatives:
-    """State, partials and numerically solved SLDs of the affine model."""
-    rho = mub_state(coords, bases)
-    partials = mub_partials(bases)
-    slds = tuple(solve_sld(rho, np.stack(partials)))
-    return ModelDerivatives(rho=rho, partials=partials, slds=slds)
+    """State, partials and numerically solved SLDs of the affine model, at
+    one point or at a stack (..., q+1, q-1) of them."""
+    return _mub_model(mub_state(coords, bases), bases)
+
+
+def _mub_model(rho: np.ndarray, bases) -> ModelDerivatives:
+    """mub_derivatives at the positive affine state, or stack of states, rho."""
+    partials = _mub_partial_stack(bases)
+    slds = solve_sld(rho[..., None, :, :], partials)
+    return ModelDerivatives(rho=rho, partials=tuple(partials),
+                            slds=tuple(np.moveaxis(slds, -3, 0)))
 
 
 def model_qfi(derivs: ModelDerivatives) -> np.ndarray:
-    """Fisher information J_ij = Tr(d_i rho L_j), symmetrized."""
-    j = np.einsum("aij,bji->ab", np.stack(derivs.partials), np.stack(derivs.slds)).real
-    return (j + j.T) / 2
+    """Fisher information J_ij = Tr(d_i rho L_j), symmetrized; a stack
+    (..., d, d) for a stack of states."""
+    j = np.einsum("aij,...bji->...ab", np.stack(derivs.partials),
+                  np.stack(derivs.slds, axis=-3)).real
+    return (j + j.mT) / 2
 
 
 def _check_state(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -203,7 +229,9 @@ def qubit_bures(x, y):
     y = np.asarray(y, dtype=float)
     if y.shape[-1:] != (3,):
         raise ValueError(f"expected Stokes vectors along the last axis, got shape {y.shape}")
-    ry2 = np.sum(y * y, axis=-1)
+    # a huge finite row overflows to inf, which the test below names
+    with np.errstate(over="ignore"):
+        ry2 = np.sum(y * y, axis=-1)
     if not np.all(ry2 < 1.0):
         rows = y.reshape(-1, 3)
         odd = ~np.isfinite(rows).all(axis=1)

@@ -78,20 +78,23 @@ def _random_povm_fishers(points, at, parts) -> np.ndarray:
 
 def check_rank_one_hat_fisher(rng, cases: int = 50) -> CheckResult:
     """PVM of a normalized SLD combination has normalized Fisher |v><v|."""
-    worst = 0.0
+    xs, gaussians, vs = [], [], []
     for _ in range(cases):
-        x = _random_interior_point(rng)
-        derivs = st.qubit_slds(x)
-        j = st.qubit_qfi(x)
-        u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        k_mat = u.T @ bd._sqrt_and_inv_sqrt(j)[1]
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        l_v = sum(float(v[i]) * sum(k_mat[i, k] * derivs.slds[k] for k in range(3))
-                  for i in range(3))
-        pvm = ms.pvm_from_observable(l_v)
-        ghat = bd.hat_fisher(bd.classical_fisher(derivs, pvm), j, u)
-        worst = max(worst, float(np.max(np.abs(ghat - np.outer(v, v)))))
+        xs.append(_random_interior_point(rng))
+        gaussians.append(rng.standard_normal((3, 3)))
+        vs.append(rng.standard_normal(3))
+    x, v = np.array(xs), np.array(vs)
+    v /= np.sqrt(np.vecdot(v, v))[:, None]
+    derivs, j = st.qubit_slds(x), st.qubit_qfi(x)
+    u = np.linalg.qr(np.array(gaussians))[0]
+    k_mat = u.mT @ bd._sqrt_and_inv_sqrt(j)[1]
+    # summed term by term from 0, as a single case's Python sum
+    l_v = sum(v[:, i, None, None] * sum(k_mat[:, i, k, None, None] * derivs.slds[k]
+                                        for k in range(3))
+              for i in range(3))
+    pvm = ms.pvm_from_observable(l_v)
+    ghat = bd.hat_fisher(bd.classical_fisher(derivs, pvm), j, u)
+    worst = float(np.max(np.abs(ghat - v[:, :, None] * v[:, None, :])))
     return CheckResult("rank-one-hat-fisher", worst <= 1e-8,
                        f"max |ghat - vv^T| = {worst:.3e} (tol 1e-08, {cases} cases)")
 
@@ -196,16 +199,17 @@ def check_unit_info_identity(rng, cases: int = 100) -> CheckResult:
 
 def check_optimal_measurement_fisher(rng, cases: int = 40) -> CheckResult:
     """Constructed random measurement has exactly the target Fisher matrix."""
-    worst = 0.0
+    xs, gaussians, diags = [], [], []
     for _ in range(cases):
-        x = _random_interior_point(rng)
-        a = rng.standard_normal((3, 3))
-        h = a @ a.T + np.diag(rng.uniform(0.1, 1.0, size=3))
-        derivs = st.qubit_slds(x)
-        j = st.qubit_qfi(x)
-        sol = bd.optimal_measurement(derivs, j, h)
-        g = bd.classical_fisher(derivs, sol.measurement)
-        worst = max(worst, float(np.max(np.abs(g - sol.fisher_target))))
+        xs.append(_random_interior_point(rng))
+        gaussians.append(rng.standard_normal((3, 3)))
+        diags.append(rng.uniform(0.1, 1.0, size=3))
+    x, a = np.array(xs), np.array(gaussians)
+    h = a @ a.mT + np.array(diags)[:, :, None] * np.eye(3)
+    derivs = st.qubit_slds(x)
+    sol = bd.optimal_measurement(derivs, st.qubit_qfi(x), h)
+    g = bd.classical_fisher(derivs, sol.measurement)
+    worst = float(np.max(np.abs(g - sol.fisher_target)))
     return CheckResult("optimal-measurement-fisher", worst <= 1e-8,
                        f"max |g - target| = {worst:.3e} (tol 1e-08, {cases} cases)")
 
@@ -334,16 +338,16 @@ def check_limit_values() -> CheckResult:
 def check_excess_nonnegative(rng, cases: int = 200) -> CheckResult:
     """c_T - c >= 0 for random rotational weights, the closed forms'
     difference agreeing with the sum of squares of tomo_excess."""
-    xs, hs, closed = [], [], []
+    xs, transverse, radial = [], [], []
     for _ in range(cases):
-        x = _random_interior_point(rng, rmax=0.95)
-        w = bd.RotWeight(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0)))
-        closed.append(bd.c_tomo_closed(w, x) - bd.c_opt_closed(w, float(np.linalg.norm(x))))
-        xs.append(x)
-        hs.append(bd.rot_weight_along(w, x))
-    closed = np.array(closed)
+        xs.append(_random_interior_point(rng, rmax=0.95))
+        transverse.append(rng.uniform(0.1, 3.0))
+        radial.append(rng.uniform(0.1, 3.0))
+    x = np.array(xs)
+    w = bd.RotWeight(np.array(transverse), np.array(radial))
+    closed = bd.c_tomo_closed(w, x) - bd.c_opt_closed(w, np.sqrt(np.vecdot(x, x)))
     min_excess = float(closed.min())
-    worst = float(np.max(np.abs(closed - bd.tomo_excess(np.array(xs), np.array(hs)))))
+    worst = float(np.max(np.abs(closed - bd.tomo_excess(x, bd.rot_weight_along(w, x)))))
     passed = min_excess >= -1e-10 and worst <= 1e-8
     return CheckResult("excess-nonnegative", passed,
                        f"min excess = {min_excess:.3e}, max |closed - sum of squares| = {worst:.3e}")

@@ -1156,3 +1156,121 @@ class TestStackedChecks:
         for k, rho in enumerate(good):
             one = ModelDerivatives(rho=rho, partials=partials, slds=partials)
             assert np.array_equal(g[k], classical_fisher(one, povm))
+
+
+class TestStackedDesignsAndWeights:
+    """The kernels the stacked verify checks call: each element of a stack
+    gets the bits of its own call."""
+
+    def test_hat_fisher_over_a_stack_of_u(self):
+        rng = np.random.default_rng(140)
+        x = np.array([random_point(rng) for _ in range(12)]).reshape(3, 4, 3)
+        u = np.linalg.qr(rng.standard_normal((3, 4, 3, 3)))[0]
+        g = classical_fisher(qubit_slds(x), TOMO)
+        j = qubit_qfi(x)
+        ghat = hat_fisher(g, j, u)
+        assert ghat.shape == (3, 4, 3, 3)
+        shared = hat_fisher(g, j, u[0, 0])
+        for k in np.ndindex(3, 4):
+            assert np.array_equal(ghat[k], hat_fisher(g[k], j[k], u[k]))
+            assert np.array_equal(shared[k], hat_fisher(g[k], j[k], u[0, 0]))
+
+    def test_hat_fisher_rejects_a_non_orthogonal_u_in_a_stack(self):
+        u = np.stack([np.eye(3), 2.0 * np.eye(3), np.eye(3)])
+        with pytest.raises(ValueError, match="^u must be orthogonal$"):
+            hat_fisher(np.eye(3), np.eye(3), u)
+
+    @staticmethod
+    def _design_inputs(rng, n):
+        x = np.array([random_point(rng) for _ in range(n)])
+        h = np.array([random_weight(rng) for _ in range(n)])
+        # a spread this large drops the first branch of its design
+        h[3] = np.diag([1e300, 1.0, 1.0])
+        return x, h
+
+    def test_qubit_design_keeps_dropped_branches_as_zeros(self):
+        x, h = self._design_inputs(np.random.default_rng(141), 9)
+        j = qubit_qfi(x)
+        sol = qubit_design(j, j, h)
+        assert sol.probs.shape == (9, 3) and sol.axes.shape == (9, 3, 3)
+        for k in range(9):
+            one = qubit_design(j[k], j[k], h[k])
+            _same_solution(bounds.OptimalSolution(
+                bound=sol.bound[k], r_matrix=sol.r_matrix[k], basis=sol.basis[k],
+                scales=sol.scales[k], fisher_target=sol.fisher_target[k]), one)
+            kept = sol.probs[k] > 0.0
+            assert np.array_equal(sol.probs[k][kept], one.probs)
+            assert np.array_equal(sol.axes[k][kept], one.axes)
+            assert not sol.probs[k][~kept].any() and not sol.axes[k][~kept].any()
+            assert kept.sum() == (2 if k == 3 else 3)
+
+    def test_optimal_measurement_over_a_stack(self):
+        x, h = self._design_inputs(np.random.default_rng(142), 9)
+        x = x.reshape(3, 3, 3)
+        h = h.reshape(3, 3, 3, 3)
+        derivs = qubit_slds(x)
+        sol = optimal_measurement(derivs, qubit_qfi(x), h)
+        assert sol.measurement.shape == (3, 3, 6, 2, 2)
+        g = classical_fisher(derivs, sol.measurement)
+        for k in np.ndindex(3, 3):
+            one = optimal_measurement(qubit_slds(x[k]), qubit_qfi(x[k]), h[k])
+            assert np.array_equal(sol.fisher_target[k], one.fisher_target)
+            assert np.array_equal(sol.bound[k], one.bound)
+            kept = np.repeat(sol.probs[k] > 0.0, 2)
+            assert np.array_equal(sol.measurement[k][kept], one.measurement.ops)
+            assert not sol.measurement[k][~kept].any()
+            if kept.all():
+                assert np.array_equal(g[k], classical_fisher(qubit_slds(x[k]), one.measurement))
+
+    def test_rot_weight_holds_read_only_value_arrays(self):
+        t = np.array([1.0, 2.0])
+        w = RotWeight(t, np.array([3.0, 0.5]))
+        t[0] = 5.0
+        assert w.transverse[0] == 1.0 and not w.transverse.flags.writeable
+        assert w == RotWeight(np.array([1.0, 2.0]), np.array([3.0, 0.5]))
+        assert hash(w) == hash(RotWeight(np.array([1.0, 2.0]), np.array([3.0, 0.5])))
+        assert w != RotWeight(np.array([1.0, 2.0]), np.array([3.0, 0.6]))
+        assert RotWeight(1.0, 2.0) == RotWeight(1.0, 2.0)
+        assert hash(RotWeight(1.0, 2.0)) == hash(RotWeight(1.0, 2.0))
+
+    @pytest.mark.parametrize("values", [([1.0, 0.0], [1.0, 1.0]), ([1.0, 1.0], [np.nan, 1.0]),
+                                        ([1.0, np.inf], [1.0, 1.0]), (1.0, [2.0, -1.0])])
+    def test_rot_weight_rejects_any_bad_value(self, values):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RotWeight(*(np.array(v) if isinstance(v, list) else v for v in values))
+
+    def test_closed_forms_over_stacked_weight_values(self):
+        rng = np.random.default_rng(143)
+        x = np.array([random_point(rng, rmax=0.95) for _ in range(40)])
+        x[0] = 0.0
+        f, g = rng.uniform(0.1, 3.0, size=40), rng.uniform(0.1, 3.0, size=40)
+        w = RotWeight(f, g)
+        r = np.sqrt(np.vecdot(x, x))
+        c, ct = c_opt_closed(w, r), c_tomo_closed(w, x)
+        # the origin has no direction to take a weight along
+        h = rot_weight_along(RotWeight(f[1:], g[1:]), x[1:])
+        for k in range(40):
+            one = RotWeight(float(f[k]), float(g[k]))
+            rk = float(np.linalg.norm(x[k]))
+            assert c[k] == c_opt_closed(one, rk) == c_opt_closed(one, r[k])
+            assert ct[k] == c_tomo_closed(one, x[k])
+            if k:
+                assert np.array_equal(h[k - 1], rot_weight_along(one, x[k]))
+        # one weight over many radii, and many weights at one point
+        assert np.array_equal(c_opt_closed(RotWeight(2.0, 0.5), r),
+                              [c_opt_closed(RotWeight(2.0, 0.5), float(rk)) for rk in r])
+        assert np.array_equal(c_tomo_closed(w, x[5]),
+                              [c_tomo_closed(RotWeight(float(a), float(b)), x[5])
+                               for a, b in zip(f, g)])
+
+    def test_closed_forms_name_a_bad_element(self, recwarn):
+        w = RotWeight(np.array([1.0, 1e308, 1.0]), np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match=r"^radius 1.5 outside \[0, 1\)$"):
+            c_opt_closed(RotWeight(1.0, 1.0), np.array([0.2, 1.5, np.nan]))
+        with pytest.raises(ValueError, match=r"^radius nan outside \[0, 1\)$"):
+            c_opt_closed(RotWeight(1.0, 1.0), np.array([0.2, np.nan, 1.5]))
+        with pytest.raises(ValueError, match="merit overflows"):
+            c_opt_closed(w, np.array([0.1, 0.1, 0.1]))
+        with pytest.raises(ValueError, match="merit overflows"):
+            c_tomo_closed(w, np.full((3, 3), 0.1))
+        assert [str(m.message) for m in recwarn] == []

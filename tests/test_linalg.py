@@ -164,6 +164,24 @@ class TestSolveSld:
         with pytest.raises(ValueError):
             solve_sld(np.eye(2) / 2, np.eye(2))
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_stack_of_states_gives_each_its_own_bits(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        rhos = np.array([random_state(rng, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
+        drhos = np.array([random_hermitian(rng, dim) for _ in range(4)])
+        drhos -= np.trace(drhos, axis1=-2, axis2=-1)[:, None, None] / dim * np.eye(dim)
+        slds = solve_sld(rhos[..., None, :, :], drhos)
+        assert slds.shape == (2, 3, 4, dim, dim)
+        pairs = solve_sld(rhos, drhos[:3])
+        for i, k in np.ndindex(2, 3):
+            assert np.array_equal(slds[i, k], solve_sld(rhos[i, k], drhos))
+            assert np.array_equal(pairs[i, k], solve_sld(rhos[i, k], drhos[k]))
+
+    def test_stack_names_its_first_singular_state(self):
+        rhos = np.array([np.diag([0.6, 0.4]), np.diag([1.0, 1e-13]), np.diag([1.0, 0.0])])
+        with pytest.raises(SingularStateError, match=r"^state eigenvalue 1.000e-13 <= 1.0e-12$"):
+            solve_sld(rhos[:, None], np.stack([SIGMA_3 / 2, SIGMA_1 / 2]))
+
 
 class TestNonFiniteInputNamed:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -12,6 +12,8 @@ from qest.measurements import (
     MubFamily,
     Povm,
     UnsupportedDimensionError,
+    bloch_pvm_mixture,
+    bloch_pvm_ops,
     check_povm_ops,
     mub_bases,
     mub_tomography_povm,
@@ -56,6 +58,42 @@ class TestPvmFromObservable:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             pvm_from_observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_stack_gives_each_observable_its_povms_bits(self, q):
+        rng = np.random.default_rng(30 + q)
+        a = rng.standard_normal((4, 3, q, q)) + 1j * rng.standard_normal((4, 3, q, q))
+        a = (a + a.conj().swapaxes(-1, -2)) / 2
+        ops = pvm_from_observable(a)
+        assert ops.shape == (4, 3, q, q, q)
+        for k in np.ndindex(4, 3):
+            assert np.array_equal(ops[k], pvm_from_observable(a[k]).ops)
+
+    def test_stack_with_degenerate_clusters(self):
+        rng = np.random.default_rng(35)
+        u = np.linalg.qr(rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4)))[0]
+        # every observable has three clusters, the double one in varying places
+        spectra = [[1, 1, 2, 3], [1, 2, 2, 3], [1, 2, 3, 3], [1, 1, 2, 3], [0, 0, 5, 7],
+                   [-1, 2, 2, 4]]
+        a = (u * np.array(spectra, dtype=float)[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        a = (a + a.conj().swapaxes(-1, -2)) / 2
+        ops = pvm_from_observable(a)
+        assert ops.shape == (6, 3, 4, 4)
+        for k in range(6):
+            assert np.array_equal(ops[k], pvm_from_observable(a[k]).ops)
+        with pytest.raises(ValueError, match=r"^observables of the stack have \[2, 3\] "
+                                             r"eigenvalue clusters$"):
+            pvm_from_observable(np.stack([a[0], np.diag([1.0, 1.0, 2.0, 2.0])]))
+
+    def test_bloch_pvm_ops_over_a_stack(self):
+        rng = np.random.default_rng(36)
+        probs = rng.dirichlet(np.ones(3), size=(2, 4))
+        axes = rng.standard_normal((2, 4, 3, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        ops = bloch_pvm_ops(probs, axes)
+        assert ops.shape == (2, 4, 6, 2, 2)
+        for k in np.ndindex(2, 4):
+            assert np.array_equal(ops[k], bloch_pvm_mixture(probs[k], axes[k]).ops)
 
 
 class TestRandomize:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qest.linalg import sld_residual, solve_sld
+from qest.linalg import hermitize, sld_residual, solve_sld
 from qest.measurements import mub_bases
 from qest.states import (
     NotPositiveError,
@@ -128,6 +128,48 @@ class TestMubModel:
         for dp in mub_partials(fam):
             assert abs(np.trace(dp)) <= 1e-14
             assert np.max(np.abs(dp - dp.conj().T)) <= 1e-14
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_stacked_coords_give_each_point_its_bits(self, q):
+        rng = np.random.default_rng(120 + q)
+        family = mub_bases(q)
+        coords = rng.uniform(-0.04, 0.04, size=(4, 2, q + 1, q - 1))
+        # sparse points too, whose zero coordinates a single call skips
+        coords[0, 0] = 0.0
+        coords[1, 1, 1:] = 0.0
+        coords[2, 0, :, 0] = 0.0
+        rho = mub_state(coords, family)
+        derivs = mub_derivatives(coords, family)
+        assert rho.shape == derivs.rho.shape == (4, 2, q, q)
+        assert len(derivs.slds) == (q + 1) * (q - 1)
+        for i, k in np.ndindex(4, 2):
+            one = mub_derivatives(coords[i, k], family)
+            assert np.array_equal(rho[i, k], mub_state(coords[i, k], family))
+            assert np.array_equal(derivs.rho[i, k], one.rho)
+            for sld, one_sld in zip(derivs.slds, one.slds):
+                assert np.array_equal(sld[i, k], one_sld)
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_equals_the_term_by_term_sum(self, q):
+        rng = np.random.default_rng(124 + q)
+        family = mub_bases(q)
+        for _ in range(50):
+            coords = rng.uniform(-0.04, 0.04, size=(q + 1, q - 1))
+            coords[rng.random(coords.shape) < 0.3] = 0.0
+            loop = np.eye(q, dtype=complex) / q
+            for c, dp in zip(coords.ravel(), mub_partials(family)):
+                if c != 0.0:
+                    loop += c * dp
+            assert np.array_equal(mub_state(coords, family), hermitize(loop))
+
+    def test_stack_names_its_first_non_positive_state(self):
+        family = mub_bases(3)
+        coords = np.zeros((3, 4, 2))
+        coords[1, 0, 0], coords[2, 0, 0] = -0.6, -0.9
+        with pytest.raises(NotPositiveError, match=r"^minimum eigenvalue -6.667e-02 <= 0$"):
+            mub_state(coords, family)
+        with pytest.raises(NotPositiveError, match=r"^minimum eigenvalue -6.667e-02 <= 0$"):
+            mub_derivatives(coords, family)
 
     def test_rejects_non_positive(self):
         fam = mub_bases(3)
@@ -263,6 +305,19 @@ class TestModelQfiEinsum:
             assert np.max(np.abs(got - loop)) <= 1e-12 * np.max(np.abs(loop))
             assert np.array_equal(got, got.T)
 
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_stacked_model_qfi_has_each_points_bits(self, q):
+        rng = np.random.default_rng(85 + q)
+        family = mub_bases(q)
+        coords = rng.uniform(-0.04, 0.04, size=(2, 3, q + 1, q - 1))
+        stacked = model_qfi(mub_derivatives(coords, family))
+        assert stacked.shape == (2, 3, q * q - 1, q * q - 1)
+        for i, k in np.ndindex(2, 3):
+            assert np.array_equal(stacked[i, k], model_qfi(mub_derivatives(coords[i, k], family)))
+        xs = np.array([random_point(rng) for _ in range(5)])
+        for x, j in zip(xs, model_qfi(qubit_slds(xs))):
+            assert np.array_equal(j, model_qfi(qubit_slds(x)))
+
     def test_stacked_sld_solve_equals_one_at_a_time(self):
         rng = np.random.default_rng(84)
         family = mub_bases(4)
@@ -319,6 +374,28 @@ class TestNonFiniteStokesVectorNamed:
             with pytest.raises(OutOfBallError,
                                match=r"^Stokes vector \[.*inf.*\] has non-finite entries$"):
                 qubit_bures([0.1, 0.0, 0.0], y)
+
+    @pytest.mark.parametrize("y", [[1e200, 0.0, 0.0], [[0.0, 0.0, 0.5], [0.0, -1e155, 1e160]]])
+    def test_huge_finite_y_is_named_without_a_numpy_warning(self, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfBallError, match=r"^\|y\| = inf >= 1$"):
+                qubit_bures([0.1, 0.0, 0.0], y)
+
+    def test_rows_inside_keep_the_bits_of_their_squared_norm(self):
+        rng = np.random.default_rng(93)
+        x = random_point(rng)
+        ys = np.array([random_point(rng, rmax=0.999) for _ in range(50)])
+        got = qubit_bures(x, ys)
+        for y, b in zip(ys, got):
+            assert b == qubit_bures(x, y)
+        d = ys - x
+        gap = 1.0 - x @ x
+        num = gap * np.sum(d * d, axis=-1) + np.sum(d * x, axis=-1) ** 2
+        den = 2.0 * (1.0 - np.sum(ys * x, axis=-1)
+                     + np.sqrt(gap * (1.0 - np.sum(ys * ys, axis=-1))))
+        f = np.clip(num / den, 0.0, 1.0)
+        assert np.array_equal(got, 4.0 * f / (1.0 + np.sqrt(1.0 - f)))
 
     def test_finite_y_outside_keeps_its_message(self):
         with pytest.raises(OutOfBallError, match=r"^\|y\| = 1.500000 >= 1$"):

@@ -99,3 +99,102 @@ def test_stacked_fishers_have_the_per_povm_bits():
     for x, part, g in zip(xs, parts, gs):
         povm = ms.random_povm(2, len(part), Replay(part))
         assert np.array_equal(g, bd.classical_fisher(st.qubit_slds(x), povm))
+
+
+# The checks as they were before their cases were scored in stacks: one
+# case at a time through the one-case calls, kept as oracles.
+
+def _per_case_rank_one_hat_fisher(rng, cases=50):
+    worst = 0.0
+    for _ in range(cases):
+        x = vf._random_interior_point(rng)
+        derivs = st.qubit_slds(x)
+        j = st.qubit_qfi(x)
+        u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        k_mat = u.T @ bd._sqrt_and_inv_sqrt(j)[1]
+        v = rng.standard_normal(3)
+        v /= np.linalg.norm(v)
+        l_v = sum(float(v[i]) * sum(k_mat[i, k] * derivs.slds[k] for k in range(3))
+                  for i in range(3))
+        pvm = ms.pvm_from_observable(l_v)
+        ghat = bd.hat_fisher(bd.classical_fisher(derivs, pvm), j, u)
+        worst = max(worst, float(np.max(np.abs(ghat - np.outer(v, v)))))
+    return vf.CheckResult("rank-one-hat-fisher", worst <= 1e-8,
+                          f"max |ghat - vv^T| = {worst:.3e} (tol 1e-08, {cases} cases)")
+
+
+def _per_case_optimal_measurement_fisher(rng, cases=40):
+    worst = 0.0
+    for _ in range(cases):
+        x = vf._random_interior_point(rng)
+        a = rng.standard_normal((3, 3))
+        h = a @ a.T + np.diag(rng.uniform(0.1, 1.0, size=3))
+        derivs = st.qubit_slds(x)
+        j = st.qubit_qfi(x)
+        sol = bd.optimal_measurement(derivs, j, h)
+        g = bd.classical_fisher(derivs, sol.measurement)
+        worst = max(worst, float(np.max(np.abs(g - sol.fisher_target))))
+    return vf.CheckResult("optimal-measurement-fisher", worst <= 1e-8,
+                          f"max |g - target| = {worst:.3e} (tol 1e-08, {cases} cases)")
+
+
+def _per_case_excess_nonnegative(rng, cases=200):
+    xs, hs, closed = [], [], []
+    for _ in range(cases):
+        x = vf._random_interior_point(rng, rmax=0.95)
+        w = bd.RotWeight(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0)))
+        closed.append(bd.c_tomo_closed(w, x) - bd.c_opt_closed(w, float(np.linalg.norm(x))))
+        xs.append(x)
+        hs.append(bd.rot_weight_along(w, x))
+    closed = np.array(closed)
+    min_excess = float(closed.min())
+    worst = float(np.max(np.abs(closed - bd.tomo_excess(np.array(xs), np.array(hs)))))
+    passed = min_excess >= -1e-10 and worst <= 1e-8
+    return vf.CheckResult("excess-nonnegative", passed,
+                          f"min excess = {min_excess:.3e}, max |closed - sum of squares| = {worst:.3e}")
+
+
+def _per_radius_mub_sweep(family, radii, coord=(0, 0)):
+    q = family.q
+    tomo = ms.mub_tomography_povm(family)
+    rows = []
+    for r in radii:
+        coords = np.zeros((q + 1, q - 1))
+        coords[coord] = r
+        try:
+            derivs = st.mub_derivatives(coords, family)
+        except st.NotPositiveError:
+            break
+        j = st.model_qfi(derivs)
+        ct = float(np.trace(j @ np.linalg.inv(bd.classical_fisher(derivs, tomo))))
+        rows.append((float(r), bd.gm_lower_bound(j, j, q), ct))
+    return rows
+
+
+@pytest.mark.parametrize("stacked, per_case", [
+    (vf.check_rank_one_hat_fisher, _per_case_rank_one_hat_fisher),
+    (vf.check_optimal_measurement_fisher, _per_case_optimal_measurement_fisher),
+    (vf.check_excess_nonnegative, _per_case_excess_nonnegative),
+], ids=["rank-one-hat-fisher", "optimal-measurement-fisher", "excess-nonnegative"])
+def test_stacked_check_reports_the_per_case_line(stacked, per_case):
+    for seed in range(1, 21):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert stacked(new).line() == per_case(old).line()
+        assert new.random() == old.random()
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_mub_sweep_rows_are_the_per_radius_rows(q):
+    family = ms.mub_bases(q)
+    # negative radii leave the state space at -1 / (q - 1), positive ones at 1
+    radii = np.concatenate([np.arange(0.05, 1.2, 0.05), -np.arange(0.0, 0.7, 0.03)])
+    for coord in [(0, 0), (1, 1), (q, q - 2), (2, 0)]:
+        for sweep in (radii[:23], radii[:24], radii, radii[23:], radii[23:][::-1]):
+            rows = bd.mub_tomography_sweep(family, sweep, coord)
+            assert rows == _per_radius_mub_sweep(family, sweep, coord)
+            assert all(type(v) is float for row in rows for v in row)
+    # the sweep of the bounds suite, and one that stops at once
+    radii = np.arange(0.05, 0.91, 0.05)
+    assert bd.mub_tomography_sweep(family, radii) == _per_radius_mub_sweep(family, radii)
+    assert bd.mub_tomography_sweep(family, [1.5, 0.5]) == []
+    assert bd.mub_tomography_sweep(family, []) == []
