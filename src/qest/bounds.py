@@ -88,8 +88,9 @@ class OptimalSolution:
 
     bound = (Tr R)^2 with R = sqrt(sqrt(J^-1) H sqrt(J^-1)); `basis` and
     `scales` diagonalize R; `fisher_target` is the unique Fisher matrix of
-    any minimizing measurement.  `probs` and `axes` (unit Bloch vectors)
-    are filled by qubit_design, `measurement` by optimal_measurement.
+    any minimizing measurement.  `probs` and `axes` (unit Bloch vectors, 0
+    for a dropped branch) are filled by qubit_design, `measurement` by
+    optimal_measurement.
     For stacks of J and H, `bound` is an array over the stack and each
     matrix field a stack.
     """
@@ -256,13 +257,13 @@ def qubit_design(sld_bloch: np.ndarray, j: np.ndarray, h: np.ndarray) -> Optimal
     With R = U diag(S) U^-1, branch i is drawn with probability S_i / Tr R
     and measures the PVM of Lhat^i = sum_k (U^-1 sqrt(J^-1))^{ik} L_k, with
     projectors (I -/+ axes[i] . sigma) / 2; sld_bloch[k] is the Bloch vector
-    (Tr sigma L_k) / 2.  Zero-probability branches are dropped; within
-    degenerate eigenvalue clusters of R any orthogonal diagonalizer works.
+    (Tr sigma L_k) / 2.  A branch of probability at most 1e-15 is dropped:
+    it is kept in place as probability 0 and axis 0, so probs is (..., d)
+    and axes (..., d, 3).  Within degenerate eigenvalue clusters of R any
+    orthogonal diagonalizer works.
 
-    Stacks sld_bloch (..., d, 3), J and H (..., d, d) broadcast.  A stack
-    keeps every branch, a dropped one as probability 0 and axis 0, so probs
-    is (..., d) and axes (..., d, 3); each element has the bits of its own
-    call.
+    Stacks sld_bloch (..., d, 3), J and H (..., d, d) broadcast; each
+    element has the bits of its own call.
     """
     roots = _sqrt_and_inv_sqrt(j)
     sol = _min_trace(roots, h)
@@ -270,12 +271,9 @@ def qubit_design(sld_bloch: np.ndarray, j: np.ndarray, h: np.ndarray) -> Optimal
     kept = probs > 1e-15
     axes = sol.basis.mT @ roots[1] @ sld_bloch
     norms = np.linalg.norm(axes, axis=-1, keepdims=True)
-    if kept.ndim == 1:
-        probs, axes, norms = probs[kept], axes[kept], norms[kept]
-    else:
-        probs = np.where(kept, probs, 0.0)
-        axes = np.where(kept[..., None], axes, 0.0)
-        norms = np.where(kept[..., None], norms, 1.0)
+    probs = np.where(kept, probs, 0.0)
+    axes = np.where(kept[..., None], axes, 0.0)
+    norms = np.where(kept[..., None], norms, 1.0)
     # adding a dropped branch's 0.0 to the sum leaves its bits unchanged
     sol.probs = probs / probs.sum(axis=-1, keepdims=True)
     sol.axes = axes / norms
@@ -285,8 +283,9 @@ def qubit_design(sld_bloch: np.ndarray, j: np.ndarray, h: np.ndarray) -> Optimal
 def optimal_measurement(derivs: ModelDerivatives, j: np.ndarray,
                         h: np.ndarray) -> OptimalSolution:
     """Random measurement attaining the weighted Cramer-Rao minimum: the
-    branches of qubit_design as a POVM, labeled "<branch><sign>".  Its
-    classical Fisher matrix equals sqrt(J) R sqrt(J) / Tr R.
+    branches of qubit_design as a POVM, labeled "<branch><sign>", a dropped
+    branch as two zero elements.  Its classical Fisher matrix equals
+    sqrt(J) R sqrt(J) / Tr R.
 
     Only defined on a two-level system (1 to 3 parameters).  A stack of
     states (..., 2, 2) with stacks of J and H gives qubit_design's stacked
@@ -324,11 +323,13 @@ def tomography_weight(x) -> np.ndarray:
 
     Diagonal entries 1/(1-(x^mu)^2); off-diagonal (mu, nu) entries
     -x^mu x^nu / ((1-(x^mu)^2)(1-(x^nu)^2)).  Not rotationally symmetric.
+    A stack (..., 3) of points gives a stack (..., 3, 3).
     """
     x = _check_ball(x)
     denom = 1.0 - x * x
-    h = -np.outer(x, x) / np.outer(denom, denom)
-    np.fill_diagonal(h, 1.0 / denom)
+    h = -(x[..., :, None] * x[..., None, :]) / (denom[..., :, None] * denom[..., None, :])
+    diag = np.arange(3)
+    h[..., diag, diag] = 1.0 / denom
     return h
 
 

@@ -272,15 +272,14 @@ def _optimal_branches(x, weight):
     unchanged, so the axes are n and an orthonormal pair orthogonal to it,
     chosen with weights sqrt((1 - r^2) g), sqrt(f), sqrt(f).  "tomography"
     gets the uniform Pauli mixture, optimal for its weight at every x.  A
-    fixed matrix is handed to bounds.qubit_design; a branch it drops has
-    probability 0 and axis 0.
+    fixed matrix is handed to bounds.qubit_design, which keeps a branch it
+    drops in place as probability 0 and axis 0.
     """
     if not isinstance(weight, str):
         # the SLD Bloch vectors of the Stokes model are the rows of J
         j = qubit_qfi(x)
         sol = qubit_design(j, j, weight)
-        pad = [0.0] * (3 - len(sol.probs))
-        return (*sol.probs.tolist(), *pad, *sol.axes.ravel().tolist(), *pad, *pad, *pad)
+        return (*sol.probs.tolist(), *sol.axes.ravel().tolist())
     x0, x1, x2 = x
     r2 = x0 * x0 + x1 * x1 + x2 * x2
     if r2 == 0.0 or weight == "tomography":

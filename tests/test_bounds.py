@@ -245,6 +245,22 @@ class TestTomographyWeight:
         h = tomography_weight(X0)
         assert h[0, 1] == pytest.approx(-0.3025 / 0.6975 ** 2)
 
+    def test_a_stack_is_scored_point_by_point(self):
+        rng = np.random.default_rng(7)
+        x = np.array([random_point(rng) for _ in range(20)]).reshape(4, 5, 3)
+        x[0, :2] = [[0.1, 0.2, 0.3], [0.3, 0.0, 0.0]]
+        x[1, 0] = 0.0
+        h = tomography_weight(x)
+        assert h.shape == (4, 5, 3, 3)
+        for k in np.ndindex(4, 5):
+            one = tomography_weight(x[k])
+            assert np.array_equal(h[k], one)
+            # one point keeps the bits of the outer-product route
+            denom = 1.0 - x[k] * x[k]
+            outer = -np.outer(x[k], x[k]) / np.outer(denom, denom)
+            np.fill_diagonal(outer, 1.0 / denom)
+            assert np.array_equal(one, outer)
+
     def test_proof_identity(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -1198,10 +1214,10 @@ class TestStackedDesignsAndWeights:
             _same_solution(bounds.OptimalSolution(
                 bound=sol.bound[k], r_matrix=sol.r_matrix[k], basis=sol.basis[k],
                 scales=sol.scales[k], fisher_target=sol.fisher_target[k]), one)
-            kept = sol.probs[k] > 0.0
-            assert np.array_equal(sol.probs[k][kept], one.probs)
-            assert np.array_equal(sol.axes[k][kept], one.axes)
-            assert not sol.probs[k][~kept].any() and not sol.axes[k][~kept].any()
+            assert np.array_equal(sol.probs[k], one.probs)
+            assert np.array_equal(sol.axes[k], one.axes)
+            kept = one.probs > 0.0
+            assert not one.axes[~kept].any()
             assert kept.sum() == (2 if k == 3 else 3)
 
     def test_optimal_measurement_over_a_stack(self):
@@ -1216,11 +1232,8 @@ class TestStackedDesignsAndWeights:
             one = optimal_measurement(qubit_slds(x[k]), qubit_qfi(x[k]), h[k])
             assert np.array_equal(sol.fisher_target[k], one.fisher_target)
             assert np.array_equal(sol.bound[k], one.bound)
-            kept = np.repeat(sol.probs[k] > 0.0, 2)
-            assert np.array_equal(sol.measurement[k][kept], one.measurement.ops)
-            assert not sol.measurement[k][~kept].any()
-            if kept.all():
-                assert np.array_equal(g[k], classical_fisher(qubit_slds(x[k]), one.measurement))
+            assert np.array_equal(sol.measurement[k], one.measurement.ops)
+            assert np.array_equal(g[k], classical_fisher(qubit_slds(x[k]), one.measurement))
 
     def test_rot_weight_holds_read_only_value_arrays(self):
         t = np.array([1.0, 2.0])

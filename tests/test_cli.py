@@ -401,6 +401,19 @@ class TestSweepSizes:
         assert run_cli(args + ["--svg", "--out", str(out)]) == 2
         assert list(tmp_path.iterdir()) == []
 
+    # several TiB of radii: the allocation fails at once, using no memory
+    @pytest.mark.parametrize("args", [
+        ["bounds", "--rstep", "1e-12", "--rmax", "0.5"],
+        ["mub", "--q", "3", "--bounds", "--rstep", "1e-12", "--rmax", "0.2"],
+    ])
+    def test_sweep_too_large_for_memory_is_a_usage_error(self, args, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "allocate" in err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_bounds_suite_passes(self, tmp_path, capsys):

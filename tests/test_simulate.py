@@ -22,7 +22,7 @@ from qest.simulate import (
     _trial_block,
 )
 from qest.states import qubit_qfi, qubit_state
-from qest.bounds import classical_fisher, qcr_min_trace, tomography_weight
+from qest.bounds import ROT_WEIGHTS, classical_fisher, qcr_min_trace, tomography_weight
 from qest.states import qubit_slds
 
 X0 = np.array([0.55, 0.55, 0.55])
@@ -341,6 +341,35 @@ class TestTomographyMeritConvergence:
             assert abs(merits.mean() - target) <= 5 * se
 
 
+def _exact_tomography_mean_sq(x0, m):
+    """m E|xhat - x0|^2 of the frequency estimator after m draws of the
+    uniform Pauli mixture: axis mu's count n is Binomial(m, 1/3), given
+    n > 0 its estimate is unbiased with variance (1 - x_mu^2) / n, and an
+    axis with n = 0 reports 0, so the mean is
+    m sum_mu [(2/3)^m x_mu^2 + (1 - x_mu^2) E[1/n; n > 0]]."""
+    import math
+    log_pmf = [math.lgamma(m + 1) - math.lgamma(n + 1) - math.lgamma(m - n + 1)
+               + n * math.log(1 / 3) + (m - n) * math.log(2 / 3) for n in range(1, m + 1)]
+    inv_n = math.fsum(math.exp(lp) / n for n, lp in zip(range(1, m + 1), log_pmf))
+    x2 = np.asarray(x0) ** 2
+    return m * float(np.sum((2 / 3) ** m * x2 + (1.0 - x2) * inv_n))
+
+
+class TestTomographyExactFiniteMean:
+    def test_every_checkpoint_of_mean_sq_matches_the_exact_mean(self):
+        # at m = 1 the estimate is one signed axis: E = 1 + r^2 / 3
+        assert _exact_tomography_mean_sq(X0, 1) == pytest.approx(1.0 + X0 @ X0 / 3.0)
+        # statistic and bound fixed before any seed was run: the largest
+        # |z| over all 33 checkpoints is at most 4, a family-wise false
+        # alarm of at most 33 P(|Z| > 4) = 0.2% under the normal limit
+        cfg = RunConfig(x0=X0, weight="qfi", m_max=3000, reps=4000, seed=5, eps_ball=0.01)
+        summary = monte_carlo(cfg, estimators=("tomography",), threads=1)["tomography"]
+        assert len(summary.checkpoints) == 33
+        exact = np.array([_exact_tomography_mean_sq(X0, m) for m in summary.checkpoints.tolist()])
+        z = (summary.mean_sq - exact) / summary.se_sq
+        assert np.max(np.abs(z)) <= 4.0
+
+
 @pytest.mark.slow
 class TestAdaptiveDominatesTomography:
     def test_bures_merit_separation_fisher_weight(self):
@@ -637,7 +666,7 @@ class TestBallNewtonStep:
 
 
 class TestRotationalDesign:
-    @pytest.mark.parametrize("selector", ["identity", "qfi"])
+    @pytest.mark.parametrize("selector", list(ROT_WEIGHTS))
     def test_closed_form_matches_eigh_route_and_bounds(self, selector):
         from qest.bounds import optimal_measurement
         rng = np.random.default_rng(41)
@@ -1000,10 +1029,8 @@ def _reference_running_step(h6, x, p, b):
 
 def _probs_axes(design):
     """(probs, axes) as lists from the flat floats of _optimal_branches,
-    without the zero-probability branches that pad a design whose weight
-    left qubit_design fewer than three."""
-    kept = [i for i in range(3) if design[i] != 0.0]
-    return [design[i] for i in kept], [list(design[3 + 3 * i:6 + 3 * i]) for i in kept]
+    every branch kept, a dropped one as probability 0 and axis 0."""
+    return list(design[:3]), [list(design[3 + 3 * i:6 + 3 * i]) for i in range(3)]
 
 
 def _sampler_cases(weight, rng):
