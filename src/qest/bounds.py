@@ -338,16 +338,19 @@ def weight_from_fisher(f: np.ndarray, j: np.ndarray,
     """Weight k F J^-1 F for which F is the optimal Fisher matrix.
 
     Returns the symmetrized weight and a feasibility flag: F arises as the
-    optimal Fisher matrix of some weight iff Tr J^-1 F = 1.
+    optimal Fisher matrix of some weight iff Tr J^-1 F = 1.  Stacks of F and
+    J broadcast and give a stack of weights and a boolean array of flags;
+    one F and J give one weight and a bool.
     """
     f = _check_sym_pd(f, "Fisher matrix")
     j = _check_sym_pd(j, "quantum Fisher matrix")
-    if k <= 0:
-        raise ValueError("scale k must be positive")
+    # a NaN fails both comparisons
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"scale k must be positive and finite, got {k}")
     jinv = np.linalg.inv(j)
     w = k * f @ jinv @ f
-    feasible = abs(float(np.trace(jinv @ f)) - 1.0) <= 1e-9
-    return (w + w.T) / 2, feasible
+    feasible = np.abs(np.trace(jinv @ f, axis1=-2, axis2=-1) - 1.0) <= 1e-9
+    return (w + w.mT) / 2, bool(feasible) if feasible.ndim == 0 else feasible
 
 
 def unit_direction(direction) -> np.ndarray:

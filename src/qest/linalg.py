@@ -117,12 +117,16 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-PSD_EIG_TOL, 0) are clamped to zero; anything lower
     raises NotPSDError.  The result is Hermitian and commutes with the input.
+    A stack (..., d, d) gives a stack of roots, each with the bits of its
+    own call; the first matrix, in row-major order, that is not PSD is named.
     """
     values, vectors = hermitian_eig(a)
-    if values[0] < -PSD_EIG_TOL:
-        raise NotPSDError(f"minimum eigenvalue {values[0]:.3e} below -{PSD_EIG_TOL:.1e}")
+    low = np.ravel(values[..., 0])
+    bad = np.flatnonzero(low < -PSD_EIG_TOL)
+    if bad.size:
+        raise NotPSDError(f"minimum eigenvalue {low[bad[0]]:.3e} below -{PSD_EIG_TOL:.1e}")
     root = np.sqrt(np.clip(values, 0.0, None))
-    out = (vectors * root) @ vectors.conj().T
+    out = (vectors * root[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
     if np.isrealobj(np.asarray(a)):
         return hermitize(out).real
     return hermitize(out)

@@ -45,6 +45,27 @@ def _random_mub_point(q: int, family, rng, scale: float = 0.04) -> np.ndarray:
     raise RuntimeError("could not sample a positive affine state")
 
 
+def _random_povm_groups(parts):
+    """The random POVMs drawn as Gaussian parts, one group per outcome
+    count in ascending order: the group's indices into parts and its checked
+    elements from one Wishart map, each with the bits of random_povm on the
+    same draw."""
+    counts = np.array([len(p) for p in parts])
+    # sorted(set()) rather than np.unique, which imports numpy.ma (1.4 MB)
+    for n in sorted(set(counts.tolist())):
+        idx = np.flatnonzero(counts == n)
+        ops = ms.wishart_ops(np.stack([parts[i] for i in idx]))
+        ms.check_povm_ops(ops)
+        yield idx, ops
+
+
+def _states_at(points, idx):
+    """The ModelDerivatives of the states points.rho[idx], which share their
+    partials."""
+    return st.ModelDerivatives(rho=points.rho[idx], partials=points.partials,
+                               slds=tuple(s[idx] for s in points.slds))
+
+
 def _random_povm_fishers(points, at, parts) -> np.ndarray:
     """Fisher matrix of each random POVM drawn as Gaussian parts, POVM i at
     state at[i] of the stack `points` (ModelDerivatives of states sharing
@@ -56,16 +77,8 @@ def _random_povm_fishers(points, at, parts) -> np.ndarray:
     """
     k = len(points.partials)
     gs = np.empty((len(parts), k, k))
-    counts = np.array([len(p) for p in parts])
-    # sorted(set()) rather than np.unique, which imports numpy.ma (1.4 MB)
-    for n in sorted(set(counts.tolist())):
-        idx = np.flatnonzero(counts == n)
-        ops = ms.wishart_ops(np.stack([parts[i] for i in idx]))
-        ms.check_povm_ops(ops)
-        states = at[idx]
-        derivs = st.ModelDerivatives(rho=points.rho[states], partials=points.partials,
-                                     slds=tuple(s[states] for s in points.slds))
-        gs[idx] = bd.classical_fisher(derivs, ops)
+    for idx, ops in _random_povm_groups(parts):
+        gs[idx] = bd.classical_fisher(_states_at(points, at[idx]), ops)
     return gs
 
 
@@ -123,18 +136,32 @@ def check_info_trace_bound(rng, povms_per_dim: int = 100) -> CheckResult:
 
 def check_fisher_convexity(rng, cases: int = 30) -> CheckResult:
     """g of a randomized combination is the probability mix of the g's."""
-    worst = 0.0
+    xs, parts, ps = [], [], []
     for _ in range(cases):
-        x = _random_interior_point(rng)
-        derivs = st.qubit_slds(x)
-        m1 = ms.random_povm(2, int(rng.integers(2, 5)), rng)
-        m2 = ms.random_povm(2, int(rng.integers(2, 5)), rng)
-        p = float(rng.random())
-        mixed = ms.randomize([(p, m1), (1.0 - p, m2)])
-        lhs = bd.classical_fisher(derivs, mixed)
-        rhs = (p * bd.classical_fisher(derivs, m1)
-               + (1.0 - p) * bd.classical_fisher(derivs, m2))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        xs.append(_random_interior_point(rng))
+        parts.append(ms.random_povm_parts(2, int(rng.integers(2, 5)), rng))
+        parts.append(ms.random_povm_parts(2, int(rng.integers(2, 5)), rng))
+        ps.append(rng.random())
+    # case i mixes POVM 2i with probability p[i] and POVM 2i + 1 with 1 - p[i]
+    points, p = st.qubit_slds(np.array(xs)), np.array(ps)
+    counts = np.array([len(a) for a in parts])
+    # POVM i is row[i] of ops[counts[i]]
+    gs, ops, row = np.empty((len(parts), 3, 3)), {}, np.empty(len(parts), dtype=int)
+    for idx, group in _random_povm_groups(parts):
+        gs[idx] = bd.classical_fisher(_states_at(points, idx // 2), group)
+        ops[group.shape[-3]] = group
+        row[idx] = np.arange(len(idx))
+    rhs = p[:, None, None] * gs[0::2] + (1.0 - p[:, None, None]) * gs[1::2]
+    first, second = counts[0::2], counts[1::2]
+    worst = 0.0
+    for n1, n2 in sorted(set(zip(first.tolist(), second.tolist()))):
+        idx = np.flatnonzero((first == n1) & (second == n2))
+        w = p[idx, None, None, None]
+        mixed = np.concatenate([w * ops[n1][row[2 * idx]],
+                                (1.0 - w) * ops[n2][row[2 * idx + 1]]], axis=-3)
+        ms.check_povm_ops(mixed)
+        lhs = bd.classical_fisher(_states_at(points, idx), mixed)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs[idx]))))
     return CheckResult("fisher-convexity", worst <= 1e-10,
                        f"max |g(mix) - mix(g)| = {worst:.3e} (tol 1e-10)")
 
@@ -158,16 +185,16 @@ def check_unit_trace_minimum(rng, cases: int = 20) -> CheckResult:
 def check_tomography_weight_optimality(rng, cases: int = 20) -> CheckResult:
     """Tomography attains the bound for its special weight and misses it
     for the identity weight off the axes."""
-    worst_eq = 0.0
-    min_gap = np.inf
+    xs, offs = [], []
     for _ in range(cases):
-        x = _random_interior_point(rng)
-        h = bd.tomography_weight(x)
-        attained = float(np.trace(h @ np.linalg.inv(bd.tomography_fisher(x))))
-        worst_eq = max(worst_eq, abs(attained - bd.qcr_min_trace(st.qubit_qfi(x), h).bound))
+        xs.append(_random_interior_point(rng))
         x_off = rng.uniform(0.08, 0.5, size=3) * rng.choice([-1.0, 1.0], size=3)
-        x_off = x_off * min(0.9 / np.linalg.norm(x_off), 1.0)
-        min_gap = min(min_gap, bd.tomo_excess(x_off, np.eye(3)))
+        offs.append(x_off * min(0.9 / np.linalg.norm(x_off), 1.0))
+    x = np.array(xs)
+    h = bd.tomography_weight(x)
+    attained = np.trace(h @ np.linalg.inv(bd.tomography_fisher(x)), axis1=-2, axis2=-1)
+    worst_eq = float(np.max(np.abs(attained - bd.qcr_min_trace(st.qubit_qfi(x), h).bound)))
+    min_gap = float(np.min(bd.tomo_excess(np.array(offs), np.eye(3))))
     passed = worst_eq <= 1e-8 and min_gap >= 10 * 1e-8
     return CheckResult("tomography-weight-optimality", passed,
                        f"max equality defect = {worst_eq:.3e}, min off-axis gap = {min_gap:.3e}")
@@ -175,15 +202,12 @@ def check_tomography_weight_optimality(rng, cases: int = 20) -> CheckResult:
 
 def check_unit_info_identity(rng, cases: int = 100) -> CheckResult:
     """Tr J^-1 g_tomo = 1 and the special weight equals 9 g J^-1 g."""
-    worst_tr = 0.0
-    worst_h = 0.0
-    for _ in range(cases):
-        x = _random_interior_point(rng)
-        j = st.qubit_qfi(x)
-        g = bd.tomography_fisher(x)
-        worst_tr = max(worst_tr, abs(float(np.trace(np.linalg.inv(j) @ g)) - 1.0))
-        rebuilt = 9.0 * g @ np.linalg.inv(j) @ g
-        worst_h = max(worst_h, float(np.max(np.abs(rebuilt - bd.tomography_weight(x)))))
+    x = np.array([_random_interior_point(rng) for _ in range(cases)])
+    jinv = np.linalg.inv(st.qubit_qfi(x))
+    g = bd.tomography_fisher(x)
+    worst_tr = float(np.max(np.abs(np.trace(jinv @ g, axis1=-2, axis2=-1) - 1.0)))
+    rebuilt = 9.0 * g @ jinv @ g
+    worst_h = float(np.max(np.abs(rebuilt - bd.tomography_weight(x))))
     passed = worst_tr <= 1e-10 and worst_h <= 1e-9
     return CheckResult("unit-info-identity", passed,
                        f"max |Tr J^-1 g - 1| = {worst_tr:.3e}, max weight defect = {worst_h:.3e}")
@@ -231,28 +255,23 @@ def check_bound_ordering(rng, cases: int = 40) -> CheckResult:
 def check_feasible_fisher_injectivity(rng, cases: int = 20) -> CheckResult:
     """Distinct feasible Fisher matrices come from weights with distinct
     optimal-Fisher targets, and each target reproduces its source."""
-    min_sep = np.inf
-    worst_round = 0.0
+    xs, gaussians = [], []
     for _ in range(cases):
-        x = _random_interior_point(rng)
-        j = st.qubit_qfi(x)
-        sq_j = psd_sqrt(j)
-        mats = []
-        for _ in range(2):
-            a = rng.standard_normal((3, 3))
-            g0 = a @ a.T + 0.1 * np.eye(3)
-            g0 /= np.trace(g0)
-            mats.append(sq_j @ g0 @ sq_j)
-        f1, f2 = mats
-        targets = []
-        for f in (f1, f2):
-            w, feasible = bd.weight_from_fisher(f, j)
-            if not feasible:
-                raise AssertionError("constructed Fisher matrix should be feasible")
-            target = bd.qcr_min_trace(j, w).fisher_target
-            worst_round = max(worst_round, float(np.max(np.abs(target - f))))
-            targets.append(target)
-        min_sep = min(min_sep, float(np.max(np.abs(targets[0] - targets[1]))))
+        xs.append(_random_interior_point(rng))
+        gaussians.append([rng.standard_normal((3, 3)) for _ in range(2)])
+    # two Fisher matrices per case, row i of the (cases, 2) stacks at point i
+    j = st.qubit_qfi(np.array(xs))[:, None]
+    sq_j = psd_sqrt(j)
+    a = np.array(gaussians)
+    g0 = a @ a.mT + 0.1 * np.eye(3)
+    g0 /= np.trace(g0, axis1=-2, axis2=-1)[..., None, None]
+    f = sq_j @ g0 @ sq_j
+    w, feasible = bd.weight_from_fisher(f, j)
+    if not feasible.all():
+        raise AssertionError("constructed Fisher matrix should be feasible")
+    targets = bd.qcr_min_trace(j, w).fisher_target
+    worst_round = float(np.max(np.abs(targets - f)))
+    min_sep = float(np.min(np.max(np.abs(targets[:, 0] - targets[:, 1]), axis=(-2, -1))))
     passed = worst_round <= 1e-8 and min_sep > 1e-8
     return CheckResult("feasible-fisher-injectivity", passed,
                        f"max roundtrip defect = {worst_round:.3e}, min separation = {min_sep:.3e}")

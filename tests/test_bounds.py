@@ -289,6 +289,17 @@ class TestWeightFromFisher:
         _, feasible = weight_from_fisher(j, j)
         assert not feasible
 
+    def test_one_case_flag_is_a_python_bool(self):
+        j = qubit_qfi([0.1, 0.1, 0.1])
+        assert type(weight_from_fisher(j / 3, j)[1]) is bool
+        assert type(weight_from_fisher(j, j)[1]) is bool
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_scale_must_be_positive_and_finite(self, k):
+        j = qubit_qfi([0.1, 0.1, 0.1])
+        with pytest.raises(ValueError, match="^scale k must be positive and finite, got "):
+            weight_from_fisher(j / 3, j, k=k)
+
 
 class TestRotationalWeights:
     def test_identity_values(self):
@@ -1234,6 +1245,38 @@ class TestStackedDesignsAndWeights:
             assert np.array_equal(sol.bound[k], one.bound)
             assert np.array_equal(sol.measurement[k], one.measurement.ops)
             assert np.array_equal(g[k], classical_fisher(qubit_slds(x[k]), one.measurement))
+
+    def test_weight_from_fisher_over_a_stack(self):
+        rng = np.random.default_rng(144)
+        x = np.array([random_point(rng) for _ in range(4)])
+        j = qubit_qfi(x)
+        a = rng.standard_normal((4, 2, 3, 3))
+        g0 = a @ a.mT + 0.1 * np.eye(3)
+        g0 /= np.trace(g0, axis1=-2, axis2=-1)[..., None, None]
+        sq_j = psd_sqrt(j)[:, None]
+        f = sq_j @ g0 @ sq_j
+        # the Fisher matrix itself is not the optimal Fisher matrix of any weight
+        f[2, 1] = j[2]
+        w, feasible = weight_from_fisher(f, j[:, None], k=2.5)
+        assert w.shape == (4, 2, 3, 3) and feasible.shape == (4, 2)
+        assert feasible.sum() == 7 and not feasible[2, 1]
+        for k in np.ndindex(4, 2):
+            one_w, one_feasible = weight_from_fisher(f[k], j[k[0]], k=2.5)
+            assert np.array_equal(w[k], one_w)
+            assert feasible[k] == one_feasible
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[2.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # not symmetric
+        np.diag([1.0, np.nan, 1.0]),                                        # NaN
+        np.diag([1.0, 1.0, -1.0]),                                          # indefinite
+    ])
+    def test_weight_from_fisher_names_a_bad_matrix_in_a_stack(self, bad):
+        good = TestStackedChecks.GOOD_J
+        stack = _bad_in_the_middle(good, bad)
+        _raises_like_one_call(lambda: weight_from_fisher(stack, good),
+                              lambda: weight_from_fisher(bad, np.eye(3)))
+        _raises_like_one_call(lambda: weight_from_fisher(good, stack),
+                              lambda: weight_from_fisher(np.eye(3), bad))
 
     def test_rot_weight_holds_read_only_value_arrays(self):
         t = np.array([1.0, 2.0])

@@ -426,6 +426,15 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert all(item["passed"] for item in report)
 
+    def test_mc_smoke_suite_passes(self, capsys):
+        code = run_cli(["verify", "--suite", "mc-smoke", "--seed", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            "[PASS] mc-determinism", "[PASS] mc-tomography-sq", "[PASS] mc-adaptive-near-bound",
+            "[PASS] mc-adaptive-dominates"]
+        assert lines[-1] == "4/4 checks passed"
+
 
 class TestConfigFile:
     def test_config_replaces_flags(self, tmp_path):

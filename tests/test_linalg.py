@@ -121,6 +121,30 @@ class TestPsdSqrt:
         out = psd_sqrt(np.diag([1.0, -1e-12]))
         assert out[1, 1] == 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_stack_gives_each_matrix_its_own_bits(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        complex_stack = np.array([random_state(rng, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
+        a = rng.standard_normal((6, dim, dim))
+        real_stack = (a @ a.mT).reshape(2, 3, dim, dim)
+        # a rank-deficient matrix whose rounding may clamp an eigenvalue
+        real_stack[1, 2] = np.outer(a[0, 0], a[0, 0])
+        for stack in (complex_stack, real_stack):
+            roots = psd_sqrt(stack)
+            assert roots.shape == stack.shape and roots.dtype == stack.dtype
+            for k in np.ndindex(2, 3):
+                assert np.array_equal(roots[k], psd_sqrt(stack[k]))
+
+    def test_stack_names_its_first_bad_matrix(self):
+        stack = np.array([np.eye(2), np.diag([1.0, -0.5]), np.diag([-0.25, 1.0]),
+                          np.diag([1.0, -1e-12])])
+        with pytest.raises(NotPSDError, match=r"^minimum eigenvalue -5.000e-01 below -1.0e-10$"):
+            psd_sqrt(stack)
+        with pytest.raises(NotPSDError, match=r"^minimum eigenvalue -2.500e-01 below -1.0e-10$"):
+            psd_sqrt(stack[None, [0, 3, 2, 1]])
+        # a tiny negative eigenvalue is clamped in a stack as alone
+        assert np.array_equal(psd_sqrt(stack[[0, 3]])[1], psd_sqrt(stack[3]))
+
 
 class TestSolveSld:
     def test_maximally_mixed(self):

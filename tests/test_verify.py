@@ -7,6 +7,7 @@ from qest import bounds as bd
 from qest import measurements as ms
 from qest import states as st
 from qest import verify as vf
+from qest.linalg import psd_sqrt
 from qest.verify import bound_suite, lemma_suite
 
 
@@ -171,11 +172,92 @@ def _per_radius_mub_sweep(family, radii, coord=(0, 0)):
     return rows
 
 
+def _per_case_fisher_convexity(rng, cases=30):
+    worst = 0.0
+    for _ in range(cases):
+        x = vf._random_interior_point(rng)
+        derivs = st.qubit_slds(x)
+        m1 = ms.random_povm(2, int(rng.integers(2, 5)), rng)
+        m2 = ms.random_povm(2, int(rng.integers(2, 5)), rng)
+        p = float(rng.random())
+        mixed = ms.randomize([(p, m1), (1.0 - p, m2)])
+        lhs = bd.classical_fisher(derivs, mixed)
+        rhs = (p * bd.classical_fisher(derivs, m1)
+               + (1.0 - p) * bd.classical_fisher(derivs, m2))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return vf.CheckResult("fisher-convexity", worst <= 1e-10,
+                          f"max |g(mix) - mix(g)| = {worst:.3e} (tol 1e-10)")
+
+
+def _per_case_tomography_weight_optimality(rng, cases=20):
+    worst_eq = 0.0
+    min_gap = np.inf
+    for _ in range(cases):
+        x = vf._random_interior_point(rng)
+        h = bd.tomography_weight(x)
+        attained = float(np.trace(h @ np.linalg.inv(bd.tomography_fisher(x))))
+        worst_eq = max(worst_eq, abs(attained - bd.qcr_min_trace(st.qubit_qfi(x), h).bound))
+        x_off = rng.uniform(0.08, 0.5, size=3) * rng.choice([-1.0, 1.0], size=3)
+        x_off = x_off * min(0.9 / np.linalg.norm(x_off), 1.0)
+        min_gap = min(min_gap, bd.tomo_excess(x_off, np.eye(3)))
+    passed = worst_eq <= 1e-8 and min_gap >= 10 * 1e-8
+    return vf.CheckResult("tomography-weight-optimality", passed,
+                          f"max equality defect = {worst_eq:.3e}, min off-axis gap = {min_gap:.3e}")
+
+
+def _per_case_unit_info_identity(rng, cases=100):
+    worst_tr = 0.0
+    worst_h = 0.0
+    for _ in range(cases):
+        x = vf._random_interior_point(rng)
+        j = st.qubit_qfi(x)
+        g = bd.tomography_fisher(x)
+        worst_tr = max(worst_tr, abs(float(np.trace(np.linalg.inv(j) @ g)) - 1.0))
+        rebuilt = 9.0 * g @ np.linalg.inv(j) @ g
+        worst_h = max(worst_h, float(np.max(np.abs(rebuilt - bd.tomography_weight(x)))))
+    passed = worst_tr <= 1e-10 and worst_h <= 1e-9
+    return vf.CheckResult("unit-info-identity", passed,
+                          f"max |Tr J^-1 g - 1| = {worst_tr:.3e}, max weight defect = {worst_h:.3e}")
+
+
+def _per_case_feasible_fisher_injectivity(rng, cases=20):
+    min_sep = np.inf
+    worst_round = 0.0
+    for _ in range(cases):
+        x = vf._random_interior_point(rng)
+        j = st.qubit_qfi(x)
+        sq_j = psd_sqrt(j)
+        mats = []
+        for _ in range(2):
+            a = rng.standard_normal((3, 3))
+            g0 = a @ a.T + 0.1 * np.eye(3)
+            g0 /= np.trace(g0)
+            mats.append(sq_j @ g0 @ sq_j)
+        targets = []
+        for f in mats:
+            w, feasible = bd.weight_from_fisher(f, j)
+            if not feasible:
+                raise AssertionError("constructed Fisher matrix should be feasible")
+            target = bd.qcr_min_trace(j, w).fisher_target
+            worst_round = max(worst_round, float(np.max(np.abs(target - f))))
+            targets.append(target)
+        min_sep = min(min_sep, float(np.max(np.abs(targets[0] - targets[1]))))
+    passed = worst_round <= 1e-8 and min_sep > 1e-8
+    return vf.CheckResult("feasible-fisher-injectivity", passed,
+                          f"max roundtrip defect = {worst_round:.3e}, min separation = {min_sep:.3e}")
+
+
 @pytest.mark.parametrize("stacked, per_case", [
     (vf.check_rank_one_hat_fisher, _per_case_rank_one_hat_fisher),
     (vf.check_optimal_measurement_fisher, _per_case_optimal_measurement_fisher),
     (vf.check_excess_nonnegative, _per_case_excess_nonnegative),
-], ids=["rank-one-hat-fisher", "optimal-measurement-fisher", "excess-nonnegative"])
+    (vf.check_fisher_convexity, _per_case_fisher_convexity),
+    (vf.check_tomography_weight_optimality, _per_case_tomography_weight_optimality),
+    (vf.check_unit_info_identity, _per_case_unit_info_identity),
+    (vf.check_feasible_fisher_injectivity, _per_case_feasible_fisher_injectivity),
+], ids=["rank-one-hat-fisher", "optimal-measurement-fisher", "excess-nonnegative",
+        "fisher-convexity", "tomography-weight-optimality", "unit-info-identity",
+        "feasible-fisher-injectivity"])
 def test_stacked_check_reports_the_per_case_line(stacked, per_case):
     for seed in range(1, 21):
         new, old = np.random.default_rng(seed), np.random.default_rng(seed)
