@@ -555,7 +555,7 @@ def _traceless_basis(d: int) -> np.ndarray:
     return np.array(basis)
 
 
-def min_trace_unit_trace(s: np.ndarray) -> tuple[float, np.ndarray]:
+def min_trace_unit_trace(s: np.ndarray) -> tuple:
     """Numerically minimize Tr S G^-1 over positive definite G with Tr G = 1.
 
     Damped Newton on the unit-trace slice G = I/d + sum_k t_k E_k, the E_k
@@ -570,45 +570,104 @@ def min_trace_unit_trace(s: np.ndarray) -> tuple[float, np.ndarray]:
     no square root of S, so it serves as an oracle independent of the
     closed-form answer (Tr sqrt(S))^2.  Raises NoConvergenceError when
     UNIT_TRACE_MAX_STEPS steps do not reach a stop.
+
+    A stack (..., d, d) of targets gives values (...) and minimizers
+    (..., d, d).  Each case takes its own steps and halvings, with the bits
+    of its own call; a bad target or a case that does not converge is named
+    by its index, the first in row-major order.
     """
-    s = _check_sym_pd(s, "target matrix")
-    d = s.shape[0]
-    g = np.eye(d) / d
+    s = np.asarray(s, dtype=float)
+    try:
+        s = _check_sym_pd(s, "target matrix")
+    except ValueError:
+        if s.ndim < 3 or s.shape[-2] != s.shape[-1]:
+            raise
+        for index in np.ndindex(s.shape[:-2]):
+            try:
+                _check_sym_pd(s[index], "target matrix")
+            except ValueError as exc:
+                raise type(exc)(f"case {_case_name(index)}: {exc}") from None
+        raise
+    d = s.shape[-1]
+    cases = s.reshape(-1, d, d)
     if d == 1:
-        return float(s[0, 0]), g
+        vals, g = cases[:, 0, 0].copy(), np.ones_like(cases)
+    else:
+        vals, g = _unit_trace_newton(cases, s.shape[:-2])
+    return _scalar(vals.reshape(s.shape[:-2])), g.reshape(s.shape)
+
+
+def _case_name(index: tuple) -> str:
+    return ", ".join(str(i) for i in index)
+
+
+def _cholesky_passes(m: np.ndarray) -> np.ndarray:
+    """Whether np.linalg.cholesky accepts each matrix of the stack m."""
+    try:
+        np.linalg.cholesky(m)
+        return np.ones(len(m), dtype=bool)
+    except np.linalg.LinAlgError:
+        passes = np.ones(len(m), dtype=bool)
+        for i, one in enumerate(m):
+            try:
+                np.linalg.cholesky(one)
+            except np.linalg.LinAlgError:
+                passes[i] = False
+        return passes
+
+
+def _unit_trace_newton(s: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """min_trace_unit_trace's values and minimizers for the checked targets
+    s (k, d, d), d > 1, which are the cases of a stack of the given shape.
+    Each step works on the cases still running, and every stacked call
+    gives each case the bits of its one-case call."""
+    d = s.shape[-1]
     basis = _traceless_basis(d)
     n = len(basis)
     flat = basis.reshape(n, d * d)
+    g = np.broadcast_to(np.eye(d) / d, s.shape).copy()
     ginv = np.linalg.inv(g)
-    val = float(np.trace(s @ ginv))
+    val = np.trace(s @ ginv, axis1=-2, axis2=-1)
+    running = np.arange(len(s))
     for _ in range(UNIT_TRACE_MAX_STEPS):
-        b = ginv @ s @ ginv
-        grad = -(flat @ b.ravel())
+        rs, rg, rginv, rval = s[running], g[running], ginv[running], val[running]
+        b = rginv @ rs @ rginv
+        # one matrix-vector product per case, as flat @ b.ravel()
+        grad = -(flat @ b.reshape(-1, d * d, 1))[..., 0]
         # the flattened rows B E_k and E_l G^-1 contract to Tr(B E_k G^-1 E_l)
-        half = (b @ basis).reshape(n, -1) @ (basis @ ginv).reshape(n, -1).T
-        step = np.linalg.solve(half + half.T, -grad)
-        decrement = float(-grad @ step)
-        last = decrement <= UNIT_TRACE_RTOL * val
-        move = (step @ flat).reshape(d, d)
-        t = 1.0
+        half = ((b[:, None] @ basis).reshape(-1, n, d * d)
+                @ (basis @ rginv[:, None]).reshape(-1, n, d * d).mT)
+        step = np.linalg.solve(half + half.mT, -grad[..., None])[..., 0]
+        decrement = np.vecdot(-grad, step)
+        last = decrement <= UNIT_TRACE_RTOL * rval
+        move = (step[:, None] @ flat).reshape(-1, d, d)
+        t = np.ones(len(running))
+        searching = np.ones(len(running), dtype=bool)
+        cand, cand_inv, cand_val = np.empty_like(rg), np.empty_like(rg), rval.copy()
         # at most 60 halvings; past them the move vanishes against G
         for _ in range(60):
-            cand = g + t * move
-            try:
-                np.linalg.cholesky(cand)
-            except np.linalg.LinAlgError:
-                t *= 0.5
-                continue
-            cand_inv = np.linalg.inv(cand)
-            cand_val = float(np.trace(s @ cand_inv))
-            if last or cand_val <= val:
+            tried = np.flatnonzero(searching)
+            if not tried.size:
                 break
-            t *= 0.5
-        else:
+            trial = rg[tried] + t[tried, None, None] * move[tried]
+            passes = _cholesky_passes(trial)
+            tried, trial = tried[passes], trial[passes]
+            trial_inv = np.linalg.inv(trial)
+            trial_val = np.trace(rs[tried] @ trial_inv, axis1=-2, axis2=-1)
+            took = last[tried] | (trial_val <= rval[tried])
+            won = tried[took]
+            cand[won], cand_inv[won], cand_val[won] = trial[took], trial_inv[took], trial_val[took]
+            searching[won] = False
+            t[searching] *= 0.5
+        # a case whose halvings all failed stops where it is
+        moved = ~searching
+        at = running[moved]
+        g[at], ginv[at] = cand[moved], cand_inv[moved]
+        going = moved & ~last & (cand_val < rval)
+        val[at] = cand_val[moved]
+        running, decrement = running[going], decrement[going]
+        if not running.size:
             return val, g
-        gained = cand_val < val
-        g, ginv, val = cand, cand_inv, cand_val
-        if last or not gained:
-            return val, g
-    raise NoConvergenceError(f"unit-trace minimum not reached in {UNIT_TRACE_MAX_STEPS} "
-                             f"Newton steps; last decrement {decrement:.3e}")
+    where = f"case {_case_name(np.unravel_index(running[0], shape))}: " if shape else ""
+    raise NoConvergenceError(f"{where}unit-trace minimum not reached in {UNIT_TRACE_MAX_STEPS} "
+                             f"Newton steps; last decrement {decrement[0]:.3e}")

@@ -7,6 +7,7 @@ statistics vs theory) and reports pass/fail with a scalar witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,19 @@ class CheckResult:
         return f"[{flag}] {self.name}: {self.detail}"
 
 
+def _require_size(name: str, value, multiple: int = 1) -> None:
+    """Reject a check's size argument that is not a positive integer
+    multiple of `multiple`, before the check draws anything."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1 or value % multiple):
+        kind = "integer" if multiple == 1 else f"multiple of {multiple}"
+        raise ValueError(f"{name} must be a positive {kind}, got {value!r}")
+
+
 def _random_interior_point(rng, rmax: float = 0.9) -> np.ndarray:
     x = rng.standard_normal(3)
-    return x * (rng.random() * rmax / np.linalg.norm(x))
+    # numpy's norm of a real vector is sqrt(x.dot(x))
+    return x * (rng.random() * rmax / math.sqrt(x.dot(x)))
 
 
 def _random_mub_point(q: int, family, rng, scale: float = 0.04) -> np.ndarray:
@@ -45,18 +56,23 @@ def _random_mub_point(q: int, family, rng, scale: float = 0.04) -> np.ndarray:
     raise RuntimeError("could not sample a positive affine state")
 
 
-def _random_povm_groups(parts):
-    """The random POVMs drawn as Gaussian parts, one group per outcome
-    count in ascending order: the group's indices into parts and its checked
-    elements from one Wishart map, each with the bits of random_povm on the
-    same draw."""
-    counts = np.array([len(p) for p in parts])
-    # sorted(set()) rather than np.unique, which imports numpy.ma (1.4 MB)
-    for n in sorted(set(counts.tolist())):
-        idx = np.flatnonzero(counts == n)
-        ops = ms.wishart_ops(np.stack([parts[i] for i in idx]))
-        ms.check_povm_ops(ops)
-        yield idx, ops
+def _random_povm_ops(parts) -> np.ndarray:
+    """Checked elements (len(parts), n, q, q) of the random POVMs drawn as
+    Gaussian parts (n_i, 2, q, q), from one Wishart map.
+
+    Each POVM is padded with zero parts up to the largest outcome count n.
+    A zero part gives a zero element, which adds exactly 0.0 to the
+    sequential sum over outcomes and nothing to a Fisher matrix, since
+    classical_fisher skips a probability-0 outcome with zero derivative.  A
+    POVM's own elements have the bits of random_povm on the same draw.
+    """
+    n = max(len(p) for p in parts)
+    padded = np.zeros((len(parts), n) + parts[0].shape[1:])
+    for row, p in zip(padded, parts):
+        row[:len(p)] = p
+    ops = ms.wishart_ops(padded)
+    ms.check_povm_ops(ops)
+    return ops
 
 
 def _states_at(points, idx):
@@ -71,15 +87,11 @@ def _random_povm_fishers(points, at, parts) -> np.ndarray:
     state at[i] of the stack `points` (ModelDerivatives of states sharing
     their partials).
 
-    Each outcome count gets one Wishart map, one POVM check and one
-    classical_fisher call; matrix i has the bits of classical_fisher at that
-    one state of random_povm on the same draw.
+    One padded stack (_random_povm_ops) and one classical_fisher call;
+    matrix i has the bits of classical_fisher at that one state of
+    random_povm on the same draw.
     """
-    k = len(points.partials)
-    gs = np.empty((len(parts), k, k))
-    for idx, ops in _random_povm_groups(parts):
-        gs[idx] = bd.classical_fisher(_states_at(points, at[idx]), ops)
-    return gs
+    return bd.classical_fisher(_states_at(points, at), _random_povm_ops(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +100,7 @@ def _random_povm_fishers(points, at, parts) -> np.ndarray:
 
 def check_rank_one_hat_fisher(rng, cases: int = 50) -> CheckResult:
     """PVM of a normalized SLD combination has normalized Fisher |v><v|."""
+    _require_size("cases", cases)
     xs, gaussians, vs = [], [], []
     for _ in range(cases):
         xs.append(_random_interior_point(rng))
@@ -114,6 +127,7 @@ def check_info_trace_bound(rng, povms_per_dim: int = 100) -> CheckResult:
 
     POVM i is scored at point i % 10, so povms_per_dim is a multiple of 10.
     """
+    _require_size("povms_per_dim", povms_per_dim, multiple=10)
     worst_excess = -np.inf
     for q in (2, 3, 4):
         if q == 2:
@@ -136,6 +150,7 @@ def check_info_trace_bound(rng, povms_per_dim: int = 100) -> CheckResult:
 
 def check_fisher_convexity(rng, cases: int = 30) -> CheckResult:
     """g of a randomized combination is the probability mix of the g's."""
+    _require_size("cases", cases)
     xs, parts, ps = [], [], []
     for _ in range(cases):
         xs.append(_random_interior_point(rng))
@@ -144,24 +159,14 @@ def check_fisher_convexity(rng, cases: int = 30) -> CheckResult:
         ps.append(rng.random())
     # case i mixes POVM 2i with probability p[i] and POVM 2i + 1 with 1 - p[i]
     points, p = st.qubit_slds(np.array(xs)), np.array(ps)
-    counts = np.array([len(a) for a in parts])
-    # POVM i is row[i] of ops[counts[i]]
-    gs, ops, row = np.empty((len(parts), 3, 3)), {}, np.empty(len(parts), dtype=int)
-    for idx, group in _random_povm_groups(parts):
-        gs[idx] = bd.classical_fisher(_states_at(points, idx // 2), group)
-        ops[group.shape[-3]] = group
-        row[idx] = np.arange(len(idx))
+    ops = _random_povm_ops(parts)
+    gs = bd.classical_fisher(_states_at(points, np.arange(len(parts)) // 2), ops)
     rhs = p[:, None, None] * gs[0::2] + (1.0 - p[:, None, None]) * gs[1::2]
-    first, second = counts[0::2], counts[1::2]
-    worst = 0.0
-    for n1, n2 in sorted(set(zip(first.tolist(), second.tolist()))):
-        idx = np.flatnonzero((first == n1) & (second == n2))
-        w = p[idx, None, None, None]
-        mixed = np.concatenate([w * ops[n1][row[2 * idx]],
-                                (1.0 - w) * ops[n2][row[2 * idx + 1]]], axis=-3)
-        ms.check_povm_ops(mixed)
-        lhs = bd.classical_fisher(_states_at(points, idx), mixed)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs[idx]))))
+    # the padding's zero elements stay zero in the mixture
+    w = p[:, None, None, None]
+    mixed = np.concatenate([w * ops[0::2], (1.0 - w) * ops[1::2]], axis=-3)
+    ms.check_povm_ops(mixed)
+    worst = float(np.max(np.abs(bd.classical_fisher(points, mixed) - rhs)))
     return CheckResult("fisher-convexity", worst <= 1e-10,
                        f"max |g(mix) - mix(g)| = {worst:.3e} (tol 1e-10)")
 
@@ -169,15 +174,24 @@ def check_fisher_convexity(rng, cases: int = 30) -> CheckResult:
 def check_unit_trace_minimum(rng, cases: int = 20) -> CheckResult:
     """The Newton minimum of Tr S G^-1 over unit-trace G, which takes no
     square root of S, matches (Tr sqrt(S))^2."""
-    worst = 0.0
+    _require_size("cases", cases)
+    draws = {2: ([], []), 3: ([], [])}
     for _ in range(cases):
         d = int(rng.integers(2, 4))
-        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
-        s = q @ np.diag(rng.uniform(0.2, 3.0, size=d)) @ q.T
-        s = (s + s.T) / 2
+        gaussians, values = draws[d]
+        gaussians.append(rng.standard_normal((d, d)))
+        values.append(rng.uniform(0.2, 3.0, size=d))
+    worst = 0.0
+    for d, (gaussians, values) in draws.items():
+        if not gaussians:
+            continue
+        q = np.linalg.qr(np.array(gaussians))[0]
+        # np.array(values)[..., None] * I is np.diag of each row
+        s = q @ (np.array(values)[..., None] * np.eye(d)) @ q.mT
+        s = (s + s.mT) / 2
         numeric, _ = bd.min_trace_unit_trace(s)
-        closed = float(np.trace(psd_sqrt(s))) ** 2
-        worst = max(worst, abs(numeric - closed))
+        closed = np.float_power(np.trace(psd_sqrt(s), axis1=-2, axis2=-1), 2)
+        worst = max(worst, float(np.max(np.abs(numeric - closed))))
     return CheckResult("unit-trace-minimum", worst <= 1e-5,
                        f"max |numeric - closed| = {worst:.3e} (tol 1e-05, {cases} cases)")
 
@@ -185,6 +199,7 @@ def check_unit_trace_minimum(rng, cases: int = 20) -> CheckResult:
 def check_tomography_weight_optimality(rng, cases: int = 20) -> CheckResult:
     """Tomography attains the bound for its special weight and misses it
     for the identity weight off the axes."""
+    _require_size("cases", cases)
     xs, offs = [], []
     for _ in range(cases):
         xs.append(_random_interior_point(rng))
@@ -202,6 +217,7 @@ def check_tomography_weight_optimality(rng, cases: int = 20) -> CheckResult:
 
 def check_unit_info_identity(rng, cases: int = 100) -> CheckResult:
     """Tr J^-1 g_tomo = 1 and the special weight equals 9 g J^-1 g."""
+    _require_size("cases", cases)
     x = np.array([_random_interior_point(rng) for _ in range(cases)])
     jinv = np.linalg.inv(st.qubit_qfi(x))
     g = bd.tomography_fisher(x)
@@ -215,6 +231,7 @@ def check_unit_info_identity(rng, cases: int = 100) -> CheckResult:
 
 def check_optimal_measurement_fisher(rng, cases: int = 40) -> CheckResult:
     """Constructed random measurement has exactly the target Fisher matrix."""
+    _require_size("cases", cases)
     xs, gaussians, diags = [], [], []
     for _ in range(cases):
         xs.append(_random_interior_point(rng))
@@ -232,6 +249,7 @@ def check_optimal_measurement_fisher(rng, cases: int = 40) -> CheckResult:
 
 def check_bound_ordering(rng, cases: int = 40) -> CheckResult:
     """Tr H g(M)^-1 >= (Tr R)^2 >= Tr H J^-1 for random POVMs."""
+    _require_size("cases", cases)
     xs, hs, parts = [], [], []
     for _ in range(cases):
         xs.append(_random_interior_point(rng))
@@ -255,6 +273,7 @@ def check_bound_ordering(rng, cases: int = 40) -> CheckResult:
 def check_feasible_fisher_injectivity(rng, cases: int = 20) -> CheckResult:
     """Distinct feasible Fisher matrices come from weights with distinct
     optimal-Fisher targets, and each target reproduces its source."""
+    _require_size("cases", cases)
     xs, gaussians = [], []
     for _ in range(cases):
         xs.append(_random_interior_point(rng))
@@ -349,6 +368,7 @@ def check_limit_values() -> CheckResult:
 def check_excess_nonnegative(rng, cases: int = 200) -> CheckResult:
     """c_T - c >= 0 for random rotational weights, the closed forms'
     difference agreeing with the sum of squares of tomo_excess."""
+    _require_size("cases", cases)
     xs, transverse, radial = [], [], []
     for _ in range(cases):
         xs.append(_random_interior_point(rng, rmax=0.95))

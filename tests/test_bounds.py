@@ -674,6 +674,106 @@ def _spread_target(rng, d, decades):
     return (s + s.T) / 2
 
 
+def _one_case_newton(s):
+    """min_trace_unit_trace as it was before it took stacks: one target,
+    one candidate at a time, kept as an oracle for its bits."""
+    s = _check_sym_pd(s, "target matrix")
+    d = s.shape[0]
+    g = np.eye(d) / d
+    if d == 1:
+        return float(s[0, 0]), g
+    basis = bounds._traceless_basis(d)
+    n = len(basis)
+    flat = basis.reshape(n, d * d)
+    ginv = np.linalg.inv(g)
+    val = float(np.trace(s @ ginv))
+    for _ in range(bounds.UNIT_TRACE_MAX_STEPS):
+        b = ginv @ s @ ginv
+        grad = -(flat @ b.ravel())
+        half = (b @ basis).reshape(n, -1) @ (basis @ ginv).reshape(n, -1).T
+        step = np.linalg.solve(half + half.T, -grad)
+        decrement = float(-grad @ step)
+        last = decrement <= bounds.UNIT_TRACE_RTOL * val
+        move = (step @ flat).reshape(d, d)
+        t = 1.0
+        for _ in range(60):
+            cand = g + t * move
+            try:
+                np.linalg.cholesky(cand)
+            except np.linalg.LinAlgError:
+                t *= 0.5
+                continue
+            cand_inv = np.linalg.inv(cand)
+            cand_val = float(np.trace(s @ cand_inv))
+            if last or cand_val <= val:
+                break
+            t *= 0.5
+        else:
+            return val, g
+        gained = cand_val < val
+        g, ginv, val = cand, cand_inv, cand_val
+        if last or not gained:
+            return val, g
+    raise NoConvergenceError("not reached")
+
+
+class TestStackedUnitTraceMinimum:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stack_gives_each_case_its_own_bits(self, d, monkeypatch):
+        rng = np.random.default_rng(50 + d)
+        targets = [_spread_target(rng, d, decades) for decades in (0.0, 0.5, 2.0, 4.0) * 2]
+        # a Newton path that rejects a Cholesky candidate
+        targets.append(np.diag(np.arange(1.0, d + 1.0) ** 2 * 100.0 ** (np.arange(d) > 0)))
+        rejected = []
+        passes = bounds._cholesky_passes
+        monkeypatch.setattr(bounds, "_cholesky_passes",
+                            lambda m: rejected.append(~passes(m)) or passes(m))
+        stack = np.array(targets)
+        vals, gs = min_trace_unit_trace(stack)
+        assert vals.shape == (len(targets),) and gs.shape == stack.shape
+        if d > 1:
+            assert np.concatenate(rejected).any()
+        grid_vals, grid_gs = min_trace_unit_trace(stack.reshape(3, 3, d, d))
+        assert np.array_equal(grid_vals.ravel(), vals)
+        assert np.array_equal(grid_gs.reshape(gs.shape), gs)
+        for s, val, g in zip(targets, vals, gs):
+            one_val, one_g = min_trace_unit_trace(s)
+            assert type(one_val) is float
+            assert one_val == val and np.array_equal(one_g, g)
+            want_val, want_g = _one_case_newton(s)
+            assert one_val == want_val and np.array_equal(one_g, want_g)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[1.0, 0.5], [0.0, 1.0]], "target matrix is not symmetric"),
+        ([[1.0, 0.0], [0.0, np.nan]], "target matrix has non-finite entries"),
+        ([[1.0, 1.0], [1.0, 1.0]], "target matrix is not positive definite"),
+    ])
+    def test_stack_names_its_first_bad_target(self, bad, message):
+        good, worse = np.diag([1.0, 2.0]), np.array([[1.0, 0.0], [0.0, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^case 1: {message}$"):
+                min_trace_unit_trace(np.array([good, bad, worse]))
+            with pytest.raises(ValueError, match=f"^case 1, 0: {message}$"):
+                min_trace_unit_trace(np.array([[good, good], [bad, worse]]))
+        square = r"^target matrix must be square, got shape \(2, 2, 3\)$"
+        with pytest.raises(ValueError, match=square):
+            min_trace_unit_trace(np.zeros((2, 2, 3)))
+
+    def test_stack_names_its_first_case_without_convergence(self, monkeypatch):
+        monkeypatch.setattr(bounds, "UNIT_TRACE_MAX_STEPS", 1)
+        # the identity stops after one step, the others need more
+        stuck = [np.diag([1.0, 2.0, 5.0]), np.diag([1.0, 3.0, 4.0])]
+        with pytest.raises(NoConvergenceError) as alone:
+            min_trace_unit_trace(stuck[0])
+        with pytest.raises(NoConvergenceError) as stacked:
+            min_trace_unit_trace(np.array([np.eye(3), *stuck]))
+        assert str(stacked.value) == f"case 1: {alone.value}"
+        monkeypatch.setattr(bounds, "UNIT_TRACE_MAX_STEPS", 50000)
+        vals, _ = min_trace_unit_trace(np.array([np.eye(3), *stuck]))
+        assert vals[0] == min_trace_unit_trace(np.eye(3))[0]
+
+
 class TestScaleFreePositiveDefiniteCheck:
     def test_design_of_a_power_of_two_multiple(self):
         rng = np.random.default_rng(33)

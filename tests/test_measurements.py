@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qest.linalg import NotHermitianError
+from qest import measurements
 from qest.measurements import (
     BadDistributionError,
     DimMismatchError,
@@ -436,3 +437,112 @@ class TestNonFiniteInputNamed:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^state has non-finite entries$"):
                 outcome_distribution(np.full((2, 2), np.nan), qubit_tomography_povm())
+
+
+def _eigenvalue_check_povm_ops(ops):
+    """check_povm_ops as it was before its Cholesky certificate: every
+    element's smallest eigenvalue from eigvalsh, kept as an oracle."""
+    ops = np.asarray(ops)
+    with np.errstate(invalid="ignore"):
+        defects = np.max(np.abs(ops.sum(axis=-3) - np.eye(ops.shape[-1])), axis=(-2, -1))
+        adjoints = ops.conj().swapaxes(-1, -2)
+        skews = np.abs(ops - adjoints).max(axis=(-2, -1))
+        min_eigs = np.linalg.eigvalsh((ops + adjoints) / 2)[..., 0]
+    bad_elements = ~((skews <= 1e-9) & (min_eigs >= -1e-10))
+    bad = np.flatnonzero(~(defects <= 1e-9) | bad_elements.any(axis=-1))
+    if not bad.size:
+        return
+    first = np.unravel_index(bad[0], defects.shape)
+    where = f"POVM {', '.join(str(int(i)) for i in first)}: " if first else ""
+    if not np.isfinite(ops[first]).all():
+        raise InvalidPovmError(f"{where}elements have non-finite entries")
+    if defects[first] > 1e-9:
+        raise InvalidPovmError(f"{where}elements sum to identity with defect {defects[first]:.3e}")
+    idx = int(np.flatnonzero(bad_elements[first])[0])
+    if skews[first][idx] > 1e-9:
+        raise InvalidPovmError(f"{where}element {idx} not Hermitian")
+    raise InvalidPovmError(f"{where}element {idx} has eigenvalue {min_eigs[first][idx]:.3e}")
+
+
+def _outcome(check, ops):
+    """The exception class and message a check raises, or None, under
+    warnings-as-errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            check(ops)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def _placed_pair(rng, dim, low):
+    """A complete pair [E, I - E] whose E has smallest eigenvalue `low`."""
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    values = np.concatenate([[low], rng.uniform(0.2, 0.8, size=dim - 1)])
+    e = (u * values) @ u.conj().T
+    e = (e + e.conj().T) / 2
+    return np.array([e, np.eye(dim) - e])
+
+
+class TestPositivityCertificate:
+    """The Cholesky certificate only ever skips eigenvalues: every POVM and
+    stack passes or fails, with the same message, as under the eigenvalue
+    test it replaced."""
+
+    LOWS = [-1e-10 * (1 + 1e-3), -1e-10 * (1 - 1e-3), -5e-11 * (1 + 1e-3),
+            -5e-11 * (1 - 1e-3), -1e-12, 0.0]
+
+    @staticmethod
+    def _cases(rng, dim):
+        ok = random_povm(dim, 3, rng).ops
+        zero = np.zeros((dim, dim))
+        skew = ok.copy()
+        skew[1, 0, dim - 1] += 1e-6
+        skew[2, 0, dim - 1] -= 1e-6
+        nan, inf = ok.copy(), ok.copy()
+        nan[2, 0, 0], inf[0, dim - 1, 0] = np.nan, np.inf
+        # entries above the certificate's bound
+        big = np.array([25.0 * np.eye(dim), -24.0 * np.eye(dim)])
+        yield "good", ok
+        for low in TestPositivityCertificate.LOWS:
+            yield f"low {low:.4e}", _placed_pair(rng, dim, low)
+        yield "zeros", np.array([zero, ok[0], zero, ok[1], ok[2], zero])
+        yield "non-Hermitian", skew
+        yield "incomplete", ok[:2]
+        yield "nan", nan
+        yield "inf", inf
+        yield "big", big
+        yield "big and zero", np.array([big[0], zero, big[1]])
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_single_povms_and_stacks_decide_as_eigenvalues_do(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        cases = dict(self._cases(rng, dim))
+        for name, ops in cases.items():
+            assert _outcome(check_povm_ops, ops) == _outcome(_eigenvalue_check_povm_ops, ops), name
+        two = [ops for ops in cases.values() if len(ops) == 2]
+        for order in (two, two[::-1], two[2:] + two[:2]):
+            stack = np.array(order, dtype=complex)
+            assert _outcome(check_povm_ops, stack) == \
+                _outcome(_eigenvalue_check_povm_ops, stack)
+            grid = stack[:len(stack) // 2 * 2].reshape(2, -1, 2, dim, dim)
+            assert _outcome(check_povm_ops, grid) == _outcome(_eigenvalue_check_povm_ops, grid)
+        # a padded stack of good POVMs, as verify scores them, is certified
+        padded = np.array([np.concatenate([random_povm(dim, n, rng).ops,
+                                           np.zeros((5 - n, dim, dim))]) for n in (2, 5, 3)])
+        assert measurements._positivity_certified((padded + padded.conj().mT) / 2)
+        assert _outcome(check_povm_ops, padded) is None
+
+    def test_entries_above_the_bound_fall_back_to_eigenvalues(self):
+        # unit entries are above the bound in dimension 12, where only the
+        # eigenvalues can pass a projective measurement
+        pvm = np.array([np.diag(row) for row in np.eye(12)], dtype=complex)
+        hermitian = (pvm + pvm.conj().mT) / 2
+        assert not measurements._positivity_certified(hermitian)
+        assert _outcome(check_povm_ops, pvm) is None
+        bent = pvm.copy()
+        bent[0, 0, 0], bent[1, 0, 0] = 1.0 + 2e-10, -2e-10
+        assert _outcome(check_povm_ops, bent) == _outcome(_eigenvalue_check_povm_ops, bent)
+        assert _outcome(check_povm_ops, bent) == (InvalidPovmError,
+                                                  "element 1 has eigenvalue -2.000e-10")

@@ -247,6 +247,20 @@ def _per_case_feasible_fisher_injectivity(rng, cases=20):
                           f"max roundtrip defect = {worst_round:.3e}, min separation = {min_sep:.3e}")
 
 
+def _per_case_unit_trace_minimum(rng, cases=20):
+    worst = 0.0
+    for _ in range(cases):
+        d = int(rng.integers(2, 4))
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        s = q @ np.diag(rng.uniform(0.2, 3.0, size=d)) @ q.T
+        s = (s + s.T) / 2
+        numeric, _ = bd.min_trace_unit_trace(s)
+        closed = float(np.trace(psd_sqrt(s))) ** 2
+        worst = max(worst, abs(numeric - closed))
+    return vf.CheckResult("unit-trace-minimum", worst <= 1e-5,
+                          f"max |numeric - closed| = {worst:.3e} (tol 1e-05, {cases} cases)")
+
+
 @pytest.mark.parametrize("stacked, per_case", [
     (vf.check_rank_one_hat_fisher, _per_case_rank_one_hat_fisher),
     (vf.check_optimal_measurement_fisher, _per_case_optimal_measurement_fisher),
@@ -255,9 +269,10 @@ def _per_case_feasible_fisher_injectivity(rng, cases=20):
     (vf.check_tomography_weight_optimality, _per_case_tomography_weight_optimality),
     (vf.check_unit_info_identity, _per_case_unit_info_identity),
     (vf.check_feasible_fisher_injectivity, _per_case_feasible_fisher_injectivity),
+    (vf.check_unit_trace_minimum, _per_case_unit_trace_minimum),
 ], ids=["rank-one-hat-fisher", "optimal-measurement-fisher", "excess-nonnegative",
         "fisher-convexity", "tomography-weight-optimality", "unit-info-identity",
-        "feasible-fisher-injectivity"])
+        "feasible-fisher-injectivity", "unit-trace-minimum"])
 def test_stacked_check_reports_the_per_case_line(stacked, per_case):
     for seed in range(1, 21):
         new, old = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -280,3 +295,30 @@ def test_mub_sweep_rows_are_the_per_radius_rows(q):
     assert bd.mub_tomography_sweep(family, radii) == _per_radius_mub_sweep(family, radii)
     assert bd.mub_tomography_sweep(family, [1.5, 0.5]) == []
     assert bd.mub_tomography_sweep(family, []) == []
+
+
+SIZED_CHECKS = [
+    (vf.check_rank_one_hat_fisher, "cases"),
+    (vf.check_info_trace_bound, "povms_per_dim"),
+    (vf.check_fisher_convexity, "cases"),
+    (vf.check_unit_trace_minimum, "cases"),
+    (vf.check_tomography_weight_optimality, "cases"),
+    (vf.check_unit_info_identity, "cases"),
+    (vf.check_optimal_measurement_fisher, "cases"),
+    (vf.check_bound_ordering, "cases"),
+    (vf.check_feasible_fisher_injectivity, "cases"),
+    (vf.check_excess_nonnegative, "cases"),
+]
+
+
+@pytest.mark.parametrize("check, name", SIZED_CHECKS, ids=[c.__name__ for c, _ in SIZED_CHECKS])
+def test_bad_sizes_are_named_before_any_draw(check, name):
+    kind = "multiple of 10" if name == "povms_per_dim" else "integer"
+    bad = [0, -1, 2.5, True] + ([15] if name == "povms_per_dim" else [])
+    for value in bad:
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match=f"^{name} must be a positive {kind}, got {value!r}$"):
+            check(rng, **{name: value})
+        assert rng.random() == np.random.default_rng(3).random()
+    # the smallest valid size runs
+    assert check(np.random.default_rng(3), **{name: 10 if name == "povms_per_dim" else 1}).passed
