@@ -73,6 +73,7 @@ from .bounds import (
     optimal_measurement,
     qcr_min_trace,
     qfi_rot_weight,
+    resolve_weight,
     rot_merit_sweep,
     rot_weight_along,
     tomo_excess,
@@ -89,7 +90,6 @@ from .simulate import (
     clamp_to_ball,
     mle_maximize,
     monte_carlo,
-    resolve_weight,
     theoretical_merits,
     tomography_estimate,
 )

@@ -80,6 +80,8 @@ def qfi_rot_weight(r: float) -> RotWeight:
 
 # the rotational weight selectors, each a function of the radius r
 ROT_WEIGHTS = {"identity": lambda r: RotWeight(1.0, 1.0), "qfi": qfi_rot_weight}
+# every weight selector: the rotational ones and tomography_weight's
+WEIGHT_SELECTORS = (*ROT_WEIGHTS, "tomography")
 
 
 @dataclass
@@ -333,6 +335,19 @@ def tomography_weight(x) -> np.ndarray:
     return h
 
 
+def resolve_weight(selector, x) -> np.ndarray:
+    """Weight matrix at the point x for a selector or a fixed matrix."""
+    if isinstance(selector, str):
+        if selector == "identity":
+            return np.eye(3)
+        if selector == "qfi":
+            return qubit_qfi(x)
+        if selector == "tomography":
+            return tomography_weight(x)
+        raise ValueError(f"unknown weight selector {selector!r}")
+    return np.asarray(selector, dtype=float)
+
+
 def weight_from_fisher(f: np.ndarray, j: np.ndarray,
                        k: float = 1.0) -> tuple[np.ndarray, bool]:
     """Weight k F J^-1 F for which F is the optimal Fisher matrix.
@@ -408,13 +423,14 @@ def anisotropy(x):
     (..., 3).
     """
     x = np.asarray(x, dtype=float)
-    r2 = np.vecdot(x, x)
-    tiny = r2 < 1e-100
-    if tiny.any():
-        # t is scale invariant, and r^4 would underflow; the origin is
-        # scored as an axis point, whose t is 0
+    with np.errstate(over="ignore"):
+        r2 = np.vecdot(x, x)
+    odd = (r2 < 1e-100) | (r2 > _SQRT_MAX)
+    if odd.any():
+        # t is scale invariant, and r^4 would underflow or overflow; the
+        # origin is scored as an axis point, whose t is 0
         peak = np.max(np.abs(x), axis=-1)
-        x = x / np.where(tiny & (peak > 0.0), peak, 1.0)[..., None]
+        x = x / np.where(odd & (peak > 0.0), peak, 1.0)[..., None]
         x[..., 0] = np.where(peak == 0.0, 1.0, x[..., 0])
         r2 = np.vecdot(x, x)
     # libm's pow, as a float's r2 ** 2 (an array's ** 2 is r2 * r2, which
@@ -472,9 +488,15 @@ def mub_tomography_sweep(family: MubFamily, radii, coord: tuple[int, int] = (0, 
     gm_lower_bound(J, J, q) the bound valid for every POVM, both with the
     Fisher-matrix weight.  The sweep stops at the first radius whose state
     is not positive.  All radii are scored as one stack, each row with the
-    bits of its own point's calls.
+    bits of its own point's calls.  coord must be two integers with
+    0 <= basis <= q and 0 <= vector <= q - 2.
     """
     q = family.q
+    basis, vector = coord
+    if not all(isinstance(i, (int, np.integer)) for i in coord) or \
+            not (0 <= basis <= q and 0 <= vector <= q - 2):
+        raise ValueError(f"coord must be two integers with 0 <= basis <= {q} and "
+                         f"0 <= vector <= {q - 2}, got {tuple(coord)}")
     radii = np.asarray(radii, dtype=float).reshape(-1)
     coords = np.zeros((len(radii), q + 1, q - 1))
     coords[(slice(None), *coord)] = radii
@@ -569,7 +591,9 @@ def min_trace_unit_trace(s: np.ndarray) -> tuple:
     on the positive definite cone, so Newton converges from I/d.  It takes
     no square root of S, so it serves as an oracle independent of the
     closed-form answer (Tr sqrt(S))^2.  Raises NoConvergenceError when
-    UNIT_TRACE_MAX_STEPS steps do not reach a stop.
+    UNIT_TRACE_MAX_STEPS steps do not reach a stop, or when a Newton
+    Hessian is singular to working precision, as it can be for a target of
+    condition number near 1e12.
 
     A stack (..., d, d) of targets gives values (...) and minimizers
     (..., d, d).  Each case takes its own steps and halvings, with the bits
@@ -616,6 +640,12 @@ def _cholesky_passes(m: np.ndarray) -> np.ndarray:
         return passes
 
 
+def _case_prefix(shape: tuple, flat: int) -> str:
+    """The prefix "case i, j: " naming the case at flat index `flat` of a
+    stack of the given shape; empty for one case."""
+    return f"case {_case_name(np.unravel_index(flat, shape))}: " if shape else ""
+
+
 def _unit_trace_newton(s: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
     """min_trace_unit_trace's values and minimizers for the checked targets
     s (k, d, d), d > 1, which are the cases of a stack of the given shape.
@@ -637,7 +667,20 @@ def _unit_trace_newton(s: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndar
         # the flattened rows B E_k and E_l G^-1 contract to Tr(B E_k G^-1 E_l)
         half = ((b[:, None] @ basis).reshape(-1, n, d * d)
                 @ (basis @ rginv[:, None]).reshape(-1, n, d * d).mT)
-        step = np.linalg.solve(half + half.mT, -grad[..., None])[..., 0]
+        hess = half + half.mT
+        try:
+            step = np.linalg.solve(hess, -grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # G came so near the boundary that the Hessian's condition
+            # number is beyond a float's; the first such case is named
+            for k, one in enumerate(hess):
+                try:
+                    np.linalg.solve(one, grad[k])
+                except np.linalg.LinAlgError:
+                    raise NoConvergenceError(
+                        f"{_case_prefix(shape, running[k])}unit-trace Newton Hessian is "
+                        "singular to working precision") from None
+            raise
         decrement = np.vecdot(-grad, step)
         last = decrement <= UNIT_TRACE_RTOL * rval
         move = (step[:, None] @ flat).reshape(-1, d, d)
@@ -668,6 +711,6 @@ def _unit_trace_newton(s: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndar
         running, decrement = running[going], decrement[going]
         if not running.size:
             return val, g
-    where = f"case {_case_name(np.unravel_index(running[0], shape))}: " if shape else ""
-    raise NoConvergenceError(f"{where}unit-trace minimum not reached in {UNIT_TRACE_MAX_STEPS} "
-                             f"Newton steps; last decrement {decrement[0]:.3e}")
+    raise NoConvergenceError(f"{_case_prefix(shape, running[0])}unit-trace minimum not reached "
+                             f"in {UNIT_TRACE_MAX_STEPS} Newton steps; last decrement "
+                             f"{decrement[0]:.3e}")

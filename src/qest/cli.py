@@ -193,9 +193,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_indicatrix(args) -> int:
     x = _parse_vec(args.x)
-    if float(x @ x) >= 1.0:
+    # a huge x overflows to an inf norm, which lies outside
+    with np.errstate(over="ignore"):
+        outside = float(x @ x) >= 1.0
+    if outside:
         raise ValueError("point must lie strictly inside the unit ball")
-    h = sim.resolve_weight(args.weight, x)
+    h = bd.resolve_weight(args.weight, x)
     i, k = _parse_pair("--plane", args.plane, "axis,axis")
     if i == k or not (0 <= i < 3 and 0 <= k < 3):
         raise ValueError(f"--plane {args.plane} is not two different axes among 1,2,3")
@@ -276,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo comparison of tomography vs adaptive")
     p.add_argument("--x0", default="0.55,0.55,0.55")
-    p.add_argument("--weight", choices=(*sim.WEIGHT_SELECTORS, "custom"), default="qfi")
+    p.add_argument("--weight", choices=(*bd.WEIGHT_SELECTORS, "custom"), default="qfi")
     p.add_argument("--weight-matrix", help="JSON 3x3 matrix for --weight custom")
     p.add_argument("--m", type=int, default=3000)
     p.add_argument("--reps", type=int, default=300)
@@ -288,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("indicatrix", help="unit-merit locus of a weight in a plane")
     p.add_argument("--x", default="0.5,0.5,0")
-    p.add_argument("--weight", choices=sim.WEIGHT_SELECTORS, default="tomography")
+    p.add_argument("--weight", choices=bd.WEIGHT_SELECTORS, default="tomography")
     p.add_argument("--plane", default="1,2", help="pair of axis indices, 1-based")
     p.add_argument("--n", type=_positive(int), default=360)
     common(p)

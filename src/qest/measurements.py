@@ -8,7 +8,6 @@ tomography measurement, full sets of mutually unbiased bases for dimensions
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +68,11 @@ def check_povm_ops(ops: np.ndarray) -> None:
         if ((defects <= COMPLETENESS_TOL).all() and (skews <= COMPLETENESS_TOL).all()
                 and _positivity_certified(hermitian)):
             return
-        min_eigs = np.linalg.eigvalsh(hermitian)[..., 0]
+        # LAPACK may not converge on a non-finite matrix; its POVM fails the
+        # completeness test and is named below, so its eigenvalues are NaN
+        finite = np.isfinite(hermitian).all(axis=(-2, -1))
+        hermitian[~finite] = 0.0
+        min_eigs = np.where(finite, np.linalg.eigvalsh(hermitian)[..., 0], np.nan)
     bad_elements = ~((skews <= COMPLETENESS_TOL) & (min_eigs >= -POSITIVITY_TOL))
     bad = np.flatnonzero(~(defects <= COMPLETENESS_TOL) | bad_elements.any(axis=-1))
     if not bad.size:
@@ -363,7 +366,7 @@ def random_povm_parts(dim: int, n_outcomes: int, rng: np.random.Generator) -> np
     """The Gaussian draw (n_outcomes, 2, dim, dim) behind random_povm: per
     outcome, the real then the imaginary part of G_i."""
     for name, value in (("dim", dim), ("n_outcomes", n_outcomes)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if type(value) is bool or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if dim < 1:
         raise ValueError(f"need dimension at least 1, got {dim}")

@@ -27,18 +27,17 @@ import numpy as np
 
 from .bounds import (
     ROT_WEIGHTS,
+    WEIGHT_SELECTORS,
     _check_sym_pd,
     c_opt_closed,
     c_tomo_closed,
     qcr_min_trace,
     qubit_design,
     tomography_fisher,
-    tomography_weight,
 )
 from .linalg import ValueRecord, read_only
 from .states import qubit_bures, qubit_qfi
 
-WEIGHT_SELECTORS = (*ROT_WEIGHTS, "tomography")
 PROB_FLOOR = 1e-12
 # the certificate accepts a point whose ball-constrained Newton step predicts
 # a log-likelihood ascent of at most CERT_TOL * max(1, |L| / 1000), L the
@@ -72,7 +71,10 @@ class RunConfig(ValueRecord):
             if np.iscomplexobj(getattr(self, name)):
                 raise ValueError(f"{name} must be real, not complex")
         object.__setattr__(self, "x0", read_only(self.x0, float))
-        if self.x0.shape != (3,) or not float(self.x0 @ self.x0) < 1.0:
+        # a huge finite x0 overflows to an inf norm, which lies outside
+        with np.errstate(over="ignore"):
+            inside = self.x0.shape == (3,) and float(self.x0 @ self.x0) < 1.0
+        if not inside:
             raise ValueError("x0 must be a Stokes vector strictly inside the ball")
         for name, low in (("m_max", 1), ("reps", 1), ("seed", 0)):
             value = getattr(self, name)
@@ -235,19 +237,6 @@ def checkpoint_schedule(m_max: int) -> np.ndarray:
     return np.array(sorted(points), dtype=int)
 
 
-def resolve_weight(selector, x) -> np.ndarray:
-    """Weight matrix at the point x for a selector or a fixed matrix."""
-    if isinstance(selector, str):
-        if selector == "identity":
-            return np.eye(3)
-        if selector == "qfi":
-            return qubit_qfi(x)
-        if selector == "tomography":
-            return tomography_weight(x)
-        raise ValueError(f"unknown weight selector {selector!r}")
-    return np.asarray(selector, dtype=float)
-
-
 def tomography_estimate(counts: np.ndarray) -> np.ndarray:
     """Per-axis frequency estimator (plus - minus) / total, zero for an
     axis with no draws.  counts[..., mu, :] = (minus, plus); the estimate
@@ -310,9 +299,13 @@ def _log_likelihood(traces: np.ndarray, bloch: np.ndarray, x: np.ndarray) -> flo
 
 
 def _bloch_products(bt: np.ndarray) -> np.ndarray:
-    """Rows b0 b0, b1 b1, b2 b2, b0 b1, b0 b2, b1 b2 of Bloch columns bt (3 x m)."""
-    b0, b1, b2 = bt
-    return np.stack([b0 * b0, b1 * b1, b2 * b2, b0 * b1, b0 * b2, b1 * b2])
+    """Rows b0 b0, b1 b1, b2 b2, b0 b1, b0 b2, b1 b2 of Bloch columns bt
+    (3 x m), written straight into one array by three multiplications."""
+    out = np.empty((6, bt.shape[1]))
+    np.multiply(bt, bt, out=out[:3])
+    np.multiply(bt[0], bt[1:], out=out[3:5])
+    np.multiply(bt[1], bt[2], out=out[5])
+    return out
 
 
 def _chol_solve(h6, c0: float, c1: float, c2: float):
@@ -389,14 +382,12 @@ def _ball_newton_point(h6: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
     return vecs @ np.array(coef)
 
 
-def mle_maximize(traces, bloch, init, *, eps_ball: float = 1e-6,
-                 products: np.ndarray | None = None):
+def mle_maximize(traces, bloch, init, *, eps_ball: float = 1e-6):
     """Maximize the history log-likelihood over the clamped ball.
 
     traces/bloch hold the applied elements in Bloch form; the likelihood of
     x is prod (traces_i + bloch_i . x) / 2, with probabilities floored at
-    1e-12 inside the log.  products optionally supplies _bloch_products of
-    bloch.T, which a caller growing the history builds once per element.
+    1e-12 inside the log.
 
     Newton ascent from init: each step maximizes the local quadratic model
     over the ball |x| <= 1 - eps_ball (_ball_newton_point), and
@@ -413,8 +404,7 @@ def mle_maximize(traces, bloch, init, *, eps_ball: float = 1e-6,
     if traces.size == 0:
         raise ValueError("history must be nonempty")
     bt = bloch.T
-    if products is None:
-        products = _bloch_products(bt)
+    products = _bloch_products(bt)
     rho = 1.0 - eps_ball
     floor = 2.0 * PROB_FLOOR
     x = clamp_to_ball(np.asarray(init, dtype=float), eps_ball)
@@ -515,9 +505,10 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     A step works on Python floats and creates no list: the design is the 12
     floats of _optimal_branches and the design estimate three floats.  Each
     step appends its trace, Bloch vector and outcome to one flat list, which
-    the next solve writes into the history arrays (Bloch columns, their
-    pairwise products, traces and outcomes); m_max is a checkpoint, so the
-    arrays are complete when the trial ends.
+    the next solve writes into the history arrays (traces, Bloch columns and
+    outcomes); m_max is a checkpoint, so the arrays are complete when the
+    trial ends.  The pairwise Bloch products that the solve and the rebuilt
+    I need are formed from the columns at each solve.
     """
     checkpoints = checkpoint_schedule(cfg.m_max)
     weight = cfg.weight
@@ -527,7 +518,6 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     m_max = cfg.m_max
     traces = np.empty(m_max)
     bloch = np.empty((3, m_max))
-    products = np.empty((6, m_max))
     outcomes = np.empty(m_max, dtype=np.int8)
     estimates = []
     # (trace, Bloch vector, outcome) of each step since the last solve, end
@@ -554,14 +544,13 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
         written = n - block.shape[1]
         traces[written:n] = block[0]
         bloch[:, written:n] = block[1:4]
-        products[:, written:n] = _bloch_products(block[1:4])
         outcomes[written:n] = block[4]
         steps.clear()
         x_mle, ok = mle_maximize(traces[:n], bloch[:, :n].T, (x0, x1, x2),
-                                 eps_ball=cfg.eps_ball, products=products[:, :n])
+                                 eps_ball=cfg.eps_ball)
         n_failed += not ok
         u = np.maximum(traces[:n] + x_mle @ bloch[:, :n], 2.0 * PROB_FLOOR)
-        info = (products[:, :n] @ (1.0 / (u * u))).tolist()
+        info = (_bloch_products(bloch[:, :n]) @ (1.0 / (u * u))).tolist()
         x0, x1, x2 = x_mle.tolist()
         if n == next_ckpt:
             estimates.append(x_mle)

@@ -57,8 +57,10 @@ def _check_ball(x: np.ndarray) -> np.ndarray:
     if x.ndim == 0 or x.shape[-1] != 3:
         raise ValueError(f"expected a 3-vector of Stokes parameters, got shape {x.shape}")
     # vecdot rounds as a single vector's x @ x does, row by row; a NaN fails
-    # every comparison, so the test is that the point lies inside
-    r2 = np.vecdot(x, x)
+    # every comparison, so the test is that the point lies inside, and a
+    # huge finite point's overflow to inf lies outside
+    with np.errstate(over="ignore"):
+        r2 = np.vecdot(x, x)
     outside = r2[~(r2 < 1.0)]
     if outside.size:
         first = x[~(r2 < 1.0)][0]

@@ -421,6 +421,21 @@ class TestClosedForms:
         assert anisotropy([4e-200, -4e-200, 4e-200]) == pytest.approx(2 / 3)
         assert np.isfinite(c_tomo_closed(RotWeight(1, 1), [0.0, 0.0, 2.8e-127]))
 
+    def test_anisotropy_scale_invariant_up_to_huge_radii(self):
+        # r^4 overflows above about 1e77 and r^2 above about 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert anisotropy([1e80] * 3) == anisotropy([1.0, 1.0, 1.0])
+            assert anisotropy([1e200, 0.0, -1e200]) == anisotropy([1.0, 0.0, -1.0])
+            assert anisotropy([0.0, 3e300, 0.0]) == 0.0
+            ordinary = np.random.default_rng(35).standard_normal((20, 3))
+            got = anisotropy(np.concatenate([ordinary, [[1e80] * 3, [0.0, -1e160, 1e-10]]]))
+        assert np.array_equal(got[20:], [anisotropy([1.0, 1.0, 1.0]), 0.0])
+        # the rows between the two rescaled ranges keep their bits
+        r2 = np.vecdot(ordinary, ordinary)
+        assert np.array_equal(got[:20], 1.0 - np.sum(ordinary ** 4, axis=-1)
+                              / np.float_power(r2, 2))
+
     def test_overflowing_merits_rejected(self, recwarn):
         x = np.array([0.1, 0.0, 0.0])
         with pytest.raises(ValueError, match="merit overflows"):
@@ -552,6 +567,20 @@ class TestMubTomographySweep:
         assert [r for r, _, _ in rows] == [0.1, 0.2]
         assert all(ct >= cgm for _, cgm, ct in rows)
 
+    @pytest.mark.parametrize("coord", [(-1, 0), (7, 0), (4, 0), (0, 2), (0, -1), (1.0, 0)])
+    def test_coordinate_outside_the_model_is_named(self, coord):
+        from qest.measurements import mub_bases
+        message = (r"^coord must be two integers with 0 <= basis <= 3 and 0 <= vector <= 1, "
+                   rf"got \({coord[0]}, {coord[1]}\)$")
+        with pytest.raises(ValueError, match=message):
+            mub_tomography_sweep(mub_bases(3), [0.1], coord)
+
+    def test_last_coordinate_of_each_range_is_swept(self):
+        from qest.measurements import mub_bases
+        family = mub_bases(3)
+        rows = mub_tomography_sweep(family, [0.1], (np.int64(3), 1))
+        assert rows == mub_tomography_sweep(family, [0.1], (3, 1)) and len(rows) == 1
+
     def test_verify_check_fails_when_the_sweep_stops_early(self, monkeypatch):
         import qest.bounds as bd
         from qest.verify import check_mub_bound_sweep
@@ -647,6 +676,28 @@ class TestUnitTraceMinimum:
     def test_bad_target_is_named(self, s, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             min_trace_unit_trace(np.array(s))
+
+    def test_singular_newton_hessian_is_named(self):
+        # condition number 2.5e11: accepted as positive definite, but for
+        # about half of the rotations a Newton Hessian is singular in floats
+        # (209 of 400 on an AVX-512 Xeon with OpenBLAS 0.3.31)
+        message = "unit-trace Newton Hessian is singular to working precision"
+        rng = np.random.default_rng(0)
+        stuck = []
+        for _ in range(40):
+            q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            s = q @ np.diag([1.9e-6, 7.2e4, 4.8e5]) @ q.T
+            s = (s + s.T) / 2
+            try:
+                min_trace_unit_trace(s)
+            except NoConvergenceError as exc:
+                assert str(exc) == message
+                stuck.append(s)
+        if not stuck:
+            # whether a pivot is exactly zero depends on the BLAS kernel's rounding
+            pytest.skip("no Newton Hessian was exactly singular under this BLAS")
+        with pytest.raises(NoConvergenceError, match=f"^case 1, 0: {message}$"):
+            min_trace_unit_trace(np.array([[np.eye(3), np.eye(3)], [stuck[0], np.eye(3)]]))
 
     def test_step_cap_raises_with_the_last_decrement(self, monkeypatch):
         monkeypatch.setattr(bounds, "UNIT_TRACE_MAX_STEPS", 1)
@@ -827,6 +878,17 @@ class TestInfiniteEntryNamed:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^Stokes vector .* has non-finite entries$"):
                 call([bad, 0.0, 0.0])
+
+    @pytest.mark.parametrize("call", [
+        tomography_fisher, tomography_weight, lambda x: c_tomo_closed(RotWeight(1.0, 1.0), x),
+        lambda x: tomo_excess(x, np.eye(3)),
+    ], ids=["tomography_fisher", "tomography_weight", "c_tomo_closed", "tomo_excess"])
+    def test_huge_finite_stokes_vector_named(self, call):
+        # its squared norm overflows to inf, which lies outside the ball
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfBallError, match=r"^\|x\| = inf >= 1$"):
+                call([1e200, 0.0, 0.0])
 
     @pytest.mark.parametrize("direction", [[np.nan, 0.0, 0.0], [1.0, np.inf, 0.0],
                                            [[1.0, 0.0, 0.0], [0.0, np.nan, 1.0]]])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,15 @@ class TestSimulate:
         assert capsys.readouterr().err == ("error: x0 must be a Stokes vector strictly "
                                            "inside the ball\n")
 
+    @pytest.mark.parametrize("x0", ["1e200,0,0", "0,-1e160,1e155"])
+    def test_huge_x0_is_a_usage_error_without_a_numpy_warning(self, x0, capsys):
+        # x0 @ x0 overflows to inf, which lies outside
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["simulate", "--x0", x0]) == 2
+        assert capsys.readouterr().err == ("error: x0 must be a Stokes vector strictly "
+                                           "inside the ball\n")
+
     @pytest.mark.parametrize("text", ["[1,2]", '"x"', "3", "null"])
     def test_config_that_is_not_an_object_is_a_usage_error(self, text, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -305,6 +315,14 @@ class TestIndicatrix:
 
     def test_point_outside_the_ball(self, capsys):
         assert run_cli(["indicatrix", "--x", "0.9,0.9,0"]) == 2
+        assert capsys.readouterr().err == "error: point must lie strictly inside the unit ball\n"
+
+    @pytest.mark.parametrize("weight", ["identity", "qfi", "tomography"])
+    def test_huge_point_is_a_usage_error_without_a_numpy_warning(self, weight, capsys):
+        # x @ x overflows to inf, which lies outside
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["indicatrix", "--x", "1e200,0,0", "--weight", weight]) == 2
         assert capsys.readouterr().err == "error: point must lie strictly inside the unit ball\n"
 
 

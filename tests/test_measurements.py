@@ -412,6 +412,22 @@ class TestNonFiniteInputNamed:
             with pytest.raises(InvalidPovmError, match="^POVM 1: elements have non-finite"):
                 check_povm_ops(stack)
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("where, bad", [((2, 0, 0), np.nan), ((0, 2, 0), np.inf),
+                                            ((1, 1, 2), complex(np.inf, np.nan))])
+    def test_povm_element_beyond_qubits(self, dim, where, bad):
+        # eigvalsh of such a 3x3 or 4x4 element does not converge
+        ops = random_povm(dim, 3, np.random.default_rng(1)).ops.copy()
+        ops[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPovmError, match="^elements have non-finite entries$"):
+                check_povm_ops(ops)
+            stack = np.array([random_povm(dim, 3, np.random.default_rng(2)).ops, ops, ops])
+            with pytest.raises(InvalidPovmError,
+                               match="^POVM 1: elements have non-finite entries$"):
+                check_povm_ops(stack)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_mub_basis(self, bad):
         bases = mub_bases(2).bases.copy()
@@ -520,6 +536,12 @@ class TestPositivityCertificate:
         rng = np.random.default_rng(40 + dim)
         cases = dict(self._cases(rng, dim))
         for name, ops in cases.items():
+            if name in ("nan", "inf"):
+                assert _outcome(check_povm_ops, ops) == \
+                    (InvalidPovmError, "elements have non-finite entries"), name
+                if dim > 2:
+                    # the oracle's eigvalsh does not converge on these
+                    continue
             assert _outcome(check_povm_ops, ops) == _outcome(_eigenvalue_check_povm_ops, ops), name
         two = [ops for ops in cases.values() if len(ops) == 2]
         for order in (two, two[::-1], two[2:] + two[:2]):

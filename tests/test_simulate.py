@@ -13,7 +13,6 @@ from qest.simulate import (
     clamp_to_ball,
     mle_maximize,
     monte_carlo,
-    resolve_weight,
     theoretical_merits,
     tomography_estimate,
     _merits,
@@ -22,7 +21,8 @@ from qest.simulate import (
     _trial_block,
 )
 from qest.states import qubit_qfi, qubit_state
-from qest.bounds import ROT_WEIGHTS, classical_fisher, qcr_min_trace, tomography_weight
+from qest.bounds import (ROT_WEIGHTS, classical_fisher, qcr_min_trace, resolve_weight,
+                         tomography_weight)
 from qest.states import qubit_slds
 
 X0 = np.array([0.55, 0.55, 0.55])
@@ -146,6 +146,15 @@ class TestMleMaximize:
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             mle_maximize(np.empty(0), np.empty((0, 3)), np.zeros(3))
+
+    @pytest.mark.parametrize("n", [1, 7, 3000])
+    def test_bloch_products_of_a_history_view(self, n):
+        # adaptive_run passes the first n columns of its (3, m_max) history
+        from qest.simulate import _bloch_products
+        bloch = np.random.default_rng(n).standard_normal((3, 3000))
+        b0, b1, b2 = view = bloch[:, :n]
+        want = np.array([b0 * b0, b1 * b1, b2 * b2, b0 * b1, b0 * b2, b1 * b2])
+        assert np.array_equal(_bloch_products(view), want)
 
 
 class TestOptimalBranches:
@@ -523,6 +532,14 @@ class TestInputValidation:
             dataclasses.replace(cfg, x0=[1.5, 0.0, 0.0])
         custom = RunConfig(x0=X0, weight=np.diag([2.0, 1.0, 0.5]))
         assert np.array_equal(dataclasses.replace(custom, seed=3).weight, custom.weight)
+
+    @pytest.mark.parametrize("x0", [[1e200, 0.0, 0.0], [0.0, -1e160, 1e155]])
+    def test_huge_x0_is_named_without_a_numpy_warning(self, x0):
+        # x0 @ x0 overflows to inf, which lies outside
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x0 must be a Stokes vector"):
+                RunConfig(x0=x0)
 
     def test_equal_records_compare_and_hash_equal(self):
         for weight in ("qfi", np.diag([2.0, 1.0, 0.5])):
@@ -1137,8 +1154,7 @@ def _per_step_adaptive_run(cfg, rng):
             step = _chol_solve(info, b0 / u, b1 / u, b2 / u)
             anchored = step is None
         if anchored:
-            x_hat, ok = mle_maximize(traces[:n], bloch[:, :n].T, x_hat,
-                                     eps_ball=cfg.eps_ball, products=products[:, :n])
+            x_hat, ok = mle_maximize(traces[:n], bloch[:, :n].T, x_hat, eps_ball=cfg.eps_ball)
             n_failed += not ok
             u = np.maximum(traces[:n] + x_hat @ bloch[:, :n], 2.0 * PROB_FLOOR)
             info = (products[:, :n] @ (1.0 / (u * u))).tolist()

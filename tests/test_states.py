@@ -359,6 +359,15 @@ class TestNonFiniteStokesVectorNamed:
             with pytest.raises(ValueError, match=r"^Stokes vector \[.*\] has non-finite entries$"):
                 call(x)
 
+    @pytest.mark.parametrize("call", [qubit_qfi, qubit_state, qubit_slds,
+                                      lambda x: qubit_bures(x, np.zeros(3))])
+    @pytest.mark.parametrize("x", [[1e200, 0.0, 0.0], [[0.1, 0.2, 0.3], [0.0, -1e155, 1e160]]])
+    def test_huge_finite_x_is_named_without_a_numpy_warning(self, call, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfBallError, match=r"^\|x\| = inf >= 1$"):
+                call(x)
+
     @pytest.mark.parametrize("y", [[np.nan, 0.0, 0.0], [[0.0, 0.0, 0.5], [0.0, -np.nan, 2.0]]])
     def test_nan_in_y_is_named_not_measured(self, y):
         with warnings.catch_warnings():
