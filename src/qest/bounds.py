@@ -30,6 +30,11 @@ SYM_TOL = 1e-10
 # rounding of the value
 UNIT_TRACE_MAX_STEPS = 50000
 UNIT_TRACE_RTOL = 1e-14
+# the share of its value by which a min_trace_unit_trace result may exceed
+# the minimum, as bounded by _certify_unit_trace: rounding in G^-1 S G^-1
+# gives accurate results bounds up to about 1e-3 at condition number 2.5e11,
+# and a run that stalls there reads 1e6 and more
+UNIT_TRACE_GAP = 1e-2
 # a float below this squares without overflow
 _SQRT_MAX = math.sqrt(sys.float_info.max)
 
@@ -71,10 +76,18 @@ class RotWeight(ValueRecord):
             raise ValueError("weight values must be positive and finite")
 
 
-def qfi_rot_weight(r: float) -> RotWeight:
-    """Rotational values reproducing the qubit Fisher matrix at radius r."""
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius {r} outside [0, 1)")
+def _check_radius(r) -> None:
+    """Reject a radius, or any radius of an array, outside [0, 1), naming
+    the first; a NaN fails both comparisons."""
+    inside = np.asarray((0.0 <= r) & (r < 1.0))
+    if not inside.all():
+        raise ValueError(f"radius {np.ravel(r)[~inside.ravel()][0]} outside [0, 1)")
+
+
+def qfi_rot_weight(r) -> RotWeight:
+    """Rotational values reproducing the qubit Fisher matrix at radius r;
+    an array of radii gives a stack of weights."""
+    _check_radius(r)
     return RotWeight(1.0, 1.0 / (1.0 - r * r))
 
 
@@ -405,9 +418,7 @@ def c_opt_closed(w: RotWeight, r):
     (2 sqrt(f) + sqrt((1-r^2) g))^2.  A float, or an array over arrays of
     radii and of weight values, which broadcast.
     """
-    inside = np.asarray((0.0 <= r) & (r < 1.0))
-    if not inside.all():
-        raise ValueError(f"radius {np.ravel(r)[~inside.ravel()][0]} outside [0, 1)")
+    _check_radius(r)
     root = 2.0 * np.sqrt(w.transverse) + np.sqrt((1.0 - r * r) * w.radial)
     if not np.asarray(root < _SQRT_MAX).all():
         raise ValueError("merit overflows for these weight values")
@@ -420,16 +431,19 @@ def anisotropy(x):
 
     Ranges over [0, 2/3]; zero exactly on the coordinate axes, 2/3 exactly
     along the (+-1, +-1, +-1) diagonals.  A float, or an array over a stack
-    (..., 3).
+    (..., 3).  A point with a non-finite entry is a ValueError.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         r2 = np.vecdot(x, x)
-    odd = (r2 < 1e-100) | (r2 > _SQRT_MAX)
+    # a NaN fails both tests
+    odd = ~((r2 >= 1e-100) & (r2 <= _SQRT_MAX))
     if odd.any():
         # t is scale invariant, and r^4 would underflow or overflow; the
         # origin is scored as an axis point, whose t is 0
         peak = np.max(np.abs(x), axis=-1)
+        if not np.isfinite(peak[odd]).all():
+            raise ValueError("point has non-finite entries")
         x = x / np.where(odd & (peak > 0.0), peak, 1.0)[..., None]
         x[..., 0] = np.where(peak == 0.0, 1.0, x[..., 0])
         r2 = np.vecdot(x, x)
@@ -473,10 +487,12 @@ def gm_lower_bound(j: np.ndarray, h: np.ndarray, hilbert_dim: int) -> float:
     on a q-dimensional system.
 
     For q = 2 this is the attained minimum; for q >= 3 it is reported only
-    as a bound (attainability is not established).
+    as a bound (attainability is not established).  q = hilbert_dim must be
+    an integer of at least 2.
     """
-    if hilbert_dim < 2:
-        raise ValueError("hilbert_dim must be at least 2")
+    if isinstance(hilbert_dim, bool) or not isinstance(hilbert_dim, (int, np.integer)) \
+            or hilbert_dim < 2:
+        raise ValueError(f"hilbert_dim must be an integer of at least 2, got {hilbert_dim!r}")
     return qcr_min_trace(j, h).bound / (hilbert_dim - 1)
 
 
@@ -489,7 +505,7 @@ def mub_tomography_sweep(family: MubFamily, radii, coord: tuple[int, int] = (0, 
     Fisher-matrix weight.  The sweep stops at the first radius whose state
     is not positive.  All radii are scored as one stack, each row with the
     bits of its own point's calls.  coord must be two integers with
-    0 <= basis <= q and 0 <= vector <= q - 2.
+    0 <= basis <= q and 0 <= vector <= q - 2, and every radius finite.
     """
     q = family.q
     basis, vector = coord
@@ -498,6 +514,9 @@ def mub_tomography_sweep(family: MubFamily, radii, coord: tuple[int, int] = (0, 
         raise ValueError(f"coord must be two integers with 0 <= basis <= {q} and "
                          f"0 <= vector <= {q - 2}, got {tuple(coord)}")
     radii = np.asarray(radii, dtype=float).reshape(-1)
+    bad = radii[~np.isfinite(radii)]
+    if bad.size:
+        raise ValueError(f"radius {bad[0]} is not finite")
     coords = np.zeros((len(radii), q + 1, q - 1))
     coords[(slice(None), *coord)] = radii
     rho, low = _mub_states(coords, family)
@@ -591,9 +610,11 @@ def min_trace_unit_trace(s: np.ndarray) -> tuple:
     on the positive definite cone, so Newton converges from I/d.  It takes
     no square root of S, so it serves as an oracle independent of the
     closed-form answer (Tr sqrt(S))^2.  Raises NoConvergenceError when
-    UNIT_TRACE_MAX_STEPS steps do not reach a stop, or when a Newton
-    Hessian is singular to working precision, as it can be for a target of
-    condition number near 1e12.
+    UNIT_TRACE_MAX_STEPS steps do not reach a stop, when a Newton Hessian
+    is singular to working precision, as it can be for a target of
+    condition number near 1e12, or when the stop is not certified: the
+    value may exceed the minimum by more than UNIT_TRACE_GAP of itself
+    (_certify_unit_trace).
 
     A stack (..., d, d) of targets gives values (...) and minimizers
     (..., d, d).  Each case takes its own steps and halvings, with the bits
@@ -710,7 +731,25 @@ def _unit_trace_newton(s: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndar
         val[at] = cand_val[moved]
         running, decrement = running[going], decrement[going]
         if not running.size:
+            _certify_unit_trace(s, val, ginv, shape)
             return val, g
     raise NoConvergenceError(f"{_case_prefix(shape, running[0])}unit-trace minimum not reached "
                              f"in {UNIT_TRACE_MAX_STEPS} Newton steps; last decrement "
                              f"{decrement[0]:.3e}")
+
+
+def _certify_unit_trace(s: np.ndarray, val: np.ndarray, ginv: np.ndarray, shape: tuple) -> None:
+    """Reject the first case whose value may exceed the minimum by more than
+    UNIT_TRACE_GAP of itself.  Tr S G^-1 is convex with gradient -B, B =
+    G^-1 S G^-1, and Tr B G' is at most lambda_max(B) over the unit-trace
+    G' >= 0, so the minimum is at least val - (lambda_max(B) - val): the
+    gap lambda_max(B) - val bounds the excess, and is 0 at the minimum,
+    where B = val I."""
+    b = ginv @ s @ ginv
+    gap = np.linalg.eigvalsh((b + b.mT) / 2)[:, -1] - val
+    bad = np.flatnonzero(~(gap <= UNIT_TRACE_GAP * val))
+    if bad.size:
+        k = bad[0]
+        raise NoConvergenceError(f"{_case_prefix(shape, k)}unit-trace Newton stopped at "
+                                 f"{val[k]:.6e}, which may exceed the minimum by up to "
+                                 f"{gap[k]:.3e}")

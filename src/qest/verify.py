@@ -75,25 +75,6 @@ def _random_povm_ops(parts) -> np.ndarray:
     return ops
 
 
-def _states_at(points, idx):
-    """The ModelDerivatives of the states points.rho[idx], which share their
-    partials."""
-    return st.ModelDerivatives(rho=points.rho[idx], partials=points.partials,
-                               slds=tuple(s[idx] for s in points.slds))
-
-
-def _random_povm_fishers(points, at, parts) -> np.ndarray:
-    """Fisher matrix of each random POVM drawn as Gaussian parts, POVM i at
-    state at[i] of the stack `points` (ModelDerivatives of states sharing
-    their partials).
-
-    One padded stack (_random_povm_ops) and one classical_fisher call;
-    matrix i has the bits of classical_fisher at that one state of
-    random_povm on the same draw.
-    """
-    return bd.classical_fisher(_states_at(points, at), _random_povm_ops(parts))
-
-
 # ---------------------------------------------------------------------------
 # lemma suite
 # ---------------------------------------------------------------------------
@@ -125,7 +106,9 @@ def check_rank_one_hat_fisher(rng, cases: int = 50) -> CheckResult:
 def check_info_trace_bound(rng, povms_per_dim: int = 100) -> CheckResult:
     """Tr of the normalized Fisher matrix never exceeds dim - 1.
 
-    POVM i is scored at point i % 10, so povms_per_dim is a multiple of 10.
+    POVM i is scored at point i % 10, so povms_per_dim is a multiple of 10:
+    as row i // 10, column i % 10 of a (povms_per_dim // 10, 10) stack, POVM
+    i meets its point by broadcasting, and each J is decomposed once.
     """
     _require_size("povms_per_dim", povms_per_dim, multiple=10)
     worst_excess = -np.inf
@@ -139,9 +122,9 @@ def check_info_trace_bound(rng, povms_per_dim: int = 100) -> CheckResult:
         qfis = st.model_qfi(points)
         parts = [ms.random_povm_parts(q, int(rng.integers(2, 2 * q + 2)), rng)
                  for _ in range(povms_per_dim)]
-        gs = _random_povm_fishers(points, np.arange(povms_per_dim) % 10, parts)
-        # row i // 10, column i % 10: each J is decomposed once for its POVMs
-        ghat = bd.hat_fisher(gs.reshape((-1,) + qfis.shape), qfis)
+        ops = _random_povm_ops(parts)
+        gs = bd.classical_fisher(points, ops.reshape((povms_per_dim // 10, 10) + ops.shape[1:]))
+        ghat = bd.hat_fisher(gs, qfis)
         worst_excess = max(worst_excess,
                            float(np.max(np.trace(ghat, axis1=-2, axis2=-1))) - (q - 1))
     return CheckResult("info-trace-bound", worst_excess <= 1e-9,
@@ -157,14 +140,16 @@ def check_fisher_convexity(rng, cases: int = 30) -> CheckResult:
         parts.append(ms.random_povm_parts(2, int(rng.integers(2, 5)), rng))
         parts.append(ms.random_povm_parts(2, int(rng.integers(2, 5)), rng))
         ps.append(rng.random())
-    # case i mixes POVM 2i with probability p[i] and POVM 2i + 1 with 1 - p[i]
+    # case i mixes POVM 2i with probability p[i] and POVM 2i + 1 with
+    # 1 - p[i]: pairs[k, i] is POVM 2i + k, which meets point i
     points, p = st.qubit_slds(np.array(xs)), np.array(ps)
     ops = _random_povm_ops(parts)
-    gs = bd.classical_fisher(_states_at(points, np.arange(len(parts)) // 2), ops)
-    rhs = p[:, None, None] * gs[0::2] + (1.0 - p[:, None, None]) * gs[1::2]
+    pairs = ops.reshape((cases, 2) + ops.shape[1:]).swapaxes(0, 1)
+    gs = bd.classical_fisher(points, pairs)
+    rhs = p[:, None, None] * gs[0] + (1.0 - p[:, None, None]) * gs[1]
     # the padding's zero elements stay zero in the mixture
     w = p[:, None, None, None]
-    mixed = np.concatenate([w * ops[0::2], (1.0 - w) * ops[1::2]], axis=-3)
+    mixed = np.concatenate([w * pairs[0], (1.0 - w) * pairs[1]], axis=-3)
     ms.check_povm_ops(mixed)
     worst = float(np.max(np.abs(bd.classical_fisher(points, mixed) - rhs)))
     return CheckResult("fisher-convexity", worst <= 1e-10,
@@ -256,7 +241,8 @@ def check_bound_ordering(rng, cases: int = 40) -> CheckResult:
         a = rng.standard_normal((3, 3))
         hs.append(a @ a.T + 0.2 * np.eye(3))
         parts.append(ms.random_povm_parts(2, int(rng.integers(4, 8)), rng))
-    gs = _random_povm_fishers(st.qubit_slds(np.array(xs)), np.arange(cases), parts)
+    # POVM i at point i
+    gs = bd.classical_fisher(st.qubit_slds(np.array(xs)), _random_povm_ops(parts))
     # a POVM whose Fisher matrix is numerically singular is skipped
     keep = ~(np.linalg.eigvalsh(gs)[:, 0] < 1e-10)
     h, j = np.array(hs)[keep], st.qubit_qfi(np.array(xs)[keep])
@@ -355,9 +341,8 @@ def check_limit_values() -> CheckResult:
     ok = 4.0 <= c_near_one <= 4.01 and 5.99 <= ct_near_one <= 6.01
     ct_at_9999 = bd.c_tomo_closed(ident, 0.9999 * v)
     ok = ok and 5.99 <= ct_at_9999 <= 6.01
-    worst_nine = 0.0
-    for r in np.arange(0.0, 0.996, 0.05):
-        worst_nine = max(worst_nine, abs(bd.c_opt_closed(bd.qfi_rot_weight(r), r) - 9.0))
+    radii = np.arange(0.0, 0.996, 0.05)
+    worst_nine = float(np.max(np.abs(bd.c_opt_closed(bd.qfi_rot_weight(radii), radii) - 9.0)))
     ct_fisher = bd.c_tomo_closed(bd.qfi_rot_weight(0.995), 0.995 * v)
     ok = ok and worst_nine <= 1e-8 and ct_fisher > 100.0
     return CheckResult("limit-values", ok,

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -339,6 +340,23 @@ class TestRotationalWeights:
         with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
             qfi_rot_weight(r)
 
+    def test_qfi_values_over_an_array_of_radii(self):
+        radii = np.arange(0.0, 0.996, 0.05)
+        w = qfi_rot_weight(radii)
+        for k, r in enumerate(radii.tolist()):
+            one = qfi_rot_weight(r)
+            assert w.transverse == one.transverse and w.radial[k] == one.radial
+            assert c_opt_closed(w, radii)[k] == c_opt_closed(one, r)
+
+    @pytest.mark.parametrize("r, shown", [(1.5, "1.5"), (2, "2"), (np.nan, "nan"),
+                                          (np.array([0.5, -0.25, 2.0]), "-0.25")])
+    def test_one_radius_check_names_the_radius(self, r, shown):
+        message = rf"^radius {shown} outside \[0, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            qfi_rot_weight(r)
+        with pytest.raises(ValueError, match=message):
+            c_opt_closed(RotWeight(1.0, 1.0), r)
+
 
 class TestUnitDirection:
     def test_ordinary_rows_keep_their_bits(self):
@@ -435,6 +453,14 @@ class TestClosedForms:
         r2 = np.vecdot(ordinary, ordinary)
         assert np.array_equal(got[:20], 1.0 - np.sum(ordinary ** 4, axis=-1)
                               / np.float_power(r2, 2))
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
+                                   [[0.1, 0.2, 0.3], [0.0, -np.inf, 1.0]]])
+    def test_anisotropy_names_non_finite_points(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^point has non-finite entries$"):
+                anisotropy(x)
 
     def test_overflowing_merits_rejected(self, recwarn):
         x = np.array([0.1, 0.0, 0.0])
@@ -560,7 +586,24 @@ class TestGmLowerBound:
                 assert np.trace(h @ np.linalg.inv(g)) >= bound - 1e-6
 
 
+    @pytest.mark.parametrize("q", [2.5, 1, True, 2.0, "3"])
+    def test_dimension_must_be_an_integer_of_at_least_2(self, q):
+        j = np.eye(3)
+        message = rf"^hilbert_dim must be an integer of at least 2, got {re.escape(repr(q))}$"
+        with pytest.raises(ValueError, match=message):
+            gm_lower_bound(j, j, q)
+        assert gm_lower_bound(j, j, np.int64(3)) == gm_lower_bound(j, j, 3)
+
+
 class TestMubTomographySweep:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_radius_is_named(self, bad):
+        from qest.measurements import mub_bases
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^radius {bad} is not finite$"):
+                mub_tomography_sweep(mub_bases(3), [0.1, bad])
+
     def test_stops_at_the_first_non_positive_state(self):
         from qest.measurements import mub_bases
         rows = mub_tomography_sweep(mub_bases(3), [0.1, 0.2, 2.0, 0.3])
@@ -680,8 +723,10 @@ class TestUnitTraceMinimum:
     def test_singular_newton_hessian_is_named(self):
         # condition number 2.5e11: accepted as positive definite, but for
         # about half of the rotations a Newton Hessian is singular in floats
-        # (209 of 400 on an AVX-512 Xeon with OpenBLAS 0.3.31)
+        # (209 of 400 on an AVX-512 Xeon with OpenBLAS 0.3.31); most others
+        # stall and are refused by the certificate
         message = "unit-trace Newton Hessian is singular to working precision"
+        uncertified = r"^unit-trace Newton stopped at \S+, which may exceed the minimum by up to "
         rng = np.random.default_rng(0)
         stuck = []
         for _ in range(40):
@@ -691,13 +736,53 @@ class TestUnitTraceMinimum:
             try:
                 min_trace_unit_trace(s)
             except NoConvergenceError as exc:
-                assert str(exc) == message
-                stuck.append(s)
+                if str(exc) == message:
+                    stuck.append(s)
+                else:
+                    assert re.match(uncertified, str(exc))
         if not stuck:
             # whether a pivot is exactly zero depends on the BLAS kernel's rounding
             pytest.skip("no Newton Hessian was exactly singular under this BLAS")
         with pytest.raises(NoConvergenceError, match=f"^case 1, 0: {message}$"):
             min_trace_unit_trace(np.array([[np.eye(3), np.eye(3)], [stuck[0], np.eye(3)]]))
+
+    def test_stalled_run_is_not_certified(self):
+        # the rotations of test_singular_newton_hessian_is_named that do not
+        # hit a singular Hessian used to stall and return up to about 109
+        # times the minimum; every value returned is now within
+        # UNIT_TRACE_GAP of it
+        uncertified = r"unit-trace Newton stopped at \S+, which may exceed the minimum by up to "
+        rng = np.random.default_rng(0)
+        refused = []
+        for _ in range(40):
+            q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            s = q @ np.diag([1.9e-6, 7.2e4, 4.8e5]) @ q.T
+            s = (s + s.T) / 2
+            try:
+                val, _ = min_trace_unit_trace(s)
+            except NoConvergenceError as exc:
+                if re.match(f"^{uncertified}", str(exc)):
+                    refused.append(s)
+                continue
+            closed = float(np.sum(np.sqrt(np.linalg.eigvalsh(s)))) ** 2
+            assert val <= (1.0 + bounds.UNIT_TRACE_GAP) * closed
+        if not refused:
+            pytest.skip("no run stalled under this BLAS")
+        with pytest.raises(NoConvergenceError, match=f"^case 0, 1: {uncertified}"):
+            min_trace_unit_trace(np.array([[np.eye(3), refused[0]]]))
+
+    def test_certificate_passes_condition_numbers_up_to_1e12(self):
+        # a tolerance of sqrt(UNIT_TRACE_RTOL) on B's residual refuses some
+        # of these from 1e7 on, although every value is within 1e-9 of
+        # (Tr sqrt S)^2
+        rng = np.random.default_rng(3)
+        for k in range(2, 13):
+            for _ in range(10):
+                q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+                s = q @ np.diag([1.0, 10.0 ** (k / 2), 10.0 ** k]) @ q.T
+                val, _ = min_trace_unit_trace((s + s.T) / 2)
+                closed = float(np.sum(np.sqrt(np.linalg.eigvalsh((s + s.T) / 2)))) ** 2
+                assert val == pytest.approx(closed, rel=1e-9)
 
     def test_step_cap_raises_with_the_last_decrement(self, monkeypatch):
         monkeypatch.setattr(bounds, "UNIT_TRACE_MAX_STEPS", 1)

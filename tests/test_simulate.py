@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -60,6 +61,20 @@ class TestClampToBall:
         est = tomography_estimate(np.array([[0, 10], [3, 7], [5, 5]]))
         assert est[0] == 1.0
         qubit_state(clamp_to_ball(est))  # must not raise
+
+    @pytest.mark.parametrize("eps", [1.0, -0.5, float("nan")])
+    def test_margin_outside_the_unit_interval_named(self, eps):
+        # eps = 1 collapsed every point to the origin, eps < 0 kept a point
+        # outside the state space, and a NaN was reported as a bad point;
+        # RunConfig names the same margin with the same message
+        message = rf"^eps_ball must lie strictly between 0 and 1, got {eps!r}$"
+        for call in (lambda: clamp_to_ball([0.5, 0.0, 0.0], eps),
+                     lambda: clamp_to_ball([1.2, 0.0, 0.0], eps),
+                     lambda: mle_maximize(np.ones(2), [[0.0, 0.0, 0.5], [0.5, 0.0, 0.0]],
+                                          np.zeros(3), eps_ball=eps),
+                     lambda: RunConfig(x0=X0, eps_ball=eps)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestCheckpointSchedule:
@@ -146,6 +161,33 @@ class TestMleMaximize:
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             mle_maximize(np.empty(0), np.empty((0, 3)), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["traces", "bloch"])
+    def test_non_finite_history_named(self, where, bad):
+        # an infinite trace used to return the start point, certified
+        traces, bloch = np.ones(4), np.zeros((4, 3))
+        bloch[:, 2] = 0.5
+        if where == "traces":
+            traces[0] = bad
+        else:
+            bloch[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^history has non-finite traces or Bloch rows$"):
+                mle_maximize(traces, bloch, np.zeros(3))
+
+    @pytest.mark.parametrize("traces, bloch", [
+        (np.ones(4), np.zeros((3, 3))),
+        (np.ones(4), np.zeros((3, 4))),
+        (np.ones((4, 1)), np.zeros((4, 3))),
+        (np.ones(3), np.zeros(3)),
+    ])
+    def test_unpaired_history_named(self, traces, bloch):
+        message = (r"^history needs traces \(m,\) and Bloch rows \(m, 3\), "
+                   rf"got {re.escape(str(traces.shape))} and {re.escape(str(bloch.shape))}$")
+        with pytest.raises(ValueError, match=message):
+            mle_maximize(traces, bloch, np.zeros(3))
 
     @pytest.mark.parametrize("n", [1, 7, 3000])
     def test_bloch_products_of_a_history_view(self, n):

@@ -85,7 +85,7 @@ def test_stacked_fishers_have_the_per_povm_bits():
     rng = np.random.default_rng(5)
     xs = np.array([vf._random_interior_point(rng) for _ in range(30)])
     parts = [ms.random_povm_parts(2, int(n), rng) for n in rng.integers(2, 6, size=30)]
-    gs = vf._random_povm_fishers(st.qubit_slds(xs), np.arange(30), parts)
+    gs = bd.classical_fisher(st.qubit_slds(xs), vf._random_povm_ops(parts))
 
     class Replay:
         """A generator stand-in that hands random_povm a recorded draw."""
