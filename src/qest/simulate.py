@@ -3,7 +3,7 @@
 One adaptive trial alternates: derive the merit-optimal random measurement
 at the running design estimate, sample one outcome from the true state, and
 move the design estimate by one O(1) scoring step on the observed
-information, on Python floats for rotational weights.  At each checkpoint of
+information, all in one kernel on Python floats.  At each checkpoint of
 a fixed geometric grid the design estimate is reset to the certified
 constrained maximum-likelihood estimate over the recorded history, and that
 certified estimate is what the checkpoint reports.  Monte Carlo aggregation
@@ -39,6 +39,7 @@ from .linalg import ValueRecord, read_only
 from .states import qubit_bures, qubit_qfi
 
 PROB_FLOOR = 1e-12
+_PIVOT_RTOL = 1e-12
 # the certificate accepts a point whose ball-constrained Newton step predicts
 # a log-likelihood ascent of at most CERT_TOL * max(1, |L| / 1000), L the
 # summed log terms: 1e-10 absolute, and a few hundred rounding units of L
@@ -256,49 +257,22 @@ def tomography_estimate(counts: np.ndarray) -> np.ndarray:
 
 
 def _optimal_branches(x, weight):
-    """The merit-optimal random measurement at x in Bloch form, as the 12
-    floats (p0, p1, p2, axis0, axis1, axis2) of its branch probabilities and
-    PVM axes.
-
-    Branch i measures the PVM with projectors (I +- axis_i.sigma)/2 and is
-    chosen with probability p_i.  weight is a selector or a fixed matrix.
-    The rotational selectors "identity" and "qfi" have a weight
-    f (I - n n^T) + g n n^T, n = x/|x|, with f = 1 and g = 1 or 1/(1 - r^2):
-    J^-1/2 H J^-1/2 has eigenvalues f, f on the plane orthogonal to n and
-    (1 - r^2) g along n, and sqrt(J) leaves those eigenvectors' directions
-    unchanged, so the axes are n and an orthonormal pair orthogonal to it,
-    chosen with weights sqrt((1 - r^2) g), sqrt(f), sqrt(f).  "tomography"
-    gets the uniform Pauli mixture, optimal for its weight at every x.  A
-    fixed matrix is handed to bounds.qubit_design, which keeps a branch it
-    drops in place as probability 0 and axis 0.
+    """The merit-optimal random measurement at x for a fixed 3x3 weight, as
+    the 12 floats (p0, p1, p2, axis0, axis1, axis2) of its branch
+    probabilities and PVM axes, from bounds.qubit_design; a dropped branch
+    stays in place as probability 0 and axis 0.  Branch i measures the PVM
+    with projectors (I +- axis_i.sigma)/2 and is chosen with probability p_i.
+    The selectors' designs are closed forms inside adaptive_run.
     """
-    if not isinstance(weight, str):
-        # the SLD Bloch vectors of the Stokes model are the rows of J
-        j = qubit_qfi(x)
-        sol = qubit_design(j, j, weight)
-        return (*sol.probs.tolist(), *sol.axes.ravel().tolist())
-    x0, x1, x2 = x
-    r2 = x0 * x0 + x1 * x1 + x2 * x2
-    if r2 == 0.0 or weight == "tomography":
-        third = 1.0 / 3.0
-        return third, third, third, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
-    w = math.sqrt(1.0 - r2) if weight == "identity" else 1.0
-    s = math.sqrt(r2)
-    n0, n1, n2 = x0 / s, x1 / s, x2 / s
-    # Gram-Schmidt on the first coordinate axis least aligned with n; the
-    # off-axis entries are 0.0 - t, not -t, which would turn +0.0 into -0.0
-    m0, m1, m2 = abs(n0), abs(n1), abs(n2)
-    if m0 <= m1 and m0 <= m2:
-        a0, a1, a2 = 1.0 - n0 * n0, 0.0 - n0 * n1, 0.0 - n0 * n2
-    elif m1 <= m2:
-        a0, a1, a2 = 0.0 - n1 * n0, 1.0 - n1 * n1, 0.0 - n1 * n2
-    else:
-        a0, a1, a2 = 0.0 - n2 * n0, 0.0 - n2 * n1, 1.0 - n2 * n2
-    na = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
-    a0, a1, a2 = a0 / na, a1 / na, a2 / na
-    total = w + 2.0
-    return (w / total, 1.0 / total, 1.0 / total, n0, n1, n2, a0, a1, a2,
-            n1 * a2 - n2 * a1, n2 * a0 - n0 * a2, n0 * a1 - n1 * a0)
+    # the SLD Bloch vectors of the Stokes model are the rows of J
+    j = qubit_qfi(x)
+    sol = qubit_design(j, j, weight)
+    return (*sol.probs.tolist(), *sol.axes.ravel().tolist())
+
+
+# the uniform Pauli mixture in the floats of _optimal_branches: the design of
+# "tomography" at every x, and of the rotational selectors at the origin
+_PAULI = (1.0 / 3.0,) * 3 + (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def _log_likelihood(traces: np.ndarray, bloch: np.ndarray, x: np.ndarray) -> float:
@@ -318,10 +292,10 @@ def _bloch_products(bt: np.ndarray) -> np.ndarray:
 
 def _chol_solve(h6, c0: float, c1: float, c2: float):
     """Solution (y0, y1, y2) of H y = c by Cholesky, H given as
-    (h00, h11, h22, h01, h02, h12); None when a pivot is at most 1e-12 Tr H,
+    (h00, h11, h22, h01, h02, h12); None when a pivot is at most _PIVOT_RTOL Tr H,
     that is when H is not numerically positive definite."""
     a00, a11, a22, a01, a02, a12 = h6
-    pivot = 1e-12 * (a00 + a11 + a22)
+    pivot = _PIVOT_RTOL * (a00 + a11 + a22)
     if not a00 > pivot:
         return None
     l00 = math.sqrt(a00)
@@ -452,56 +426,6 @@ def mle_maximize(traces, bloch, init, *, eps_ball: float = 1e-6):
     return x, False
 
 
-def _running_update(info: list, x0: float, x1: float, x2: float, p: float,
-                    b0: float, b1: float, b2: float, rho: float):
-    """One O(1) step of the running design estimate x after the element
-    (p I + b.sigma)/2 was observed: with u = max(p + b.x, 2 PROB_FLOOR), add
-    b b^T / u^2 to the observed information info (six entries, updated in
-    place) and return the three floats of x + info^-1 b / u clamped to the
-    ball of radius rho, or None when info is not positive definite."""
-    u = max(p + b0 * x0 + b1 * x1 + b2 * x2, 2.0 * PROB_FLOOR)
-    w = 1.0 / (u * u)
-    info[0] += b0 * b0 * w
-    info[1] += b1 * b1 * w
-    info[2] += b2 * b2 * w
-    info[3] += b0 * b1 * w
-    info[4] += b0 * b2 * w
-    info[5] += b1 * b2 * w
-    step = _chol_solve(info, b0 / u, b1 / u, b2 / u)
-    if step is None:
-        return None
-    y0, y1, y2 = x0 + step[0], x1 + step[1], x2 + step[2]
-    if math.sqrt(y0 * y0 + y1 * y1 + y2 * y2) <= rho:
-        return y0, y1, y2
-    return _clamp_point((y0, y1, y2), rho)
-
-
-def _draw_outcome(design: tuple, x_true, u: float) -> int:
-    """Outcome index, 2 * branch for the - projector and 2 * branch + 1 for
-    the +, of the design (the floats of _optimal_branches) measured on the
-    state x_true: min(bisect_right([q0, ..., q5], u * q5), 5) for the
-    running sums q of the outcome probabilities, probed in bisect_right's
-    own order, because a term can round below zero and then the q are not
-    monotone."""
-    p0, p1, p2, a00, a01, a02, a10, a11, a12, a20, a21, a22 = design
-    t0, t1, t2 = x_true
-    d = a00 * t0 + a01 * t1 + a02 * t2
-    q0 = p0 * (1.0 - d) / 2.0
-    q1 = q0 + p0 * (1.0 + d) / 2.0
-    d = a10 * t0 + a11 * t1 + a12 * t2
-    q2 = q1 + p1 * (1.0 - d) / 2.0
-    q3 = q2 + p1 * (1.0 + d) / 2.0
-    d = a20 * t0 + a21 * t1 + a22 * t2
-    q4 = q3 + p2 * (1.0 - d) / 2.0
-    q5 = q4 + p2 * (1.0 + d) / 2.0
-    v = u * q5
-    if v < q3:
-        if v < q1:
-            return 0 if v < q0 else 1
-        return 2 if v < q2 else 3
-    return 4 if v < q5 and v < q4 else 5
-
-
 def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     """One adaptive trial of cfg.m_max steps.
 
@@ -510,16 +434,28 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     one uniform draw; the m_max uniforms are drawn up front in one call,
     which yields the same stream as one draw per step.  The design estimate
     starts at the origin and takes one scoring step per outcome,
-    x += I^-1 b / u with I the observed information of the history
-    (_running_update).  At the checkpoints checkpoint_schedule(m_max), and
-    at any step where I is not yet positive definite, it is replaced by the
-    certified full-history maximum-likelihood estimate, warm-started at it,
-    and I is rebuilt there.  The estimate reported at a checkpoint is that
-    certified estimate.
+    x += I^-1 b / u with I the observed information of the history.  At the
+    checkpoints checkpoint_schedule(m_max), and at any step where I is not
+    yet positive definite, it is replaced by the certified full-history
+    maximum-likelihood estimate, warm-started at it, and I is rebuilt there.
+    The estimate reported at a checkpoint is that certified estimate.
 
-    A step works on Python floats and creates no list: the design is the 12
-    floats of _optimal_branches and the design estimate three floats.  Each
-    step appends its trace, Bloch vector and outcome to one flat list, which
+    A step is one inline kernel on Python floats.  Design: the probabilities
+    p0, p1, p2 and PVM axes a0, a1, a2 of _optimal_branches.  A rotational
+    selector's weight is f (I - n n^T) + g n n^T, n = x/|x|, f = 1 and g = 1
+    or 1/(1 - r^2); J^-1/2 H J^-1/2 has eigenvalues f, f across n and
+    (1 - r^2) g along n, and sqrt(J) keeps those eigenvectors, so the axes
+    are n and an orthonormal pair across it, with weights sqrt((1 - r^2) g),
+    sqrt(f), sqrt(f).  "tomography", and a selector at the origin, get the
+    uniform Pauli mixture; only a fixed matrix calls _optimal_branches.
+    Draw: outcome 2 * branch for the - projector, 2 * branch + 1 for the +,
+    is min(bisect_right([q0, ..., q5], u q5), 5) for the running sums q of
+    the outcome probabilities on the true state, probed in bisect_right's
+    order, because a term can round below zero and then the q are not
+    monotone.  Update: for the applied element (p I + b.sigma)/2 and
+    u = max(p + b.x, 2 PROB_FLOOR), I += b b^T / u^2 on six floats, then
+    I y = b / u is solved as _chol_solve does and x + y clamped to the ball.
+    The step's trace, Bloch vector and outcome go to one flat list, which
     the next solve writes into the history arrays (traces, Bloch columns and
     outcomes); m_max is a checkpoint, so the arrays are complete when the
     trial ends.  The pairwise Bloch products that the solve and the rebuilt
@@ -527,34 +463,96 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     """
     checkpoints = checkpoint_schedule(cfg.m_max)
     weight = cfg.weight
+    selector = weight if isinstance(weight, str) else ""
+    identity = selector == "identity"
+    rotational = identity or selector == "qfi"
     rho = 1.0 - cfg.eps_ball
-    x_true = cfg.x0.tolist()
+    floor, rtol, sqrt = 2.0 * PROB_FLOOR, _PIVOT_RTOL, math.sqrt
+    t0, t1, t2 = cfg.x0.tolist()
     x0 = x1 = x2 = 0.0
     m_max = cfg.m_max
     traces = np.empty(m_max)
     bloch = np.empty((3, m_max))
     outcomes = np.empty(m_max, dtype=np.int8)
     estimates = []
-    # (trace, Bloch vector, outcome) of each step since the last solve, end
-    # to end; the solve copies them into the arrays
+    # (trace, Bloch vector, outcome) of each step since the last solve, flat
     steps = []
     ckpt_iter = iter(checkpoints.tolist())
     next_ckpt = next(ckpt_iter)
     n_failed = 0
     for n, draw in enumerate(rng.random(m_max).tolist(), 1):
-        design = _optimal_branches((x0, x1, x2), weight)
-        idx = _draw_outcome(design, x_true, draw)
-        p = design[idx // 2]
-        signed = p if idx % 2 else -p
-        k = 3 + 3 * (idx // 2)
-        b0, b1, b2 = design[k] * signed, design[k + 1] * signed, design[k + 2] * signed
+        r2 = x0 * x0 + x1 * x1 + x2 * x2
+        if rotational and r2 != 0.0:
+            w = sqrt(1.0 - r2) if identity else 1.0
+            s = sqrt(r2)
+            a00, a01, a02 = x0 / s, x1 / s, x2 / s
+            # Gram-Schmidt on the first coordinate axis least aligned with n; the
+            # off-axis entries are 0.0 - t, not -t, which would turn +0.0 into -0.0
+            m0, m1, m2 = abs(a00), abs(a01), abs(a02)
+            if m0 <= m1 and m0 <= m2:
+                a10, a11, a12 = 1.0 - a00 * a00, 0.0 - a00 * a01, 0.0 - a00 * a02
+            elif m1 <= m2:
+                a10, a11, a12 = 0.0 - a01 * a00, 1.0 - a01 * a01, 0.0 - a01 * a02
+            else:
+                a10, a11, a12 = 0.0 - a02 * a00, 0.0 - a02 * a01, 1.0 - a02 * a02
+            s = sqrt(a10 * a10 + a11 * a11 + a12 * a12)
+            a10, a11, a12 = a10 / s, a11 / s, a12 / s
+            a20, a21, a22 = a01 * a12 - a02 * a11, a02 * a10 - a00 * a12, a00 * a11 - a01 * a10
+            s = w + 2.0
+            p0, p1, p2 = w / s, 1.0 / s, 1.0 / s
+        else:
+            p0, p1, p2, a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
+                _PAULI if selector else _optimal_branches((x0, x1, x2), weight))
+        d = a00 * t0 + a01 * t1 + a02 * t2
+        q0 = p0 * (1.0 - d) / 2.0
+        q1 = q0 + p0 * (1.0 + d) / 2.0
+        d = a10 * t0 + a11 * t1 + a12 * t2
+        q2 = q1 + p1 * (1.0 - d) / 2.0
+        q3 = q2 + p1 * (1.0 + d) / 2.0
+        d = a20 * t0 + a21 * t1 + a22 * t2
+        q4 = q3 + p2 * (1.0 - d) / 2.0
+        q5 = q4 + p2 * (1.0 + d) / 2.0
+        v = draw * q5
+        if v < q3:
+            if v < q1:
+                idx, p, b0, b1, b2 = (0 if v < q0 else 1), p0, a00, a01, a02
+            else:
+                idx, p, b0, b1, b2 = (2 if v < q2 else 3), p1, a10, a11, a12
+        else:
+            idx, p, b0, b1, b2 = (4 if v < q5 and v < q4 else 5), p2, a20, a21, a22
+        s = p if idx & 1 else -p
+        b0, b1, b2 = b0 * s, b1 * s, b2 * s
         steps += p, b0, b1, b2, idx
-        # step 1 is a checkpoint, so info exists before the first running update
+        # step 1 is a checkpoint, so I exists before the first running update
         if n != next_ckpt:
-            x_run = _running_update(info, x0, x1, x2, p, b0, b1, b2, rho)
-            if x_run is not None:
-                x0, x1, x2 = x_run
-                continue
+            u = p + b0 * x0 + b1 * x1 + b2 * x2
+            if u < floor:
+                u = floor
+            w = 1.0 / (u * u)
+            h00, h11, h22 = h00 + b0 * b0 * w, h11 + b1 * b1 * w, h22 + b2 * b2 * w
+            h01, h02, h12 = h01 + b0 * b1 * w, h02 + b0 * b2 * w, h12 + b1 * b2 * w
+            # I y = b / u by _chol_solve's Cholesky; a pivot <= _PIVOT_RTOL Tr I falls through
+            s = rtol * (h00 + h11 + h22)
+            if h00 > s:
+                l00 = sqrt(h00)
+                l10, l20 = h01 / l00, h02 / l00
+                d = h11 - l10 * l10
+                if d > s:
+                    l11 = sqrt(d)
+                    l21 = (h12 - l20 * l10) / l11
+                    d = h22 - l20 * l20 - l21 * l21
+                    if d > s:
+                        l22 = sqrt(d)
+                        z0 = b0 / u / l00
+                        z1 = (b1 / u - l10 * z0) / l11
+                        z2 = (b2 / u - l20 * z0 - l21 * z1) / l22
+                        y2 = z2 / l22
+                        y1 = (z1 - l21 * y2) / l11
+                        y0 = x0 + (z0 - l10 * y1 - l20 * y2) / l00
+                        y1, y2 = x1 + y1, x2 + y2
+                        x0, x1, x2 = ((y0, y1, y2) if sqrt(y0 * y0 + y1 * y1 + y2 * y2) <= rho
+                                      else _clamp_point((y0, y1, y2), rho))
+                        continue
         block = np.reshape(steps, (-1, 5)).T
         written = n - block.shape[1]
         traces[written:n] = block[0]
@@ -564,8 +562,9 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
         x_mle, ok = mle_maximize(traces[:n], bloch[:, :n].T, (x0, x1, x2),
                                  eps_ball=cfg.eps_ball)
         n_failed += not ok
-        u = np.maximum(traces[:n] + x_mle @ bloch[:, :n], 2.0 * PROB_FLOOR)
-        info = (_bloch_products(bloch[:, :n]) @ (1.0 / (u * u))).tolist()
+        u = np.maximum(traces[:n] + x_mle @ bloch[:, :n], floor)
+        h00, h11, h22, h01, h02, h12 = (_bloch_products(bloch[:, :n])
+                                         @ (1.0 / (u * u))).tolist()
         x0, x1, x2 = x_mle.tolist()
         if n == next_ckpt:
             estimates.append(x_mle)
@@ -674,13 +673,14 @@ def _env_threads() -> int:
 
 
 # Rough one-core trial cost per adaptive step and per tomography checkpoint
-# (2-vCPU Xeon; an adaptive step took 5-5.5 us at m_max = 3000 for both
-# rotational weights, BENCH_12.json; a tomography trial scored in a block took
-# 60-125 us over its 33 checkpoints, as the machine's load varied).  An
-# adaptive step under a fixed matrix weight runs qubit_design, 12-20 times a
-# selector's step (110-220 vs 9-10 us at m_max = 3000 on the same machine).  A
-# process pool costs about 0.1 s to start and feed, so a job with less
-# estimated serial work than POOL_MIN_WORK_S runs serially.
+# (2-vCPU Xeon; a selector's step took 2.8-4.7 us at m_max = 3000,
+# BENCH_27.json, and is priced at the top of that range; a tomography trial
+# scored in a block took 60-125 us over its 33 checkpoints, as the machine's
+# load varied).  A step under a fixed matrix weight runs qubit_design, 20-50
+# times a selector's step (130-165 vs 3-8 us at m_max = 3000 on the same
+# machine, under varying load).  A process pool costs about
+# 0.1 s to start and feed, so a job with less estimated serial work than
+# POOL_MIN_WORK_S runs serially.
 _TRIAL_COST_S = {"adaptive": 5e-6, "custom": 1e-4, "tomography": 3e-6}
 POOL_MIN_WORK_S = 0.25
 # trials per block; a block holds its trials' draws and estimates at once

@@ -239,20 +239,6 @@ class TestOptimalBranches:
             signs = np.sign(np.sum(axes * old_axes, axis=1))
             assert np.max(np.abs(axes - signs[:, None] * old_axes)) <= 1e-10
 
-    def test_tomography_selector_is_the_pauli_mixture_everywhere(self):
-        pauli = _optimal_branches(np.zeros(3), "qfi")
-        assert pauli == (1 / 3, 1 / 3, 1 / 3, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-        rng = np.random.default_rng(44)
-        dirs = rng.standard_normal((200, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        points = [np.zeros(3), *(s * r * e for e in np.eye(3) for s in (1.0, -1.0)
-                                 for r in (0.5, 1.0 - 1e-6)),
-                  *(d * (1.0 - 1e-6 * rng.random()) for d in dirs[:20]),
-                  *(d * rng.random() for d in dirs)]
-        for x in points:
-            for arg in (x, x.tolist(), tuple(x.tolist())):
-                assert _optimal_branches(arg, "tomography") == pauli
-
     def test_pauli_mixture_attains_the_optimum_of_the_tomography_weight(self):
         from qest.bounds import qubit_design, tomography_fisher
         rng = np.random.default_rng(45)
@@ -739,7 +725,7 @@ class TestRotationalDesign:
 
         for x in points:
             h = resolve_weight(selector, x)
-            probs, axes = map(np.asarray, _probs_axes(_optimal_branches(x, selector)))
+            probs, axes = _numpy_rotational_branches(x, selector)
             assert probs.sum() == pytest.approx(1.0, abs=1e-14)
             assert np.allclose(axes @ axes.T, np.eye(3), atol=1e-12)
             g_closed = fisher(x, probs, axes)
@@ -1039,21 +1025,9 @@ class TestRunningDesignEstimate:
             assert ok and np.array_equal(x, est)
 
     def test_off_grid_steps_take_one_scoring_step(self, monkeypatch):
-        import qest.simulate as simulate
-        calls = []
-        update = simulate._running_update
-
-        def recording(info, x0, x1, x2, p, b0, b1, b2, rho):
-            before = np.array(info)
-            out = update(info, x0, x1, x2, p, b0, b1, b2, rho)
-            calls.append((before, np.array([x0, x1, x2]), p, np.array([b0, b1, b2]),
-                          1.0 - rho, out))
-            return out
-
-        monkeypatch.setattr(simulate, "_running_update", recording)
-        cfg = RunConfig(x0=X0, weight="identity", m_max=600, reps=1, seed=13,
-                        eps_ball=0.01)
-        adaptive_run(cfg, np.random.default_rng((13, 1, 0)))
+        cfg = RunConfig(x0=X0, weight=np.eye(3), m_max=600, reps=1, seed=13, eps_ball=0.01)
+        calls = _running_steps(cfg, np.random.default_rng((13, 1, 0)),
+                               lambda x: _flat_design(x, "identity"), monkeypatch)
         # every step off the checkpoint grid, and no checkpoint, updates the running estimate
         assert len(calls) == cfg.m_max - len(checkpoint_schedule(cfg.m_max))
         clamped = 0
@@ -1067,14 +1041,33 @@ class TestRunningDesignEstimate:
             assert np.max(np.abs(out - want)) <= 1e-12
         assert 0 < clamped < len(calls)
 
-    def test_running_step_floors_the_outcome_probability(self):
-        from qest.simulate import _running_update
-        # p + b.x = 1e-14 lies below the floor 2e-12 of the likelihood terms
-        p, b, x = 1e-13, np.array([0.0, 0.0, 1e-13]), np.array([0.0, 0.0, -0.9])
-        info = [50.0, 40.0, 30.0, 1.0, 2.0, 3.0]
-        _, step = _reference_running_step(np.array(info), x, p, b)
-        out = _running_update(info, *x, p, *b, 1.0 - 0.01)
-        assert np.max(np.abs(out - clamp_to_ball(step, 0.01))) <= 1e-12
+    def test_running_step_floors_the_outcome_probability(self, monkeypatch):
+        # with eps_ball = 1e-12 the estimate sits on the clamp sphere, and at
+        # step 11 this qfi trial draws an outcome whose p + b.x lies below the
+        # floor 2e-12 of the likelihood terms; b b^T / u^2 then swamps I, and
+        # the step falls back to a solve
+        cfg = RunConfig(x0=X0, weight="qfi", m_max=40, reps=1, seed=0, eps_ball=1e-12)
+        _assert_same_trial(adaptive_run(cfg, np.random.default_rng((0, 1, 0))),
+                           _per_step_adaptive_run(cfg, np.random.default_rng((0, 1, 0))))
+        calls = _running_steps(dataclasses.replace(cfg, weight=np.eye(3)),
+                               np.random.default_rng((0, 1, 0)),
+                               lambda x: _flat_design(x, "qfi"), monkeypatch)
+        floored = [call for call in calls if call[2] + float(call[3] @ call[1]) < 2e-12]
+        assert floored and all(out is None for *_, out in floored)
+        # a branch of probability 1e-13, served at step 7 with uniform 0, has
+        # p + b.x <= 2e-13; the Pauli steps before it keep I positive definite
+        monkeypatch.undo()
+        pauli = _flat_design(np.zeros(3), "qfi")
+        faint = (1e-13, 0.5, 0.5, *pauli[3:])
+        seen = []
+        cfg = dataclasses.replace(cfg, weight=np.eye(3), m_max=9, eps_ball=0.01)
+        uniforms = _Uniforms([*np.random.default_rng(7).random(6).tolist(), 0.0, 0.5, 0.5])
+        calls = _running_steps(cfg, uniforms, lambda x: faint if len(seen) == 7 else pauli,
+                               monkeypatch, seen)
+        h6, x, p, b, eps_ball, out = calls[0]
+        assert p == 1e-13 and p + float(b @ x) < 2e-12
+        _, step = _reference_running_step(h6, x, p, b)
+        assert np.max(np.abs(out - clamp_to_ball(step, eps_ball))) <= 1e-12
 
 
 def _reference_running_step(h6, x, p, b):
@@ -1086,10 +1079,94 @@ def _reference_running_step(h6, x, p, b):
     return h, x + np.linalg.solve(h, b / u)
 
 
+class _Uniforms:
+    """A stand-in generator: random(n) returns the next n of the given
+    uniforms as an array, random() the next one."""
+
+    def __init__(self, values):
+        self.values, self.pos = list(values), 0
+
+    def random(self, n=None):
+        take = self.values[self.pos:self.pos + (1 if n is None else n)]
+        self.pos += len(take)
+        return take[0] if n is None else np.array(take)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Config:
+    """The fields adaptive_run reads, without RunConfig's checks, so that
+    x0 can be a pure state."""
+    x0: np.ndarray
+    weight: object
+    m_max: int
+    eps_ball: float = 0.01
+
+
+def _serve_designs(monkeypatch, design_at, seen=None):
+    """Make adaptive_run's fixed-matrix route take the design design_at(x)
+    at the running estimate x; returns the list seen (a new one by
+    default), to which each step appends its estimate before the design."""
+    import qest.simulate as simulate
+    seen = [] if seen is None else seen
+
+    def design(x, weight):
+        seen.append(np.array(x))
+        return design_at(x)
+
+    monkeypatch.setattr(simulate, "_optimal_branches", design)
+    return seen
+
+
+def _running_steps(cfg, rng, design_at, monkeypatch, seen=None):
+    """Run cfg under the design design_at(x) at the running estimate x,
+    served by _serve_designs to the fixed-matrix route, and return one
+    (I before, x, p, b, eps_ball, estimate after) per step off the
+    checkpoint grid, the estimate None where I was not positive definite.
+    I is rebuilt at each solve and updated as adaptive_run does, bit for
+    bit."""
+    import qest.simulate as simulate
+    seen = _serve_designs(monkeypatch, design_at, seen)
+    solved = set()
+    solve = simulate.mle_maximize
+
+    def recording(traces, bloch, init, **kw):
+        solved.add(len(traces))
+        return solve(traces, bloch, init, **kw)
+
+    monkeypatch.setattr(simulate, "mle_maximize", recording)
+    rec = adaptive_run(cfg, rng)
+    grid = set(checkpoint_schedule(cfg.m_max).tolist())
+    bt = rec.element_bloch.T
+    calls = []
+    for n in range(1, cfg.m_max):
+        p, b = float(rec.element_traces[n - 1]), rec.element_bloch[n - 1]
+        if n not in grid:
+            (b0, b1, b2), (x0, x1, x2) = b.tolist(), seen[n - 1].tolist()
+            u = max(p + b0 * x0 + b1 * x1 + b2 * x2, 2e-12)
+            before = np.array(info)
+            for i, v in enumerate((b0 * b0, b1 * b1, b2 * b2, b0 * b1, b0 * b2, b1 * b2)):
+                info[i] += v * (1.0 / (u * u))
+            calls.append((before, seen[n - 1], p, b, cfg.eps_ball,
+                          None if n in solved else seen[n]))
+        if n in solved:
+            u = np.maximum(rec.element_traces[:n] + seen[n] @ bt[:, :n], 2e-12)
+            info = (simulate._bloch_products(bt[:, :n]) @ (1.0 / (u * u))).tolist()
+    return calls
+
+
 def _probs_axes(design):
     """(probs, axes) as lists from the flat floats of _optimal_branches,
     every branch kept, a dropped one as probability 0 and axis 0."""
     return list(design[:3]), [list(design[3 + 3 * i:6 + 3 * i]) for i in range(3)]
+
+
+def _flat_design(x, weight):
+    """The 12 floats of _optimal_branches for a fixed matrix, and of
+    _numpy_rotational_branches for a rotational selector."""
+    if not isinstance(weight, str):
+        return _optimal_branches(x, weight)
+    probs, axes = _numpy_rotational_branches(np.asarray(x, dtype=float), weight)
+    return (*probs.tolist(), *axes.ravel().tolist())
 
 
 def _sampler_cases(weight, rng):
@@ -1104,10 +1181,10 @@ def _sampler_cases(weight, rng):
     """
     import math
     from itertools import accumulate
-    designs = [_optimal_branches(np.zeros(3), weight)]
+    designs = [_flat_design(np.zeros(3), weight)]
     for _ in range(100):
         x = rng.standard_normal(3)
-        designs.append(_optimal_branches(x * rng.random() * 0.99 / np.linalg.norm(x), weight))
+        designs.append(_flat_design(x * rng.random() * 0.99 / np.linalg.norm(x), weight))
     fixed = [X0.tolist(), [0.0, 0.0, 0.999], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
     for design in designs:
         probs, axes = _probs_axes(design)
@@ -1155,10 +1232,17 @@ def _accumulate_draw(probs, axes, x_true, u):
     return min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
 
 
+# the uniform Pauli mixture as (probs, axes)
+_ORACLE_PAULI = ([1.0 / 3.0] * 3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
 def _per_step_adaptive_run(cfg, rng):
     """adaptive_run as it was before its step ran on Python floats: numpy
     design and running estimate, one uniform drawn per step, and every
-    step's element written into the history arrays as it is drawn."""
+    step's element written into the history arrays as it is drawn.  The
+    fixed-matrix design and the solve are looked up in the module, as
+    adaptive_run looks them up."""
+    import qest.simulate as simulate
     from qest.simulate import PROB_FLOOR, _chol_solve
     checkpoints = checkpoint_schedule(cfg.m_max).tolist()
     x_true = cfg.x0.tolist()
@@ -1174,8 +1258,10 @@ def _per_step_adaptive_run(cfg, rng):
         if isinstance(cfg.weight, str) and cfg.weight in ("identity", "qfi"):
             probs, axes = _numpy_rotational_branches(x_hat, cfg.weight)
             probs, axes = probs.tolist(), axes.tolist()
+        elif isinstance(cfg.weight, str):
+            probs, axes = _ORACLE_PAULI
         else:
-            probs, axes = _probs_axes(_optimal_branches(x_hat, cfg.weight))
+            probs, axes = _probs_axes(simulate._optimal_branches(x_hat, cfg.weight))
         idx = _accumulate_draw(probs, axes, x_true, rng.random())
         p = probs[idx // 2]
         signed = p if idx % 2 else -p
@@ -1196,7 +1282,8 @@ def _per_step_adaptive_run(cfg, rng):
             step = _chol_solve(info, b0 / u, b1 / u, b2 / u)
             anchored = step is None
         if anchored:
-            x_hat, ok = mle_maximize(traces[:n], bloch[:, :n].T, x_hat, eps_ball=cfg.eps_ball)
+            x_hat, ok = simulate.mle_maximize(traces[:n], bloch[:, :n].T, x_hat,
+                                              eps_ball=cfg.eps_ball)
             n_failed += not ok
             u = np.maximum(traces[:n] + x_hat @ bloch[:, :n], 2.0 * PROB_FLOOR)
             info = (products[:, :n] @ (1.0 / (u * u))).tolist()
@@ -1209,9 +1296,49 @@ def _per_step_adaptive_run(cfg, rng):
     return traces, bloch.T, outcomes, estimates, n_failed
 
 
+def _assert_same_trial(rec, oracle):
+    """The trial and the oracle's tuple hold the same bits, signed zeros too."""
+    got = (rec.element_traces, rec.element_bloch, rec.outcomes, rec.estimates)
+    for a, b in zip(got, oracle):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert rec.n_opt_failed == oracle[4]
+
+
+class _ServedSolves:
+    """A stand-in for mle_maximize that returns the given points in turn,
+    each as a certified estimate, wrapping around at the end."""
+
+    def __init__(self, points, start):
+        self.points, self.pos = points, start
+
+    def __call__(self, traces, bloch, init, *, eps_ball):
+        x = self.points[self.pos % len(self.points)]
+        self.pos += 1
+        return np.array(x, dtype=float), True
+
+
+def _served_trials(points, weight, monkeypatch):
+    """10-step trials whose every solve returns the next of the given
+    points, so that the design of the step after it is taken at that point;
+    yields (adaptive_run's record, the oracle's tuple) until every point is
+    served.  The solve at step 10 has no step after it, so the next trial
+    serves its point again at its first solve."""
+    import qest.simulate as simulate
+    cfg = RunConfig(x0=X0, weight=weight, m_max=10, reps=1, seed=0, eps_ball=0.01)
+    start, trial = 0, 0
+    while start < len(points):
+        runs = []
+        for run in (adaptive_run, _per_step_adaptive_run):
+            solves = _ServedSolves(points, start)
+            monkeypatch.setattr(simulate, "mle_maximize", solves)
+            runs.append(run(cfg, np.random.default_rng((0, 1, trial))))
+        yield runs
+        start, trial = solves.pos - 1, trial + 1
+
+
 class TestFloatAdaptiveStep:
     @pytest.mark.parametrize("selector", ["identity", "qfi"])
-    def test_rotational_branches_equal_the_numpy_route(self, selector):
+    def test_rotational_branches_equal_the_numpy_route(self, selector, monkeypatch):
         rng = np.random.default_rng(95)
         dirs = rng.standard_normal((2000, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -1226,48 +1353,87 @@ class TestFloatAdaptiveStep:
         dirs[440:520] /= np.linalg.norm(dirs[440:520], axis=1)[:, None]
         points = dirs * radii[:, None]
         points[0] = 0.0
-        for x in points:
-            want_probs, want_axes = _numpy_rotational_branches(x, selector)
-            for arg in (x, x.tolist()):
-                probs, axes = _probs_axes(_optimal_branches(arg, selector))
-                assert probs == want_probs.tolist()
-                assert axes == want_axes.tolist()
+        # each served point is the design point of the step after its solve
+        for rec, oracle in _served_trials(points.tolist(), selector, monkeypatch):
+            _assert_same_trial(rec, oracle)
+
+    def test_tomography_selector_is_the_pauli_mixture_everywhere(self, monkeypatch):
+        third = 1.0 / 3.0
+        pauli = np.array([[a * s for a in axis] for axis in np.eye(3).tolist()
+                          for s in (-third, third)])
+        rng = np.random.default_rng(44)
+        dirs = rng.standard_normal((200, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        points = [np.zeros(3), *(s * r * e for e in np.eye(3) for s in (1.0, -1.0)
+                                 for r in (0.5, 1.0 - 1e-6)),
+                  *(d * (1.0 - 1e-6 * rng.random()) for d in dirs[:20]),
+                  *(d * rng.random() for d in dirs)]
+        trials = list(_served_trials([x.tolist() for x in points], "tomography", monkeypatch))
+        for rec, oracle in trials:
+            assert np.all(rec.element_traces == third)
+            assert np.array_equal(rec.element_bloch, pauli[rec.outcomes])
+            _assert_same_trial(rec, oracle)
+        # a rotational selector's first step is at the origin
+        monkeypatch.undo()
+        cfg = RunConfig(x0=X0, weight="qfi", m_max=1, reps=1, seed=0)
+        rec = adaptive_run(cfg, np.random.default_rng(0))
+        assert rec.element_traces[0] == third
+        assert np.array_equal(rec.element_bloch[0], pauli[rec.outcomes[0]])
 
     @pytest.mark.parametrize("weight", ["identity", "qfi", "custom"])
-    def test_scalar_sampler_equals_the_accumulate_sampler(self, weight):
-        from qest.simulate import _draw_outcome
+    def test_scalar_sampler_equals_the_accumulate_sampler(self, weight, monkeypatch):
+        import qest.simulate as simulate
         if weight == "custom":
             # the Pauli design of "tomography" never makes the sums non-monotone;
             # a fixed matrix's design axes turn with x, and often do
             weight = np.diag([1.0, 2.0, 3.0])
         windows = 0
-        for design, x_true, uniforms in _sampler_cases(weight, np.random.default_rng(96)):
+        for design, x_true, uniforms in list(_sampler_cases(weight,
+                                                            np.random.default_rng(96))):
             # uniforms past the first 22 put u q_5 where the sums are not monotone
             windows += len(uniforms) > 22
-            for u in uniforms:
-                assert (_draw_outcome(design, x_true, u)
-                        == _accumulate_draw(*_probs_axes(design), x_true, u))
+            # every step of a trial at the pure or mixed state x_true draws
+            # from this design, whatever the running estimate, so the solves
+            # can return the origin
+            _serve_designs(monkeypatch, lambda x: design)
+            monkeypatch.setattr(simulate, "mle_maximize", _ServedSolves([[0.0] * 3], 0))
+            cfg = _Config(x0=np.array(x_true), weight=np.eye(3), m_max=len(uniforms))
+            rec = adaptive_run(cfg, _Uniforms(uniforms))
+            want = [_accumulate_draw(*_probs_axes(design), x_true, u) for u in uniforms]
+            assert rec.outcomes.tolist() == want
         assert windows >= 20
 
     @pytest.mark.parametrize("weight", [np.diag([1e-9, 1e300, 1e300]),
                                         np.diag([1e300, 1e-9, 1e-9])])
-    def test_designs_with_dropped_branches_draw_as_before(self, weight):
-        from qest.simulate import _draw_outcome
-        design = _optimal_branches(X0, weight)
-        assert 0.0 in design[:3]
-        for x_true in (X0.tolist(), [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]):
-            for u in [0.0, 1.0 - 2.0 ** -53, *np.random.default_rng(99).random(50).tolist()]:
-                assert (_draw_outcome(design, x_true, u)
-                        == _accumulate_draw(*_probs_axes(design), x_true, u))
+    def test_designs_with_dropped_branches_draw_as_before(self, weight, monkeypatch):
+        assert 0.0 in _optimal_branches(X0, weight)[:3]
+        uniforms = [0.0, 1.0 - 2.0 ** -53, *np.random.default_rng(99).random(50).tolist()]
+        dropped = 0
+        for x_true in (X0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0])):
+            cfg = _Config(x0=x_true, weight=weight, m_max=len(uniforms))
+            seen = _serve_designs(monkeypatch, lambda x: _optimal_branches(x, weight))
+            rec = adaptive_run(cfg, _Uniforms(uniforms))
+            dropped += sum(0.0 in _optimal_branches(x, weight)[:3] for x in seen)
+            _assert_same_trial(rec, _per_step_adaptive_run(cfg, _Uniforms(uniforms)))
+        # the zero-width outcome intervals of a dropped branch tie its running sums
+        assert dropped > 0
+        monkeypatch.undo()
         cfg = RunConfig(x0=X0, weight=weight, m_max=100, reps=1, seed=99, eps_ball=0.01)
-        rec = adaptive_run(cfg, np.random.default_rng((99, 1, 0)))
-        traces, bloch, outcomes, estimates, n_failed = _per_step_adaptive_run(
-            cfg, np.random.default_rng((99, 1, 0)))
-        assert np.array_equal(rec.element_traces, traces)
-        assert np.array_equal(rec.element_bloch, bloch)
-        assert np.array_equal(rec.outcomes, outcomes)
-        assert np.array_equal(rec.estimates, estimates)
-        assert rec.n_opt_failed == n_failed
+        _assert_same_trial(adaptive_run(cfg, np.random.default_rng((99, 1, 0))),
+                           _per_step_adaptive_run(cfg, np.random.default_rng((99, 1, 0))))
+
+    def test_near_singular_information_falls_back_as_chol_solve_does(self, monkeypatch):
+        # a design whose axes lie within about eps of the plane z = 0 leaves
+        # I a last Cholesky pivot of about eps^2 / 6 of its trace; across
+        # these eps it crosses the 1e-12 Tr I below which a step falls back
+        # to a solve
+        cfg = RunConfig(x0=X0, weight=np.eye(3), m_max=100, reps=1, seed=0, eps_ball=0.01)
+        for eps in np.geomspace(1e-7, 1e-5, 9):
+            tilted = (np.array([1.0, 1.0, eps]) / np.linalg.norm([1.0, 1.0, eps])).tolist()
+            design = (*[1.0 / 3.0] * 3, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, *tilted)
+            _serve_designs(monkeypatch, lambda x: design)
+            _assert_same_trial(adaptive_run(cfg, np.random.default_rng(1)),
+                               _per_step_adaptive_run(cfg, np.random.default_rng(1)))
 
     def test_one_batch_of_uniforms_equals_single_draws(self):
         for trial in range(20):
@@ -1280,19 +1446,17 @@ class TestFloatAdaptiveStep:
 
     @pytest.mark.parametrize("weight", ["identity", "qfi", "tomography", "custom"])
     @pytest.mark.parametrize("eps_ball", [0.01, 1e-6])
-    def test_trials_equal_the_per_step_array_route(self, weight, eps_ball):
+    @pytest.mark.parametrize("x0", [X0, np.array([0.6, -0.48, 0.64]) * (1.0 - 1e-12),
+                                    np.array([0.0, 0.93, 2e-9])],
+                             ids=["X0", "near-pure", "near-axis"])
+    def test_trials_equal_the_per_step_array_route(self, weight, eps_ball, x0):
         rotational = weight in ("identity", "qfi")
         m_max = 800 if rotational else 150
         if weight == "custom":
             a = np.random.default_rng(97).standard_normal((3, 3))
             weight = a @ a.T + 0.3 * np.eye(3)
-        cfg = RunConfig(x0=X0, weight=weight, m_max=m_max, reps=1, seed=98, eps_ball=eps_ball)
-        rec = adaptive_run(cfg, np.random.default_rng((98, 1, m_max)))
-        traces, bloch, outcomes, estimates, n_failed = _per_step_adaptive_run(
-            cfg, np.random.default_rng((98, 1, m_max)))
-        assert np.array_equal(rec.element_traces, traces)
-        assert np.array_equal(rec.element_bloch, bloch)
-        assert np.array_equal(rec.outcomes, outcomes)
-        assert rec.outcomes.dtype == outcomes.dtype
-        assert np.array_equal(rec.estimates, estimates)
-        assert rec.n_opt_failed == n_failed
+        cfg = RunConfig(x0=x0, weight=weight, m_max=m_max, reps=1, seed=98, eps_ball=eps_ball)
+        for seed in (98, 7, 31):
+            rec = adaptive_run(cfg, np.random.default_rng((seed, 1, m_max)))
+            _assert_same_trial(rec, _per_step_adaptive_run(
+                cfg, np.random.default_rng((seed, 1, m_max))))
