@@ -25,15 +25,13 @@ from .states import (PAULIS, ModelDerivatives, _check_ball, _mub_model, _mub_sta
 # exceeds PD_TOL times the smaller of 1 and its largest (_require_pd)
 PD_TOL = 1e-12
 SYM_TOL = 1e-10
-# min_trace_unit_trace: the Newton steps it may take, and the share of the
-# value below which its Newton decrement (twice the predicted gain) is
-# rounding of the value
-UNIT_TRACE_MAX_STEPS = 50000
-UNIT_TRACE_RTOL = 1e-14
+# min_trace_unit_trace: the square-root steps it may take; targets of
+# condition number up to 1e12 stop within 10
+UNIT_TRACE_MAX_STEPS = 100
 # the share of its value by which a min_trace_unit_trace result may exceed
 # the minimum, as bounded by _certify_unit_trace: rounding in G^-1 S G^-1
-# gives accurate results bounds up to about 1e-3 at condition number 2.5e11,
-# and a run that stalls there reads 1e6 and more
+# gives accurate results bounds up to about 2e-5 at condition number 2.5e11,
+# while G = I/3 on diag(1, 10, 100) reads 1.7
 UNIT_TRACE_GAP = 1e-2
 # a float below this squares without overflow
 _SQRT_MAX = math.sqrt(sys.float_info.max)
@@ -91,7 +89,7 @@ def qfi_rot_weight(r) -> RotWeight:
     return RotWeight(1.0, 1.0 / (1.0 - r * r))
 
 
-# the rotational weight selectors, each a function of the radius r
+# the rotational weight selectors, each a function of a radius or an array of radii
 ROT_WEIGHTS = {"identity": lambda r: RotWeight(1.0, 1.0), "qfi": qfi_rot_weight}
 # every weight selector: the rotational ones and tomography_weight's
 WEIGHT_SELECTORS = (*ROT_WEIGHTS, "tomography")
@@ -535,8 +533,10 @@ def rot_merit_sweep(weights, radii, dirs) -> tuple[np.ndarray, np.ndarray, np.nd
     """Closed-form merits of rotational weights at the points r v, checked
     against the generic routes.
 
-    `weights` are functions r -> RotWeight (such as ROT_WEIGHTS' values),
-    `radii` lie in [0, 1) and `dirs` (n, 3) are unit vectors.  Returns
+    `weights` are functions of a radius or an array of radii -> RotWeight
+    (such as ROT_WEIGHTS' values), each called once on the (radii, 1)
+    column; a weight constant in r may return scalar values.  `radii` lie
+    in [0, 1) and `dirs` (n, 3) are unit vectors.  Returns
     c = c_opt_closed, cT = c_tomo_closed and the gap max(|c - (Tr R)^2|,
     |cT - Tr H g_T^-1|), g_T the 6-outcome tomography Fisher matrix, each
     of shape (radii, weights, dirs) and with the bits of one-point calls.
@@ -546,9 +546,9 @@ def rot_merit_sweep(weights, radii, dirs) -> tuple[np.ndarray, np.ndarray, np.nd
     x = radii[:, None, None] * dirs
     c, ct, hs = [], [], []
     for weight_at in weights:
-        ws = [weight_at(r) for r in radii.tolist()]
         # the weight's values at every radius, one row per radius
-        w = RotWeight(np.array([[v.transverse] for v in ws]), np.array([[v.radial] for v in ws]))
+        w = weight_at(radii[:, None])
+        w = RotWeight(*(np.broadcast_to(v, (len(radii), 1)) for v in (w.transverse, w.radial)))
         c.append(c_opt_closed(w, radii[:, None]))
         ct.append(c_tomo_closed(w, x))
         hs.append(rot_weight_along(w, dirs))
@@ -579,47 +579,28 @@ def indicatrix_points(h: np.ndarray, plane: tuple[int, int] = (0, 1),
     return (u / np.sqrt(uhu)[:, None])[:, [i, k]]
 
 
-def _traceless_basis(d: int) -> np.ndarray:
-    """A Frobenius-orthonormal basis of the traceless symmetric d x d
-    matrices, as a stack of d(d+1)/2 - 1: the off-diagonal pairs
-    (E_ik + E_ki) / sqrt(2), then diag(1, ..., 1, -k, 0, ...) / sqrt(k(k+1))."""
-    basis = []
-    for i in range(d):
-        for k in range(i + 1, d):
-            e = np.zeros((d, d))
-            e[i, k] = e[k, i] = math.sqrt(0.5)
-            basis.append(e)
-    for k in range(1, d):
-        diag = np.zeros(d)
-        diag[:k], diag[k] = 1.0, -k
-        basis.append(np.diag(diag / math.sqrt(k * (k + 1))))
-    return np.array(basis)
-
-
 def min_trace_unit_trace(s: np.ndarray) -> tuple:
     """Numerically minimize Tr S G^-1 over positive definite G with Tr G = 1.
 
-    Damped Newton on the unit-trace slice G = I/d + sum_k t_k E_k, the E_k
-    a Frobenius-orthonormal basis of the traceless symmetric matrices,
-    starting at I/d.  With B = G^-1 S G^-1 the gradient is -Tr(B E_k) and
-    the Hessian Tr(B E_k G^-1 E_l) plus its transpose.  A step halves until
-    Cholesky accepts the candidate and the value does not increase.  The
-    run stops when a step gains nothing, or once the Newton decrement is
-    within UNIT_TRACE_RTOL of the value; then rounding decides the value
-    test, so one last full step is taken without it.  Tr S G^-1 is convex
-    on the positive definite cone, so Newton converges from I/d.  It takes
-    no square root of S, so it serves as an oracle independent of the
-    closed-form answer (Tr sqrt(S))^2.  Raises NoConvergenceError when
-    UNIT_TRACE_MAX_STEPS steps do not reach a stop, when a Newton Hessian
-    is singular to working precision, as it can be for a target of
-    condition number near 1e12, or when the stop is not certified: the
-    value may exceed the minimum by more than UNIT_TRACE_GAP of itself
-    (_certify_unit_trace).
+    The minimizer is G = sqrt(S) / Tr sqrt(S), so the scaled Denman-Beavers
+    iteration (Higham, Functions of Matrices, 2008, sec. 6.3) finds Y =
+    sqrt(S / Tr S) from Y = S / Tr S, Z = I: with mu = |det Y det Z|^(-1/2d),
+    Y <- (mu Y + Z^-1 / mu) / 2 and Z <- (mu Z + Y^-1 / mu) / 2.  It takes
+    only determinants and inverses, no eigendecomposition of S.  A case
+    stops once the largest entry of a step's change falls below 1e-8 of
+    Y's: the change is about the error of the Y before it, and the
+    convergence is quadratic, so the new Y is accurate to rounding.  The
+    value is Tr S G^-1 at G = Y / Tr Y.  The convexity gap
+    (_certify_unit_trace) bounds its excess over the minimum however G was
+    found, so the lemma min = (Tr sqrt(S))^2 is still checked apart from
+    the closed form.  Raises NoConvergenceError when UNIT_TRACE_MAX_STEPS
+    steps do not reach a stop, or when the value may exceed the minimum by
+    more than UNIT_TRACE_GAP of itself.
 
     A stack (..., d, d) of targets gives values (...) and minimizers
-    (..., d, d).  Each case takes its own steps and halvings, with the bits
-    of its own call; a bad target or a case that does not converge is named
-    by its index, the first in row-major order.
+    (..., d, d).  Each case stops at its own step, with the bits of its own
+    call; a bad target or a case that does not converge is named by its
+    index, the first in row-major order.
     """
     s = np.asarray(s, dtype=float)
     try:
@@ -633,109 +614,42 @@ def min_trace_unit_trace(s: np.ndarray) -> tuple:
             except ValueError as exc:
                 raise type(exc)(f"case {_case_name(index)}: {exc}") from None
         raise
-    d = s.shape[-1]
+    shape, d = s.shape[:-2], s.shape[-1]
     cases = s.reshape(-1, d, d)
-    if d == 1:
-        vals, g = cases[:, 0, 0].copy(), np.ones_like(cases)
-    else:
-        vals, g = _unit_trace_newton(cases, s.shape[:-2])
-    return _scalar(vals.reshape(s.shape[:-2])), g.reshape(s.shape)
+    # unit trace keeps Y, Z and their inverses in range for any accepted scale
+    y = cases / np.trace(cases, axis1=-2, axis2=-1)[:, None, None]
+    z = np.broadcast_to(np.eye(d), y.shape).copy()
+    running = np.arange(len(y))
+    for _ in range(UNIT_TRACE_MAX_STEPS):
+        ry, rz = y[running], z[running]
+        mu = np.exp((np.linalg.slogdet(ry)[1] + np.linalg.slogdet(rz)[1]) / (-2 * d))
+        mu = mu[:, None, None]
+        y_next = (mu * ry + np.linalg.inv(rz) / mu) / 2
+        z[running] = (mu * rz + np.linalg.inv(ry) / mu) / 2
+        change = np.abs(y_next - ry).max(axis=(-2, -1)) / np.abs(y_next).max(axis=(-2, -1))
+        y[running] = y_next
+        # a NaN change never stops, so it meets the step cap
+        going = ~(change <= 1e-8)
+        running, change = running[going], change[going]
+        if not running.size:
+            g = y / np.trace(y, axis1=-2, axis2=-1)[:, None, None]
+            ginv = np.linalg.inv(g)
+            val = np.trace(cases @ ginv, axis1=-2, axis2=-1)
+            _certify_unit_trace(cases, val, ginv, shape)
+            return _scalar(val.reshape(shape)), g.reshape(s.shape)
+    raise NoConvergenceError(f"{_case_prefix(shape, running[0])}unit-trace minimum not reached "
+                             f"in {UNIT_TRACE_MAX_STEPS} square-root steps; last relative "
+                             f"change {change[0]:.3e}")
 
 
 def _case_name(index: tuple) -> str:
     return ", ".join(str(i) for i in index)
 
 
-def _cholesky_passes(m: np.ndarray) -> np.ndarray:
-    """Whether np.linalg.cholesky accepts each matrix of the stack m."""
-    try:
-        np.linalg.cholesky(m)
-        return np.ones(len(m), dtype=bool)
-    except np.linalg.LinAlgError:
-        passes = np.ones(len(m), dtype=bool)
-        for i, one in enumerate(m):
-            try:
-                np.linalg.cholesky(one)
-            except np.linalg.LinAlgError:
-                passes[i] = False
-        return passes
-
-
 def _case_prefix(shape: tuple, flat: int) -> str:
     """The prefix "case i, j: " naming the case at flat index `flat` of a
     stack of the given shape; empty for one case."""
     return f"case {_case_name(np.unravel_index(flat, shape))}: " if shape else ""
-
-
-def _unit_trace_newton(s: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """min_trace_unit_trace's values and minimizers for the checked targets
-    s (k, d, d), d > 1, which are the cases of a stack of the given shape.
-    Each step works on the cases still running, and every stacked call
-    gives each case the bits of its one-case call."""
-    d = s.shape[-1]
-    basis = _traceless_basis(d)
-    n = len(basis)
-    flat = basis.reshape(n, d * d)
-    g = np.broadcast_to(np.eye(d) / d, s.shape).copy()
-    ginv = np.linalg.inv(g)
-    val = np.trace(s @ ginv, axis1=-2, axis2=-1)
-    running = np.arange(len(s))
-    for _ in range(UNIT_TRACE_MAX_STEPS):
-        rs, rg, rginv, rval = s[running], g[running], ginv[running], val[running]
-        b = rginv @ rs @ rginv
-        # one matrix-vector product per case, as flat @ b.ravel()
-        grad = -(flat @ b.reshape(-1, d * d, 1))[..., 0]
-        # the flattened rows B E_k and E_l G^-1 contract to Tr(B E_k G^-1 E_l)
-        half = ((b[:, None] @ basis).reshape(-1, n, d * d)
-                @ (basis @ rginv[:, None]).reshape(-1, n, d * d).mT)
-        hess = half + half.mT
-        try:
-            step = np.linalg.solve(hess, -grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # G came so near the boundary that the Hessian's condition
-            # number is beyond a float's; the first such case is named
-            for k, one in enumerate(hess):
-                try:
-                    np.linalg.solve(one, grad[k])
-                except np.linalg.LinAlgError:
-                    raise NoConvergenceError(
-                        f"{_case_prefix(shape, running[k])}unit-trace Newton Hessian is "
-                        "singular to working precision") from None
-            raise
-        decrement = np.vecdot(-grad, step)
-        last = decrement <= UNIT_TRACE_RTOL * rval
-        move = (step[:, None] @ flat).reshape(-1, d, d)
-        t = np.ones(len(running))
-        searching = np.ones(len(running), dtype=bool)
-        cand, cand_inv, cand_val = np.empty_like(rg), np.empty_like(rg), rval.copy()
-        # at most 60 halvings; past them the move vanishes against G
-        for _ in range(60):
-            tried = np.flatnonzero(searching)
-            if not tried.size:
-                break
-            trial = rg[tried] + t[tried, None, None] * move[tried]
-            passes = _cholesky_passes(trial)
-            tried, trial = tried[passes], trial[passes]
-            trial_inv = np.linalg.inv(trial)
-            trial_val = np.trace(rs[tried] @ trial_inv, axis1=-2, axis2=-1)
-            took = last[tried] | (trial_val <= rval[tried])
-            won = tried[took]
-            cand[won], cand_inv[won], cand_val[won] = trial[took], trial_inv[took], trial_val[took]
-            searching[won] = False
-            t[searching] *= 0.5
-        # a case whose halvings all failed stops where it is
-        moved = ~searching
-        at = running[moved]
-        g[at], ginv[at] = cand[moved], cand_inv[moved]
-        going = moved & ~last & (cand_val < rval)
-        val[at] = cand_val[moved]
-        running, decrement = running[going], decrement[going]
-        if not running.size:
-            _certify_unit_trace(s, val, ginv, shape)
-            return val, g
-    raise NoConvergenceError(f"{_case_prefix(shape, running[0])}unit-trace minimum not reached "
-                             f"in {UNIT_TRACE_MAX_STEPS} Newton steps; last decrement "
-                             f"{decrement[0]:.3e}")
 
 
 def _certify_unit_trace(s: np.ndarray, val: np.ndarray, ginv: np.ndarray, shape: tuple) -> None:
@@ -750,6 +664,6 @@ def _certify_unit_trace(s: np.ndarray, val: np.ndarray, ginv: np.ndarray, shape:
     bad = np.flatnonzero(~(gap <= UNIT_TRACE_GAP * val))
     if bad.size:
         k = bad[0]
-        raise NoConvergenceError(f"{_case_prefix(shape, k)}unit-trace Newton stopped at "
+        raise NoConvergenceError(f"{_case_prefix(shape, k)}unit-trace minimum stopped at "
                                  f"{val[k]:.6e}, which may exceed the minimum by up to "
                                  f"{gap[k]:.3e}")

@@ -123,7 +123,9 @@ def _positive(kind):
 
 def _sweep(first: float, rmax: float, rstep: float) -> np.ndarray:
     """Radii first, first + rstep, ... up to rmax; a usage error when rmax
-    lies below the first point."""
+    is not finite or lies below the first point."""
+    if not np.isfinite(rmax):
+        raise ValueError(f"--rmax must be finite, got {rmax:g}")
     radii = np.arange(first, rmax + 1e-12, rstep)
     if radii.size == 0:
         raise ValueError(f"--rmax {rmax:g} is below the first sweep point {first:g}")

@@ -157,8 +157,9 @@ def check_fisher_convexity(rng, cases: int = 30) -> CheckResult:
 
 
 def check_unit_trace_minimum(rng, cases: int = 20) -> CheckResult:
-    """The Newton minimum of Tr S G^-1 over unit-trace G, which takes no
-    square root of S, matches (Tr sqrt(S))^2."""
+    """The minimum of Tr S G^-1 over unit-trace G matches (Tr sqrt(S))^2;
+    the convexity gap certifies the numeric value apart from the closed
+    form."""
     _require_size("cases", cases)
     draws = {2: ([], []), 3: ([], [])}
     for _ in range(cases):

@@ -399,7 +399,11 @@ class TestSweepSizes:
 
     @pytest.mark.parametrize("args", [
         ["bounds", "--rmax", "-1"],
+        ["bounds", "--rmax", "nan"],
+        ["bounds", "--rmax", "inf"],
         ["bounds", "--rmax", "-0.01"],
+        ["mub", "--q", "3", "--bounds", "--rmax", "nan"],
+        ["mub", "--q", "3", "--bounds", "--rmax", "inf"],
         ["mub", "--q", "3", "--bounds", "--rmax", "0.01"],
         ["mub", "--q", "3", "--bounds", "--rstep", "0.2", "--rmax", "0.1"],
         ["mub", "--q", "3", "--bounds", "--rstep", "2", "--rmax", "2"],
@@ -409,6 +413,12 @@ class TestSweepSizes:
         assert run_cli(args + ["--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["bounds"], ["mub", "--q", "3", "--bounds"]])
+    @pytest.mark.parametrize("rmax", ["nan", "inf", "-inf"])
+    def test_non_finite_rmax_is_named(self, command, rmax, capsys):
+        assert run_cli([*command, f"--rmax={rmax}"]) == 2
+        assert capsys.readouterr().err == f"error: --rmax must be finite, got {rmax}\n"
 
     @pytest.mark.parametrize("args", [
         ["bounds", "--rmax", "-1"],
