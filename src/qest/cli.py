@@ -123,10 +123,14 @@ def _positive(kind):
 
 def _sweep(first: float, rmax: float, rstep: float) -> np.ndarray:
     """Radii first, first + rstep, ... up to rmax; a usage error when rmax
-    is not finite or lies below the first point."""
+    is not finite or lies below the first point.  Both sweep models end at
+    radius 1 (the smallest eigenvalue of a MUB state at affine coordinate r
+    is (1 - r)/q), so the grid stops at 1 + rstep: it keeps the first point
+    at or past 1, which the sweep rejects or stops at, and builds none after
+    it.  Stopping earlier leaves a prefix of the same points."""
     if not np.isfinite(rmax):
         raise ValueError(f"--rmax must be finite, got {rmax:g}")
-    radii = np.arange(first, rmax + 1e-12, rstep)
+    radii = np.arange(first, min(rmax, 1.0 + rstep) + 1e-12, rstep)
     if radii.size == 0:
         raise ValueError(f"--rmax {rmax:g} is below the first sweep point {first:g}")
     return radii

@@ -174,9 +174,8 @@ class McSummary:
 
 def _check_eps(eps) -> None:
     """Reject a ball margin outside (0, 1), where the ball of radius 1 - eps
-    is empty, a point or all of the state space; a NaN fails both tests.
-    A float skips the ABC test, which costs 0.4 us in every line search."""
-    if not (type(eps) is float or isinstance(eps, numbers.Real)) or not 0.0 < eps < 1.0:
+    is empty, a point or all of the state space; a NaN fails both tests."""
+    if not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
         raise ValueError(f"eps_ball must lie strictly between 0 and 1, got {eps!r}")
 
 
@@ -317,9 +316,10 @@ def _chol_solve(h6, c0: float, c1: float, c2: float):
     return (z0 - l10 * y1 - l20 * y2) / l00, y1, y2
 
 
-def _ball_newton_point(h6: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
+def _ball_newton_point(h: list, c0: float, c1: float, c2: float, rho: float) -> list:
     """Maximizer of c.y - y^T H y / 2 over |y| <= rho for positive
-    semidefinite H given as (h00, h11, h22, h01, h02, h12).
+    semidefinite H given as the floats (h00, h11, h22, h01, h02, h12), as
+    three floats.
 
     Inside the ball it is the Cholesky solution of H y = c.  Otherwise it
     is y = (H + lam I)^-1 c with lam > 0 and |y| = rho, found by Newton's
@@ -328,13 +328,14 @@ def _ball_newton_point(h6: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
     from a lam where |y(lam)| >= rho.  For a likelihood Hessian, c has no
     component along a direction v with H v = 0 (that forces every
     b_i . v = 0, so the log-likelihood is flat along v); such directions get
-    no component, which picks the minimum-norm maximizer.
+    no component, which picks the minimum-norm maximizer.  The secular sums
+    run left to right, the same on every Python (builtin sum() of floats is
+    compensated from Python 3.12 on); the products with the eigenvectors
+    stay numpy's.
     """
-    h = h6.tolist()
-    c0, c1, c2 = c.tolist()
     y = _chol_solve(h, c0, c1, c2)
     if y is not None and math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) <= rho:
-        return np.array(y)
+        return y
     a00, a11, a22, a01, a02, a12 = h
     mu, vecs = np.linalg.eigh(np.array([[a00, a01, a02], [a01, a11, a12],
                                         [a02, a12, a22]]))
@@ -343,17 +344,26 @@ def _ball_newton_point(h6: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
     noise = 1e-10 * (math.hypot(c0, c1, c2) + mu_max)
     # (curvature, c component, index); no-curvature directions keep only a
     # c component above rounding noise, and then only linear growth
+    components = (np.array((c0, c1, c2)) @ vecs).tolist()
     terms = [(m if m > flat else 0.0, ck, k)
-             for k, (m, ck) in enumerate(zip(mu.tolist(), (c @ vecs).tolist()))
+             for k, (m, ck) in enumerate(zip(mu.tolist(), components))
              if (m > flat and ck != 0.0) or abs(ck) > noise]
     lam = 0.0
-    if any(m == 0.0 for m, _, _ in terms) or \
-            sum((ck / m) ** 2 for m, ck, _ in terms) > rho * rho:
+    # |y(0)|^2; a term without curvature puts y(0) at infinity
+    s2 = 0.0
+    for m, ck, _ in terms:
+        if m == 0.0:
+            s2 = math.inf
+            break
+        s2 += (ck / m) ** 2
+    if s2 > rho * rho:
         # |y(lam)| >= |c_k| / (mu_k + lam) >= rho for every lam up to this start
         lam = max(0.0, max(abs(ck) / rho - m for m, ck, _ in terms))
         for _ in range(100):
-            s2 = sum((ck / (m + lam)) ** 2 for m, ck, _ in terms)
-            s3 = sum(ck * ck / (m + lam) ** 3 for m, ck, _ in terms)
+            s2 = s3 = 0.0
+            for m, ck, _ in terms:
+                s2 += (ck / (m + lam)) ** 2
+                s3 += ck * ck / (m + lam) ** 3
             step = (math.sqrt(s2) - rho) / rho * s2 / s3
             lam += step
             if step <= 1e-15 * lam:
@@ -361,7 +371,7 @@ def _ball_newton_point(h6: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
     coef = [0.0, 0.0, 0.0]
     for m, ck, k in terms:
         coef[k] = ck / (m + lam)
-    return vecs @ np.array(coef)
+    return (vecs @ np.array(coef)).tolist()
 
 
 def mle_maximize(traces, bloch, init, *, eps_ball: float = 1e-6):
@@ -393,37 +403,58 @@ def mle_maximize(traces, bloch, init, *, eps_ball: float = 1e-6):
     bt = bloch.T
     if not (np.isfinite(traces).all() and np.isfinite(bt).all()):
         raise ValueError("history has non-finite traces or Bloch rows")
-    products = _bloch_products(bt)
+    # a non-number eps_ball fails this subtraction before _check_eps
     rho = 1.0 - eps_ball
+    init = np.asarray(init, dtype=float)
+    _check_eps(eps_ball)
+    x, ok, _, _ = _mle_solve(traces, bt, init.tolist(), rho)
+    return np.array(x), ok
+
+
+def _mle_solve(traces: np.ndarray, bt: np.ndarray, init: list, rho: float) -> tuple:
+    """The Newton ascent of mle_maximize on a checked history: traces (m,),
+    Bloch columns bt (3, m), a start of three floats, clamped first, and the
+    ball radius rho.  Returns (x, ok, products, u): the maximizer as three
+    numbers (of rho's type where the clamp moved it), its certificate, the
+    history's _bloch_products and u = max(traces + x . bt, 2 PROB_FLOOR) at
+    x, so that products @ (1 / u^2) is the observed information at x.
+    Reductions over the history, and the small products with grad, stay
+    numpy's; the rest is Python floats.
+    """
+    products = _bloch_products(bt)
     floor = 2.0 * PROB_FLOOR
-    x = clamp_to_ball(np.asarray(init, dtype=float), eps_ball)
-    u = np.maximum(traces + x @ bt, floor)
+    # a clamped point takes the type of rho, a numpy scalar for a numpy
+    # eps_ball; the arithmetic runs on its values as Python floats
+    x = _clamp_point(init, rho)
+    x0, x1, x2 = map(float, x)
+    u = np.maximum(traces + np.array(x) @ bt, floor)
     lval = float(np.log(u).sum())
     for _ in range(MAX_NEWTON):
         q = 1.0 / u
         grad = bt @ q
-        h6 = products @ (q * q)
-        a00, a11, a22, a01, a02, a12 = h6.tolist()
-        x0, x1, x2 = x.tolist()
-        hx = np.array([a00 * x0 + a01 * x1 + a02 * x2,
-                       a01 * x0 + a11 * x1 + a12 * x2,
-                       a02 * x0 + a12 * x1 + a22 * x2])
-        delta = _ball_newton_point(h6, grad + hx, rho) - x
-        slope = float(grad @ delta)
+        h = (products @ (q * q)).tolist()
+        a00, a11, a22, a01, a02, a12 = h
+        g0, g1, g2 = grad.tolist()
+        y0, y1, y2 = _ball_newton_point(h, g0 + (a00 * x0 + a01 * x1 + a02 * x2),
+                                        g1 + (a01 * x0 + a11 * x1 + a12 * x2),
+                                        g2 + (a02 * x0 + a12 * x1 + a22 * x2), rho)
+        d0, d1, d2 = y0 - x0, y1 - x1, y2 - x2
+        slope = float(grad @ np.array((d0, d1, d2)))
         if slope <= CERT_TOL * max(1.0, 1e-3 * abs(lval)):
-            return x, True
+            return x, True, products, u
         t = 1.0
         while True:
-            cand = clamp_to_ball(x + t * delta, eps_ball)
-            uc = np.maximum(traces + cand @ bt, floor)
+            cand = _clamp_point([x0 + t * d0, x1 + t * d1, x2 + t * d2], rho)
+            uc = np.maximum(traces + np.array(cand) @ bt, floor)
             lc = float(np.log(uc).sum())
             if lc >= lval + 1e-4 * t * slope:
                 break
             t *= 0.5
             if t < 1e-10:
-                return x, False
+                return x, False, products, u
         x, u, lval = cand, uc, lc
-    return x, False
+        x0, x1, x2 = map(float, x)
+    return x, False, products, u
 
 
 def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
@@ -458,8 +489,10 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
     The step's trace, Bloch vector and outcome go to one flat list, which
     the next solve writes into the history arrays (traces, Bloch columns and
     outcomes); m_max is a checkpoint, so the arrays are complete when the
-    trial ends.  The pairwise Bloch products that the solve and the rebuilt
-    I need are formed from the columns at each solve.
+    trial ends; each block of steps is checked for non-finite entries as it
+    is written.  Each solve (_mle_solve, the core of mle_maximize) forms the
+    pairwise Bloch products of the history once and returns them with the
+    terms u at its maximizer, from which I is rebuilt.
     """
     checkpoints = checkpoint_schedule(cfg.m_max)
     weight = cfg.weight
@@ -553,21 +586,23 @@ def adaptive_run(cfg: RunConfig, rng: np.random.Generator) -> TrialRecord:
                         x0, x1, x2 = ((y0, y1, y2) if sqrt(y0 * y0 + y1 * y1 + y2 * y2) <= rho
                                       else _clamp_point((y0, y1, y2), rho))
                         continue
-        block = np.reshape(steps, (-1, 5)).T
+        block = np.array(steps, dtype=float).reshape(-1, 5).T
+        if not np.isfinite(block[:4]).all():
+            raise ValueError("history has non-finite traces or Bloch rows")
         written = n - block.shape[1]
         traces[written:n] = block[0]
         bloch[:, written:n] = block[1:4]
         outcomes[written:n] = block[4]
         steps.clear()
-        x_mle, ok = mle_maximize(traces[:n], bloch[:, :n].T, (x0, x1, x2),
-                                 eps_ball=cfg.eps_ball)
+        # a clamped point of the kernel carries rho's type; the solve starts
+        # from its values as Python floats
+        x, ok, products, u = _mle_solve(traces[:n], bloch[:, :n],
+                                        [float(x0), float(x1), float(x2)], rho)
         n_failed += not ok
-        u = np.maximum(traces[:n] + x_mle @ bloch[:, :n], floor)
-        h00, h11, h22, h01, h02, h12 = (_bloch_products(bloch[:, :n])
-                                         @ (1.0 / (u * u))).tolist()
-        x0, x1, x2 = x_mle.tolist()
+        h00, h11, h22, h01, h02, h12 = (products @ (1.0 / (u * u))).tolist()
+        x0, x1, x2 = map(float, x)
         if n == next_ckpt:
-            estimates.append(x_mle)
+            estimates.append(x)
             next_ckpt = next(ckpt_iter, 0)
     return TrialRecord(element_traces=traces, element_bloch=bloch.T, outcomes=outcomes,
                        checkpoints=checkpoints, estimates=np.array(estimates),
@@ -674,13 +709,13 @@ def _env_threads() -> int:
 
 # Rough one-core trial cost per adaptive step and per tomography checkpoint
 # (2-vCPU Xeon; a selector's step took 2.8-4.7 us at m_max = 3000,
-# BENCH_27.json, and is priced at the top of that range; a tomography trial
-# scored in a block took 60-125 us over its 33 checkpoints, as the machine's
-# load varied).  A step under a fixed matrix weight runs qubit_design, 20-50
-# times a selector's step (130-165 vs 3-8 us at m_max = 3000 on the same
-# machine, under varying load).  A process pool costs about
-# 0.1 s to start and feed, so a job with less estimated serial work than
-# POOL_MIN_WORK_S runs serially.
+# BENCH_27.json, 6-10% less since BENCH_29.json, and is priced at the top of
+# that range; a tomography trial scored in a block took 60-125 us over its
+# 33 checkpoints, as the machine's load varied).  A step under a fixed
+# matrix weight runs qubit_design, 20-50 times a selector's step (130-165 vs
+# 3-8 us at m_max = 3000 on the same machine, under varying load).  A
+# process pool costs about 0.1 s to start and feed, so a job with less
+# estimated serial work than POOL_MIN_WORK_S runs serially.
 _TRIAL_COST_S = {"adaptive": 5e-6, "custom": 1e-4, "tomography": 3e-6}
 POOL_MIN_WORK_S = 0.25
 # trials per block; a block holds its trials' draws and estimates at once

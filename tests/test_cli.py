@@ -246,14 +246,14 @@ class TestSimulate:
         assert "warning" not in capsys.readouterr().err
 
         certified = []
-        solve = simulate.mle_maximize
+        solve = simulate._mle_solve
 
-        def every_other_uncertified(*a, **kw):
-            x, ok = solve(*a, **kw)
+        def every_other_uncertified(*a):
+            x, ok, *rest = solve(*a)
             certified.append(ok)
-            return x, ok and len(certified) % 2 == 0
+            return x, ok and len(certified) % 2 == 0, *rest
 
-        monkeypatch.setattr(simulate, "mle_maximize", every_other_uncertified)
+        monkeypatch.setattr(simulate, "_mle_solve", every_other_uncertified)
         assert run_cli(args + ["--out", str(tmp_path / "failing")]) == 0
         assert all(certified)
         n_failed = (len(certified) + 1) // 2
@@ -441,6 +441,43 @@ class TestSweepSizes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "allocate" in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("rmax", ["2", "1e20", "1e300"])
+    def test_huge_rmax_stops_at_the_model_edge(self, rmax, capsys):
+        # both models end at radius 1, so a huge finite --rmax stops where 2 does
+        assert run_cli(["bounds", "--rmax", rmax]) == 2
+        assert capsys.readouterr().err == "error: radius 1.0 outside [0, 1)\n"
+        assert run_cli(["mub", "--q", "3", "--bounds", "--rmax", "2"]) == 0
+        want = capsys.readouterr().out
+        assert run_cli(["mub", "--q", "3", "--bounds", "--rmax", rmax]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("q", [3, 4, 5])
+    def test_edge_grid_keeps_every_point_the_sweep_reaches(self, q, capsys):
+        # the grid stops at 1 + rstep; the same sweep on a grid running four
+        # steps past the edge scores the same rows, and the radial sweep
+        # names the same first radius outside, for steps that land on 1 and
+        # steps that straddle it
+        from qest import bounds as bd
+        from qest import measurements as ms
+        family = ms.mub_bases(q)
+        for rstep in (0.05, 0.1, 0.125, 0.2, 0.25, 1 / 3, 0.3, 0.5, 1 / 7, 0.7):
+            long_grid = np.arange(rstep, 1.0 + 4 * rstep + 1e-12, rstep)
+            for coord in ((0, 0), (q, q - 2)):
+                rows = bd.mub_tomography_sweep(family, long_grid, coord)
+                want = "".join(f"{','.join(map(str, row))}\n"
+                               for row in [("r", "cGM", "cT"), *rows])
+                assert run_cli(["mub", "--q", str(q), "--bounds", "--rstep", repr(rstep),
+                                "--dir", f"{coord[0] + 1},{coord[1] + 1}", "--rmax", "1e20"]) == 0
+                assert capsys.readouterr().out == want
+            if q == 3:
+                with pytest.raises(ValueError) as exc:
+                    bd.rot_merit_sweep([bd.ROT_WEIGHTS["identity"]],
+                                       np.arange(0.0, 1.0 + 4 * rstep + 1e-12, rstep),
+                                       np.ones((1, 3)) / np.sqrt(3.0))
+                assert run_cli(["bounds", "--rstep", repr(rstep), "--rmax", "1e20"]) == 2
+                assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 class TestVerify:

@@ -694,8 +694,10 @@ class TestBallNewtonStep:
             if trial % 7 == 0:
                 c = h @ rng.standard_normal(3) * 0.1  # may leave the optimum inside
             rho = rng.uniform(0.5, 1.0)
-            h6 = np.array([h[0, 0], h[1, 1], h[2, 2], h[0, 1], h[0, 2], h[1, 2]])
-            y = _ball_newton_point(h6, c, rho)
+            h6 = [h[0, 0], h[1, 1], h[2, 2], h[0, 1], h[0, 2], h[1, 2]]
+            y = np.array(_ball_newton_point(np.array(h6).tolist(), *c.tolist(), rho))
+            # the bits of the numpy route it replaced
+            assert _same_bits(y, _oracle_ball_newton_point(np.array(h6), c, rho))
             assert np.linalg.norm(y) <= rho * (1 + 1e-12)
             # the model value at y beats every feasible sample point
             model = lambda z: c @ z - 0.5 * z @ h @ z
@@ -1127,13 +1129,13 @@ def _running_steps(cfg, rng, design_at, monkeypatch, seen=None):
     import qest.simulate as simulate
     seen = _serve_designs(monkeypatch, design_at, seen)
     solved = set()
-    solve = simulate.mle_maximize
+    solve = simulate._mle_solve
 
-    def recording(traces, bloch, init, **kw):
+    def recording(traces, bt, init, rho):
         solved.add(len(traces))
-        return solve(traces, bloch, init, **kw)
+        return solve(traces, bt, init, rho)
 
-    monkeypatch.setattr(simulate, "mle_maximize", recording)
+    monkeypatch.setattr(simulate, "_mle_solve", recording)
     rec = adaptive_run(cfg, rng)
     grid = set(checkpoint_schedule(cfg.m_max).tolist())
     bt = rec.element_bloch.T
@@ -1305,16 +1307,20 @@ def _assert_same_trial(rec, oracle):
 
 
 class _ServedSolves:
-    """A stand-in for mle_maximize that returns the given points in turn,
-    each as a certified estimate, wrapping around at the end."""
+    """A stand-in for the solve core _mle_solve, which mle_maximize and
+    adaptive_run call, that returns the given points in turn, each as a
+    certified estimate with the products and terms u at it, wrapping around
+    at the end."""
 
     def __init__(self, points, start):
         self.points, self.pos = points, start
 
-    def __call__(self, traces, bloch, init, *, eps_ball):
-        x = self.points[self.pos % len(self.points)]
+    def __call__(self, traces, bt, init, rho):
+        from qest.simulate import PROB_FLOOR, _bloch_products
+        x = [float(v) for v in self.points[self.pos % len(self.points)]]
         self.pos += 1
-        return np.array(x, dtype=float), True
+        u = np.maximum(traces + np.array(x) @ bt, 2.0 * PROB_FLOOR)
+        return x, True, _bloch_products(bt), u
 
 
 def _served_trials(points, weight, monkeypatch):
@@ -1330,7 +1336,7 @@ def _served_trials(points, weight, monkeypatch):
         runs = []
         for run in (adaptive_run, _per_step_adaptive_run):
             solves = _ServedSolves(points, start)
-            monkeypatch.setattr(simulate, "mle_maximize", solves)
+            monkeypatch.setattr(simulate, "_mle_solve", solves)
             runs.append(run(cfg, np.random.default_rng((0, 1, trial))))
         yield runs
         start, trial = solves.pos - 1, trial + 1
@@ -1396,7 +1402,7 @@ class TestFloatAdaptiveStep:
             # from this design, whatever the running estimate, so the solves
             # can return the origin
             _serve_designs(monkeypatch, lambda x: design)
-            monkeypatch.setattr(simulate, "mle_maximize", _ServedSolves([[0.0] * 3], 0))
+            monkeypatch.setattr(simulate, "_mle_solve", _ServedSolves([[0.0] * 3], 0))
             cfg = _Config(x0=np.array(x_true), weight=np.eye(3), m_max=len(uniforms))
             rec = adaptive_run(cfg, _Uniforms(uniforms))
             want = [_accumulate_draw(*_probs_axes(design), x_true, u) for u in uniforms]
@@ -1460,3 +1466,244 @@ class TestFloatAdaptiveStep:
             rec = adaptive_run(cfg, np.random.default_rng((seed, 1, m_max)))
             _assert_same_trial(rec, _per_step_adaptive_run(
                 cfg, np.random.default_rng((seed, 1, m_max))))
+
+
+def _left_sum(terms):
+    """builtin sum() of floats as Python 3.11 and older evaluate it: left to
+    right from the integer 0, uncompensated."""
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _oracle_ball_newton_point(h6, c, rho, routes=None):
+    """_ball_newton_point as it was on numpy arrays, its secular sums taken
+    by _left_sum; appends "chol", "eig" or "eig-flat" (a kept term without
+    curvature) to routes, when given."""
+    import math
+    from qest.simulate import _chol_solve
+    h = h6.tolist()
+    c0, c1, c2 = c.tolist()
+    y = _chol_solve(h, c0, c1, c2)
+    if y is not None and math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) <= rho:
+        if routes is not None:
+            routes.append("chol")
+        return np.array(y)
+    a00, a11, a22, a01, a02, a12 = h
+    mu, vecs = np.linalg.eigh(np.array([[a00, a01, a02], [a01, a11, a12],
+                                        [a02, a12, a22]]))
+    mu_max = max(float(mu[2]), 0.0)
+    flat = 1e-12 * mu_max
+    noise = 1e-10 * (math.hypot(c0, c1, c2) + mu_max)
+    terms = [(m if m > flat else 0.0, ck, k)
+             for k, (m, ck) in enumerate(zip(mu.tolist(), (c @ vecs).tolist()))
+             if (m > flat and ck != 0.0) or abs(ck) > noise]
+    if routes is not None:
+        routes.append("eig-flat" if any(m == 0.0 for m, _, _ in terms) else "eig")
+    lam = 0.0
+    if any(m == 0.0 for m, _, _ in terms) or \
+            _left_sum((ck / m) ** 2 for m, ck, _ in terms) > rho * rho:
+        lam = max(0.0, max(abs(ck) / rho - m for m, ck, _ in terms))
+        for _ in range(100):
+            s2 = _left_sum((ck / (m + lam)) ** 2 for m, ck, _ in terms)
+            s3 = _left_sum(ck * ck / (m + lam) ** 3 for m, ck, _ in terms)
+            step = (math.sqrt(s2) - rho) / rho * s2 / s3
+            lam += step
+            if step <= 1e-15 * lam:
+                break
+    coef = [0.0, 0.0, 0.0]
+    for m, ck, k in terms:
+        coef[k] = ck / (m + lam)
+    return vecs @ np.array(coef)
+
+
+def _oracle_mle_maximize(traces, bloch, init, *, eps_ball=1e-6, routes=None):
+    """mle_maximize as it was before its solve moved onto Python floats:
+    numpy Newton right-hand side, step and chord, clamp_to_ball on each
+    candidate, and _oracle_ball_newton_point."""
+    from qest.simulate import CERT_TOL, MAX_NEWTON, PROB_FLOOR, _bloch_products
+    traces = np.asarray(traces, dtype=float)
+    bloch = np.asarray(bloch, dtype=float)
+    if traces.size == 0:
+        raise ValueError("history must be nonempty")
+    if traces.ndim != 1 or bloch.shape != traces.shape + (3,):
+        raise ValueError(f"history needs traces (m,) and Bloch rows (m, 3), "
+                         f"got {traces.shape} and {bloch.shape}")
+    bt = bloch.T
+    if not (np.isfinite(traces).all() and np.isfinite(bt).all()):
+        raise ValueError("history has non-finite traces or Bloch rows")
+    products = _bloch_products(bt)
+    rho = 1.0 - eps_ball
+    floor = 2.0 * PROB_FLOOR
+    x = clamp_to_ball(np.asarray(init, dtype=float), eps_ball)
+    u = np.maximum(traces + x @ bt, floor)
+    lval = float(np.log(u).sum())
+    for _ in range(MAX_NEWTON):
+        q = 1.0 / u
+        grad = bt @ q
+        h6 = products @ (q * q)
+        a00, a11, a22, a01, a02, a12 = h6.tolist()
+        x0, x1, x2 = x.tolist()
+        hx = np.array([a00 * x0 + a01 * x1 + a02 * x2,
+                       a01 * x0 + a11 * x1 + a12 * x2,
+                       a02 * x0 + a12 * x1 + a22 * x2])
+        delta = _oracle_ball_newton_point(h6, grad + hx, rho, routes) - x
+        slope = float(grad @ delta)
+        if slope <= CERT_TOL * max(1.0, 1e-3 * abs(lval)):
+            return x, True
+        t = 1.0
+        while True:
+            cand = clamp_to_ball(x + t * delta, eps_ball)
+            uc = np.maximum(traces + cand @ bt, floor)
+            lc = float(np.log(uc).sum())
+            if lc >= lval + 1e-4 * t * slope:
+                break
+            t *= 0.5
+            if t < 1e-10:
+                return x, False
+        x, u, lval = cand, uc, lc
+    return x, False
+
+
+def _recorded_solves(cfgs, monkeypatch):
+    """(traces, bt, init, eps_ball, result) of every solve of one trial of
+    each config, result being _mle_solve's (x, ok, products, u); the history
+    is the trial's own view, whose first n entries never change again."""
+    import qest.simulate as simulate
+    solve, solves = simulate._mle_solve, []
+    for cfg in cfgs:
+        def recording(traces, bt, init, rho, eps_ball=cfg.eps_ball):
+            out = solve(traces, bt, init, rho)
+            solves.append((traces, bt, list(init), eps_ball, out))
+            return out
+
+        monkeypatch.setattr(simulate, "_mle_solve", recording)
+        adaptive_run(cfg, np.random.default_rng((cfg.seed, 1, 0)))
+    monkeypatch.undo()
+    return solves
+
+
+def _one_axis_histories():
+    """Histories of 1-5 outcomes on the x axis, whose information has two
+    exactly flat directions, and the same with the last outcome tilted by
+    1e-8 off the axis, whose eigen route keeps a term without curvature."""
+    import math
+    for tilt in (0.0, 1e-8):
+        for k in range(1, 6):
+            bloch = np.zeros((k, 3))
+            bloch[:, 0] = [(-1.0) ** i / 3.0 for i in range(k)]
+            if tilt:
+                bloch[-1] = [math.cos(tilt) / 3.0, math.sin(tilt) / 3.0, 0.0]
+            yield np.full(k, 1.0 / 3.0), bloch
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSolveEqualsTheArrayOracle:
+    """The float solve core returns the bits of the numpy route it replaced,
+    and so does the rebuilt observed information."""
+
+    def _check(self, traces, bt, init, eps_ball, out, routes=None):
+        from qest.simulate import PROB_FLOOR, _bloch_products
+        x, ok, products, u = out
+        want_x, want_ok = _oracle_mle_maximize(traces, bt.T, init, eps_ball=eps_ball,
+                                               routes=routes)
+        assert _same_bits(x, want_x) and ok == want_ok
+        want_u = np.maximum(traces + want_x @ bt, 2.0 * PROB_FLOOR)
+        assert _same_bits(products @ (1.0 / (u * u)),
+                          _bloch_products(bt) @ (1.0 / (want_u * want_u)))
+        public_x, public_ok = mle_maximize(traces, bt.T, init, eps_ball=eps_ball)
+        assert _same_bits(public_x, want_x) and public_ok == want_ok
+
+    def test_trial_solves(self, monkeypatch):
+        a = np.random.default_rng(97).standard_normal((3, 3))
+        cfgs = [RunConfig(x0=X0, weight=weight, m_max=400 if isinstance(weight, str) else 150,
+                          reps=1, seed=seed, eps_ball=eps_ball)
+                for weight in ("qfi", "identity", "tomography", a @ a.T + 0.3 * np.eye(3))
+                for eps_ball in (0.01, 1e-6) for seed in (3, 2024)]
+        solves = _recorded_solves(cfgs, monkeypatch)
+        routes = []
+        for traces, bt, init, eps_ball, out in solves:
+            self._check(traces, bt, init, eps_ball, out, routes)
+        assert {1, 2, 3, 4, 5} <= {len(s[0]) for s in solves}
+        assert routes.count("eig") > 100 and routes.count("chol") > 100
+
+    def test_one_axis_histories(self):
+        from qest.simulate import _mle_solve
+        routes = []
+        for traces, bloch in _one_axis_histories():
+            bt = bloch.T
+            for init in ([0.0, 0.0, 0.0], [0.2, 0.3, -0.1], [-0.9, 0.1, 0.4]):
+                for eps_ball in (0.01, 1e-6):
+                    out = _mle_solve(traces, bt, init, 1.0 - eps_ball)
+                    self._check(traces, bt, init, eps_ball, out, routes)
+        assert routes.count("eig-flat") >= 20
+
+    @pytest.mark.parametrize("kind", [np.float64, np.float32])
+    def test_numpy_scalar_margins(self, kind):
+        # a clamp under a float32 radius returns float32 points, which the
+        # array route turned into an array and back into Python floats
+        # (these histories stay clear of the float32 shrink loop, which can
+        # spin forever on other points)
+        rng = np.random.default_rng(1)
+        for _ in range(12):
+            m = int(rng.integers(1, 40))
+            bloch = rng.standard_normal((m, 3))
+            bloch /= 3.0 * np.linalg.norm(bloch, axis=1)[:, None]
+            traces, init = np.full(m, 1.0 / 3.0), rng.standard_normal(3) * 0.3
+            eps_ball = kind(rng.choice([0.01, 1e-6, 0.3]))
+            x, ok = mle_maximize(traces, bloch, init, eps_ball=eps_ball)
+            want_x, want_ok = _oracle_mle_maximize(traces, bloch, init, eps_ball=eps_ball)
+            assert x.dtype == want_x.dtype and _same_bits(x, want_x) and ok == want_ok
+
+    @pytest.mark.parametrize("init, eps_ball", [
+        ([0.1, 0.2, 0.3], 0.0), ([0.1, 0.2, 0.3], 1.0), ([0.1, 0.2, 0.3], float("nan")),
+        ([0.1, 0.2, 0.3], "0.5"), ([0.1, 0.2, 0.3], None), ([0.1, 0.2, 0.3], True),
+        ([0.1, 0.2], 0.01), ([[0.1, 0.2, 0.3]], 0.01), (0.5, 0.01), ([np.nan, 0.0, 0.0], 0.01),
+        ([np.inf, 0.0, 0.0], 0.01), ([1e300, 1e300, 0.0], 0.01), (["a", 0.0, 0.0], 0.01),
+    ])
+    def test_bad_starts_and_margins_raise_as_before(self, init, eps_ball):
+        traces, bloch = np.full(3, 1.0 / 3.0), np.eye(3) / 3.0
+
+        def outcome(solve):
+            try:
+                x, ok = solve(traces, bloch, init, eps_ball=eps_ball)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return np.asarray(x).tobytes(), ok
+
+        assert outcome(mle_maximize) == outcome(_oracle_mle_maximize)
+
+
+def _compensated_sum(terms, start=0):
+    """builtin sum() of floats as Python 3.12 evaluates it (gh-100425):
+    Neumaier's compensated summation."""
+    import math
+    total, comp = float(start), 0.0
+    for term in terms:
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+class TestAdaptiveBitsIgnoreThePythonSum:
+    def test_compensated_builtin_sum_leaves_the_csvs_unchanged(self, monkeypatch):
+        import qest.simulate as simulate
+        assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+
+        def csvs():
+            return [monte_carlo(RunConfig(x0=X0, weight=weight, m_max=400, reps=12, seed=2024),
+                                estimators=("adaptive",), threads=1)["adaptive"].to_csv()
+                    for weight in ("qfi", "identity", "tomography")]
+
+        want = csvs()
+        monkeypatch.setattr(simulate, "sum", _compensated_sum, raising=False)
+        assert csvs() == want
